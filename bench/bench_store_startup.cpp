@@ -14,6 +14,12 @@
 //     admission throughput                 `batched_admit_coalescing`
 //                                          (reported, not gated — thread
 //                                          scheduling dependent)
+//   * single-view admit p50 on an 8x    -> `admit_scaling` (reported, not
+//     store vs a 1x store                  gated: an admit re-checks only
+//                                          the admitted label's subgraphs,
+//                                          against every code, so it grows
+//                                          with the code count, not with
+//                                          the 8x subgraphs and database)
 // and verifies the warm-started service answers identically.
 //
 // The run merge-writes a "store_startup" section into BENCH_store.json
@@ -21,6 +27,7 @@
 // `warm_speedup` and `delta_save_speedup` absolute floors plus the usual
 // `_sec` regression checks.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -97,6 +104,35 @@ bool SameAnswers(const ViewService& a, const ViewService& b,
       return false;
     }
   }
+  return true;
+}
+
+// Median wall time of `admits` single-view durable admissions (one WAL
+// fsync each) re-admitting the store's labels in turn, measured after the
+// whole store was admitted as one batch. False on failure.
+bool AdmitP50(const synthetic::SyntheticStore& store, int admits,
+              double* p50_sec) {
+  char tmpl[] = "/tmp/gvex_admit_bench.XXXXXX";
+  char* dir = mkdtemp(tmpl);
+  if (dir == nullptr) return false;
+  std::vector<double> samples;
+  {
+    auto service = ViewService::Open(dir, &store.db);
+    bool ok = service.ok() && service.value()->AdmitViews(store.views).ok();
+    const int num_labels = static_cast<int>(store.views.size());
+    for (int i = 0; ok && i < admits; ++i) {
+      ExplanationView view = VersionedView(store, i % num_labels, i + 1);
+      Timer t;
+      ok = service.value()->AdmitView(std::move(view)).ok();
+      samples.push_back(t.ElapsedSec());
+    }
+    if (service.ok()) service.value().reset();  // release the store lock
+    RemoveStoreDir(dir);
+    if (!ok) return false;
+  }
+  std::nth_element(samples.begin(), samples.begin() + samples.size() / 2,
+                   samples.end());
+  *p50_sec = samples[samples.size() / 2];
   return true;
 }
 
@@ -314,6 +350,22 @@ int main() {
 
   RemoveStoreDir(dir);
 
+  // --- Admit scaling: the batched-admit store shape at 1x and 8x the
+  // labels (so 8x the views, subgraphs and database graphs). ---
+  constexpr int kScaleAdmits = 64;
+  constexpr int kScaleFactor = 8;
+  synthetic::SyntheticStoreOptions big_opt = small_opt;
+  big_opt.num_labels = small_opt.num_labels * kScaleFactor;
+  const synthetic::SyntheticStore big =
+      synthetic::MakeSyntheticStore(7, big_opt);
+  double admit_1x_sec = 0.0, admit_8x_sec = 0.0;
+  if (!AdmitP50(small, kScaleAdmits, &admit_1x_sec) ||
+      !AdmitP50(big, kScaleAdmits, &admit_8x_sec)) {
+    std::fprintf(stderr, "admit scaling run failed\n");
+    return 1;
+  }
+  const double admit_scaling = admit_8x_sec / std::max(admit_1x_sec, 1e-9);
+
   const double speedup = cold_sec / std::max(warm_sec, 1e-9);
   const double delta_save_speedup =
       full_save_sec / std::max(delta_save_sec, 1e-9);
@@ -331,13 +383,19 @@ int main() {
                 FmtDouble(admit_seq_sec, 4)});
   table.AddRow({StrFormat("%d admits, %d threads", kAdmits, kAdmitThreads),
                 FmtDouble(admit_batched_sec, 4)});
+  table.AddRow({StrFormat("admit p50, %d labels", small_opt.num_labels),
+                FmtDouble(admit_1x_sec, 5)});
+  table.AddRow({StrFormat("admit p50, %d labels", big_opt.num_labels),
+                FmtDouble(admit_8x_sec, 5)});
   std::printf("%s", table.ToText().c_str());
   std::printf("\n%d patterns / %zu labels; snapshot %.0f bytes, delta %.0f "
               "bytes\nwarm speedup %.1fx; delta-save speedup %.1fx; "
-              "batched-admit speedup %.2fx (%.1f admissions/epoch)\n",
+              "batched-admit speedup %.2fx (%.1f admissions/epoch); "
+              "admit scaling %.2fx at %dx the store\n",
               total_patterns, store.views.size(), snapshot_bytes,
               delta_bytes, speedup, delta_save_speedup,
-              batched_admit_speedup, coalescing);
+              batched_admit_speedup, coalescing, admit_scaling,
+              kScaleFactor);
 
   bench::BenchReport report("store_startup");
   report.Add("hardware_concurrency",
@@ -360,6 +418,9 @@ int main() {
   report.Add("batched_admit_qps",
              static_cast<double>(kAdmits) /
                  std::max(admit_batched_sec, 1e-9));
+  report.Add("admit_1x_p50_sec", admit_1x_sec);
+  report.Add("admit_8x_p50_sec", admit_8x_sec);
+  report.Add("admit_scaling", admit_scaling);
   const std::string out = bench::BenchReport::OutPath("BENCH_store.json");
   Status st = report.WriteMerged(out);
   if (!st.ok()) {

@@ -7,7 +7,7 @@
 //
 // The admit entries re-admit VersionedView(store, label, 0) — the
 // IDENTITY version of the label's view. Each one costs the full admission
-// path (WAL append, index rebuild, epoch publish) but leaves the served
+// path (WAL append, index update, epoch publish) but leaves the served
 // content unchanged, so read responses stay byte-stable no matter how
 // many admits from how many connections interleave. That is the trick
 // that lets a mixed read/admit workload gate on ZERO divergences.

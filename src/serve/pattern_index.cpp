@@ -1,8 +1,10 @@
 #include "serve/pattern_index.h"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
+#include "obs/metrics.h"
 #include "pattern/matcher.h"
 #include "util/bitops.h"
 #include "util/logging.h"
@@ -13,9 +15,43 @@ namespace gvex {
 namespace {
 
 const std::vector<Pattern> kEmptyPatterns;
-const std::map<int, ExplanationView> kEmptyViews;
+const ViewMap kEmptyViews;
+
+// Checks run by Build and Apply, process-wide: a scrape shows an admission
+// costing O(changed labels), not O(store).
+obs::Counter* ContainmentChecks() {
+  static obs::Counter* const counter = obs::Metrics().GetCounter(
+      "gvex_index_containment_checks_total",
+      "Pattern containment checks run by PatternIndex Build and Apply");
+  return counter;
+}
+
+// Coverage of `p` over one view's subgraphs: bit i set iff subgraph i
+// contains the pattern. Runs through the candidate-filtered matcher: most
+// (code, subgraph) pairs don't match and die at filtering without a
+// backtracking step.
+CoverageWords Coverage(const ExplanationView& view, const Pattern& p,
+                       const MatchOptions& match) {
+  std::vector<uint64_t> bits(bitops::WordsForBits(view.subgraphs.size()), 0);
+  for (size_t i = 0; i < view.subgraphs.size(); ++i) {
+    if (FilteredContainsPattern(view.subgraphs[i].subgraph, p.graph(),
+                                match)) {
+      bitops::SetBit(bits.data(), i);
+    }
+  }
+  return std::make_shared<const std::vector<uint64_t>>(std::move(bits));
+}
 
 }  // namespace
+
+ViewMapPtr ShareViews(std::map<int, ExplanationView> views) {
+  auto shared = std::make_shared<ViewMap>();
+  for (auto& [label, view] : views) {
+    shared->emplace(label,
+                    std::make_shared<const ExplanationView>(std::move(view)));
+  }
+  return shared;
+}
 
 // Every fallback containment check funnels through here: the candidate-
 // filtered matcher (bit-identical answers to the legacy blind scan), with
@@ -31,89 +67,118 @@ bool PatternIndex::SubgraphContains(const Graph& subgraph,
   return contains;
 }
 
-PatternIndex PatternIndex::Build(
-    std::shared_ptr<const std::map<int, ExplanationView>> views,
-    const GraphDatabase* db, const BuildOptions& options) {
+const std::vector<uint64_t>* PatternIndex::LabelBits(
+    const PatternPostings& post, int label) {
+  const CoverageWords* words = FindCoverage(post.subgraph_bits, label);
+  return words == nullptr ? nullptr : words->get();
+}
+
+PatternIndex PatternIndex::Build(ViewMapPtr views, const GraphDatabase* db,
+                                 const BuildOptions& options) {
+  // A scratch build is an Apply onto an empty index: every code is new, so
+  // every posting is computed in full (no label needs naming as changed).
+  PatternIndex empty;
+  empty.db_ = db;
+  empty.match_ = options.match;
+  empty.database_indexed_ = options.index_database && db != nullptr;
+  return Apply(empty, std::move(views), {}, options.num_threads);
+}
+
+PatternIndex PatternIndex::Build(const std::map<int, ExplanationView>& views,
+                                 const GraphDatabase* db,
+                                 const BuildOptions& options) {
+  return Build(ShareViews(views), db, options);
+}
+
+PatternIndex PatternIndex::Apply(const PatternIndex& prev,
+                                 ViewMapPtr next_views,
+                                 const std::set<int>& changed_labels,
+                                 int num_threads) {
   PatternIndex index;
-  index.views_ = std::move(views);
-  index.db_ = db;
-  index.match_ = options.match;
-  index.database_indexed_ = options.index_database && db != nullptr;
+  index.views_ = std::move(next_views);
+  index.db_ = prev.db_;
+  index.match_ = prev.match_;
+  index.database_indexed_ = prev.database_indexed_;
   if (index.views_ == nullptr) return index;
 
   // Unique codes in deterministic first-seen order (labels ascending, tier
-  // order) with one representative pattern per code; tier_position / labels
-  // postings are filled in the same pass.
-  std::vector<const Pattern*> reps;
+  // order) with one representative pattern per code and its previous
+  // posting, if any; tier_position / labels postings are rebuilt in the
+  // same pass (no containment work). Codes of `prev` that no tier carries
+  // any more never get a slot — they are dropped.
+  struct Slot {
+    const Pattern* rep;
+    const PatternPostings* prev;  // null for a code new to this epoch
+    PatternPostings post;
+  };
+  std::vector<Slot> slots;
   std::unordered_map<std::string, size_t> code_slot;
-  std::vector<PatternPostings> postings;
   for (const auto& [label, view] : *index.views_) {
-    for (size_t pos = 0; pos < view.patterns.size(); ++pos) {
-      const Pattern& p = view.patterns[pos];
-      auto [it, inserted] =
-          code_slot.emplace(p.canonical_code(), reps.size());
+    for (size_t pos = 0; pos < view->patterns.size(); ++pos) {
+      const Pattern& p = view->patterns[pos];
+      auto [it, inserted] = code_slot.emplace(p.canonical_code(), slots.size());
       if (inserted) {
-        reps.push_back(&p);
-        postings.emplace_back();
+        slots.push_back(Slot{&p, prev.Find(p.canonical_code()), {}});
       }
-      PatternPostings& post = postings[it->second];
+      PatternPostings& post = slots[it->second].post;
       if (post.tier_position.emplace(label, static_cast<int>(pos)).second) {
         post.labels.push_back(label);  // labels ascend with the outer loop
       }
     }
   }
 
-  // The expensive cross-product — one containment check per (code, subgraph)
-  // and, when database indexing is on, per (code, database graph) — sharded
-  // over the codes. Each shard writes only its own postings slots, so the
-  // result is identical for every worker count. The checks run through the
-  // candidate-filtered matcher: most (code, subgraph) pairs don't match and
-  // die at filtering without a backtracking step.
-  const int num_codes = static_cast<int>(reps.size());
-  const int threads = std::max(1, options.num_threads);
+  // The containment work, sharded over the codes. A known code reuses the
+  // previous epoch's words for every label the admission left alone and
+  // recomputes only the changed labels; a new code pays the whole cross-
+  // product — one check per subgraph of every label and, when database
+  // indexing is on, per database graph. Each shard writes only its own
+  // slots, so the result is identical for every worker count.
+  const int num_codes = static_cast<int>(slots.size());
+  const int threads = std::max(1, num_threads);
+  std::atomic<uint64_t> checks{0};
   ThreadPool::ParallelForShards(
       threads, threads * 4, num_codes, [&](const Shard& shard) {
+        uint64_t shard_checks = 0;
         for (int c = shard.begin; c < shard.end; ++c) {
-          const Pattern& p = *reps[static_cast<size_t>(c)];
-          PatternPostings& post = postings[static_cast<size_t>(c)];
-          CoverageBits coverage;
+          Slot& slot = slots[static_cast<size_t>(c)];
+          const Pattern& p = *slot.rep;
+          PatternPostings& post = slot.post;
+          post.subgraph_bits.reserve(index.views_->size());
           for (const auto& [label, view] : *index.views_) {
-            std::vector<uint64_t> bits(
-                bitops::WordsForBits(view.subgraphs.size()), 0);
-            for (size_t i = 0; i < view.subgraphs.size(); ++i) {
-              if (FilteredContainsPattern(view.subgraphs[i].subgraph,
-                                          p.graph(), index.match_)) {
-                bitops::SetBit(bits.data(), i);
+            if (slot.prev != nullptr && changed_labels.count(label) == 0) {
+              const CoverageWords* reused =
+                  FindCoverage(slot.prev->subgraph_bits, label);
+              if (reused != nullptr && *reused != nullptr) {
+                post.subgraph_bits.emplace_back(label, *reused);
+                continue;
               }
             }
-            coverage.emplace(label, std::move(bits));
+            post.subgraph_bits.emplace_back(label,
+                                            Coverage(*view, p, index.match_));
+            shard_checks += view->subgraphs.size();
           }
-          // Frozen once: export/import and every copy of this index share
-          // these words by pointer from here on.
-          post.subgraph_bits =
-              std::make_shared<const CoverageBits>(std::move(coverage));
-          if (index.database_indexed_) {
-            for (int i = 0; i < db->size(); ++i) {
-              if (FilteredContainsPattern(db->graph(i), p.graph(),
+          if (slot.prev != nullptr) {
+            post.db_graphs = slot.prev->db_graphs;
+          } else if (index.database_indexed_) {
+            for (int i = 0; i < index.db_->size(); ++i) {
+              if (FilteredContainsPattern(index.db_->graph(i), p.graph(),
                                           index.match_)) {
                 post.db_graphs.push_back(i);
               }
             }
+            shard_checks += static_cast<uint64_t>(index.db_->size());
           }
         }
+        checks.fetch_add(shard_checks, std::memory_order_relaxed);
       });
 
+  index.postings_.reserve(slots.size());
   for (auto& [code, slot] : code_slot) {
-    index.postings_.emplace(code, std::move(postings[slot]));
+    index.postings_.emplace(code, std::move(slots[slot].post));
   }
+  index.containment_checks_ = checks.load(std::memory_order_relaxed);
+  ContainmentChecks()->Add(index.containment_checks_);
   return index;
-}
-
-PatternIndex PatternIndex::Build(const std::map<int, ExplanationView>& views,
-                                 const GraphDatabase* db,
-                                 const BuildOptions& options) {
-  return Build(std::make_shared<const std::map<int, ExplanationView>>(views),
-               db, options);
 }
 
 std::vector<StoredPostings> PatternIndex::ExportPostings() const {
@@ -124,7 +189,7 @@ std::vector<StoredPostings> PatternIndex::ExportPostings() const {
     stored.code = code;
     stored.labels = post.labels;
     stored.tier_position = post.tier_position;
-    stored.subgraph_bits = post.subgraph_bits;  // pointer copy, no words
+    stored.subgraph_bits = post.subgraph_bits;  // pointer copies, no words
     stored.db_graphs = post.db_graphs;
     out.push_back(std::move(stored));
   }
@@ -136,9 +201,8 @@ std::vector<StoredPostings> PatternIndex::ExportPostings() const {
 }
 
 PatternIndex PatternIndex::FromStored(
-    std::shared_ptr<const std::map<int, ExplanationView>> views,
-    const GraphDatabase* db, const MatchOptions& match, bool database_indexed,
-    const std::vector<StoredPostings>& postings) {
+    ViewMapPtr views, const GraphDatabase* db, const MatchOptions& match,
+    bool database_indexed, const std::vector<StoredPostings>& postings) {
   PatternIndex index;
   index.views_ = std::move(views);
   index.db_ = db;
@@ -152,14 +216,14 @@ PatternIndex PatternIndex::FromStored(
     PatternPostings post;
     post.labels = stored.labels;
     post.tier_position = stored.tier_position;
-    post.subgraph_bits = stored.subgraph_bits;  // pointer copy, no words
+    post.subgraph_bits = stored.subgraph_bits;  // pointer copies, no words
     post.db_graphs = stored.db_graphs;
     index.postings_.emplace(stored.code, std::move(post));
   }
   return index;
 }
 
-const std::map<int, ExplanationView>& PatternIndex::views() const {
+const ViewMap& PatternIndex::views() const {
   return views_ == nullptr ? kEmptyViews : *views_;
 }
 
@@ -172,7 +236,7 @@ std::vector<int> PatternIndex::Labels() const {
 
 const std::vector<Pattern>& PatternIndex::PatternsForLabel(int label) const {
   auto it = views().find(label);
-  return it == views().end() ? kEmptyPatterns : it->second.patterns;
+  return it == views().end() ? kEmptyPatterns : it->second->patterns;
 }
 
 const PatternPostings* PatternIndex::Find(const std::string& code) const {
@@ -185,18 +249,15 @@ std::vector<int> PatternIndex::GraphsWithPattern(int label,
   std::vector<int> out;
   auto it = views().find(label);
   if (it == views().end()) return out;
-  const std::vector<ExplanationSubgraph>& subgraphs = it->second.subgraphs;
+  const std::vector<ExplanationSubgraph>& subgraphs = it->second->subgraphs;
   const PatternPostings* post = Find(p.canonical_code());
   if (post != nullptr) {
-    if (post->subgraph_bits) {
-      auto bits = post->subgraph_bits->find(label);
-      if (bits != post->subgraph_bits->end()) {
-        // The indexed path: one ctz per ANSWER, not one shift per subgraph.
-        bitops::ForEachSetBit(bits->second, [&](size_t i) {
-          if (i < subgraphs.size()) out.push_back(subgraphs[i].graph_index);
-        });
-        return out;
-      }
+    if (const std::vector<uint64_t>* bits = LabelBits(*post, label)) {
+      // The indexed path: one ctz per ANSWER, not one shift per subgraph.
+      bitops::ForEachSetBit(*bits, [&](size_t i) {
+        if (i < subgraphs.size()) out.push_back(subgraphs[i].graph_index);
+      });
+      return out;
     }
     // Known code but no bitset for this label: the build computes bits for
     // every label, so this is an inconsistent snapshot. Say so loudly and
@@ -224,7 +285,7 @@ std::vector<int> PatternIndex::GraphsWithAllPatterns(
   std::vector<int> out;
   auto it = views().find(label);
   if (it == views().end()) return out;
-  const std::vector<ExplanationSubgraph>& subgraphs = it->second.subgraphs;
+  const std::vector<ExplanationSubgraph>& subgraphs = it->second->subgraphs;
   const size_t n = subgraphs.size();
 
   // Accumulator starts at "all subgraphs" (tail bits masked off) and each
@@ -238,10 +299,9 @@ std::vector<int> PatternIndex::GraphsWithAllPatterns(
   std::vector<const Pattern*> scan_patterns;
   for (const Pattern& p : patterns) {
     const PatternPostings* post = Find(p.canonical_code());
-    if (post != nullptr && post->subgraph_bits) {
-      auto bits = post->subgraph_bits->find(label);
-      if (bits != post->subgraph_bits->end()) {
-        bitops::AndInPlace(&acc, bits->second);
+    if (post != nullptr) {
+      if (const std::vector<uint64_t>* bits = LabelBits(*post, label)) {
+        bitops::AndInPlace(&acc, *bits);
         continue;
       }
     }
@@ -312,7 +372,7 @@ std::vector<Pattern> PatternIndex::DiscriminativePatterns(int label) const {
   std::vector<Pattern> out;
   auto it = views().find(label);
   if (it == views().end()) return out;
-  for (const Pattern& p : it->second.patterns) {
+  for (const Pattern& p : it->second->patterns) {
     // Tier patterns are indexed whenever the index was built from the same
     // view snapshot it queries — but a warm-started index serves whatever
     // postings its snapshot carried, and an admission race could hand it a
@@ -329,10 +389,9 @@ std::vector<Pattern> PatternIndex::DiscriminativePatterns(int label) const {
     bool found_elsewhere = false;
     for (const auto& [other_label, other_view] : views()) {
       if (other_label == label) continue;
-      if (post != nullptr && post->subgraph_bits) {
-        auto bits = post->subgraph_bits->find(other_label);
-        if (bits != post->subgraph_bits->end()) {
-          if (!bitops::AllZero(bits->second)) {
+      if (post != nullptr) {
+        if (const std::vector<uint64_t>* bits = LabelBits(*post, other_label)) {
+          if (!bitops::AllZero(*bits)) {
             found_elsewhere = true;
             break;
           }
@@ -346,7 +405,7 @@ std::vector<Pattern> PatternIndex::DiscriminativePatterns(int label) const {
                          << other_label
                          << " (inconsistent snapshot); scanning";
       }
-      for (const ExplanationSubgraph& s : other_view.subgraphs) {
+      for (const ExplanationSubgraph& s : other_view->subgraphs) {
         if (SubgraphContains(s.subgraph, p)) {
           found_elsewhere = true;
           break;

@@ -26,12 +26,23 @@
 // logged loudly; both still return the correct answer via the scan.
 //
 // Complexity: Build is O(codes x (total subgraphs + database size)) pattern
-// matches, shardable across a thread pool (deterministic result for every
-// worker count). Indexed queries are O(1) lookups plus output size;
-// DiscriminativePatterns is O(|tier| x labels) bitset-emptiness checks.
+// matches. Apply — the admission path — derives the next epoch's index
+// from the previous one and pays only O(codes x changed labels' subgraphs)
+// plus O(new codes x (total subgraphs + database size)): an admission that
+// replaces k labels' views without adding codes costs k labels' worth of
+// checks, independent of the store size. Both shard over a thread pool
+// (deterministic result for every worker count) and add the checks they ran
+// to `gvex_index_containment_checks_total`. Indexed queries are O(1)
+// lookups plus output size; DiscriminativePatterns is O(|tier| x labels)
+// bitset-emptiness checks.
 //
-// Thread-safety: immutable after Build; all const methods are safe to call
-// concurrently. Treat instances as snapshots — never mutated in place.
+// Thread-safety: immutable after Build/Apply/FromStored; all const methods
+// are safe to call concurrently. Instances are snapshots, never mutated in
+// place — but successive snapshots SHARE structure: Apply's result holds
+// the same view pointers and the same per-(code, label) coverage words as
+// its predecessor for every label the admission left alone. Shared words
+// are immutable, so readers of an old epoch and the writer building the
+// next one only ever touch reference counts concurrently.
 
 #ifndef GVEX_SERVE_PATTERN_INDEX_H_
 #define GVEX_SERVE_PATTERN_INDEX_H_
@@ -40,6 +51,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -52,19 +64,29 @@
 
 namespace gvex {
 
+/// Views keyed by label, each held by pointer: successive epochs share
+/// every view an admission did not replace, so copying the map for the
+/// next epoch is O(labels), not O(store).
+using ViewMap = std::map<int, std::shared_ptr<const ExplanationView>>;
+using ViewMapPtr = std::shared_ptr<const ViewMap>;
+
+/// Moves a plain label -> view map into shared form.
+ViewMapPtr ShareViews(std::map<int, ExplanationView> views);
+
 /// Postings for one canonical pattern code.
 struct PatternPostings {
   /// Labels whose view tier contains this code, ascending.
   std::vector<int> labels;
   /// label -> position of the code in that view's pattern tier.
   std::map<int, int> tier_position;
-  /// label -> bitset (64-bit words) over the label view's subgraph list;
-  /// bit i is set iff subgraphs[i].subgraph contains the pattern. Computed
-  /// for EVERY indexed label, not just the ones carrying the code, so
-  /// discriminative queries never fall back to isomorphism. Shared with
-  /// snapshot export/import (StoredPostings carries the same pointer), so
-  /// Save() copies pointers, not bitset words.
-  CoverageBitsPtr subgraph_bits;
+  /// (label, bitset) pairs, labels ascending: 64-bit words over the label
+  /// view's subgraph list; bit i is set iff subgraphs[i].subgraph contains
+  /// the pattern. Computed for EVERY indexed label, not just the ones
+  /// carrying the code, so discriminative queries never fall back to
+  /// isomorphism. Each label's
+  /// words are shared with snapshot export/import and with later epochs
+  /// (Apply), so Save() and admissions copy pointers, not bitset words.
+  CoverageBits subgraph_bits;
   /// Database graph indices containing the pattern, ascending (empty when
   /// database indexing is disabled or no database was supplied).
   std::vector<int> db_graphs;
@@ -106,14 +128,28 @@ class PatternIndex {
 
   /// Builds the index over `views` (keyed by label). `db` may be null and
   /// must outlive the index when given; views are shared via the pointer.
-  static PatternIndex Build(
-      std::shared_ptr<const std::map<int, ExplanationView>> views,
-      const GraphDatabase* db, const BuildOptions& options = {});
+  static PatternIndex Build(ViewMapPtr views, const GraphDatabase* db,
+                            const BuildOptions& options = {});
 
   /// Convenience overload copying the map.
   static PatternIndex Build(const std::map<int, ExplanationView>& views,
                             const GraphDatabase* db,
                             const BuildOptions& options = {});
+
+  /// The index over `next_views`, derived from `prev` (an index over the
+  /// previous epoch's views). `changed_labels` must name every label whose
+  /// view was added, replaced or removed; every other label must map to
+  /// the same view in both epochs. Containment runs only for (every code x
+  /// the changed labels' subgraphs) and (codes new to `next_views` x every
+  /// subgraph and database graph). Every other posting — each unchanged
+  /// label's coverage words and every db_graphs list — is reused, and codes
+  /// no tier carries any more are dropped. The database, match semantics
+  /// and database indexing are `prev`'s. The result's ExportPostings()
+  /// equals a Build over `next_views` with those options (pinned by the
+  /// randomized oracle in tests/serve/pattern_index_test.cpp).
+  static PatternIndex Apply(const PatternIndex& prev, ViewMapPtr next_views,
+                            const std::set<int>& changed_labels,
+                            int num_threads = 1);
 
   // --- Snapshot persistence (store/snapshot.h) ---
 
@@ -127,10 +163,10 @@ class PatternIndex {
   /// and `database_indexed` come from the snapshot so fallback queries
   /// behave exactly like the index that was saved. Answers are
   /// bit-identical to the original (pinned by the snapshot parity test).
-  static PatternIndex FromStored(
-      std::shared_ptr<const std::map<int, ExplanationView>> views,
-      const GraphDatabase* db, const MatchOptions& match,
-      bool database_indexed, const std::vector<StoredPostings>& postings);
+  static PatternIndex FromStored(ViewMapPtr views, const GraphDatabase* db,
+                                 const MatchOptions& match,
+                                 bool database_indexed,
+                                 const std::vector<StoredPostings>& postings);
 
   // --- Queries. Each is bit-identical to the legacy ViewStore scan (see
   // serve/view_store.h and the oracle parity test). ---
@@ -173,19 +209,27 @@ class PatternIndex {
 
   int num_codes() const { return static_cast<int>(postings_.size()); }
   bool empty() const { return views_ == nullptr || views_->empty(); }
-  const std::map<int, ExplanationView>& views() const;
+  const ViewMap& views() const;
   const MatchOptions& match_options() const { return match_; }
   bool database_indexed() const { return database_indexed_; }
+  /// Containment checks Build/Apply ran to construct this index (0 for
+  /// FromStored) — what makes an admission's O(changed labels) cost
+  /// observable.
+  uint64_t containment_checks() const { return containment_checks_; }
   /// Query-path counters (shared across copies of this snapshot's index).
   const IndexStats& stats() const { return *stats_; }
 
  private:
   bool SubgraphContains(const Graph& subgraph, const Pattern& p) const;
+  /// `label`'s coverage words in `post`, or null when missing.
+  static const std::vector<uint64_t>* LabelBits(const PatternPostings& post,
+                                                int label);
 
-  std::shared_ptr<const std::map<int, ExplanationView>> views_;
+  ViewMapPtr views_;
   const GraphDatabase* db_ = nullptr;
   MatchOptions match_;
   bool database_indexed_ = false;
+  uint64_t containment_checks_ = 0;
   std::unordered_map<std::string, PatternPostings> postings_;
   // Behind a pointer so the index stays cheaply movable/copyable and const
   // query methods can count.

@@ -408,8 +408,19 @@ Status ReplicaApplier::SyncWal(const ReplManifest& manifest, bool* progressed,
       if (!fetch_status.ok()) break;
       offset += chunk.value().size();
     }
-    ::fsync(fd);
-    ::close(fd);
+    // Bytes count as mirrored only once they are durable: a failed fsync
+    // or close leaves local_bytes (and the lag the standby reports) where
+    // it was, and the next pass re-checks the prefix and re-ships.
+    Status sync_status = Status::OK();
+    if (::fsync(fd) != 0) {
+      sync_status = Status::IOError(
+          StrFormat("fsync %s: %s", wal_path.c_str(), strerror(errno)));
+    }
+    if (::close(fd) != 0 && sync_status.ok()) {
+      sync_status = Status::IOError(
+          StrFormat("close %s: %s", wal_path.c_str(), strerror(errno)));
+    }
+    if (!sync_status.ok()) return sync_status;
     if (offset > local_bytes) *progressed = true;
     local_bytes = offset;
     if (!fetch_status.ok()) return fetch_status;

@@ -25,10 +25,16 @@ namespace gvex {
 namespace {
 
 // The initial (epoch-0) views map, shared by every service instance.
-std::shared_ptr<const std::map<int, ExplanationView>> EmptyViews() {
-  static const auto empty =
-      std::make_shared<const std::map<int, ExplanationView>>();
+ViewMapPtr EmptyViews() {
+  static const auto empty = std::make_shared<const ViewMap>();
   return empty;
+}
+
+// Plain-valued copy of a shared view map (the snapshot codec's form).
+std::map<int, ExplanationView> PlainViews(const ViewMap& views) {
+  std::map<int, ExplanationView> out;
+  for (const auto& [label, view] : views) out.emplace(label, *view);
+  return out;
 }
 
 // True for kinds whose answers are worth caching: the ones that historically
@@ -99,7 +105,7 @@ const StoreInstruments& StoreObs() {
         obs::Unit::kNanoseconds);
     si->index_rebuild = m.GetHistogram(
         "gvex_index_rebuild_seconds",
-        "PatternIndex build time per published admission batch",
+        "PatternIndex::Apply time per published admission batch",
         obs::Unit::kNanoseconds);
     si->save_seconds_full = m.GetHistogram(
         "gvex_snapshot_save_seconds", "Snapshot write duration, per kind",
@@ -267,14 +273,14 @@ Result<uint64_t> ViewService::AdmitViews(std::vector<ExplanationView> views) {
   }
   // Single-writer combining queue: every caller enqueues; the first one to
   // find no active leader becomes the leader and publishes every queued
-  // admission as one epoch (one WAL append + fsync, one index rebuild —
-  // the expensive parts amortize over the whole batch). Later arrivals
-  // just sleep until a leader marks their waiter done, so admission
-  // throughput under load is bounded by batches, not callers. Leadership
-  // is TENURE-BOUNDED: once the leader's own admission is published it
-  // serves at most a couple more rounds and then hands the role to a
-  // queued waiter — a sustained stream of admitters can therefore never
-  // hold one caller's AdmitViews hostage indefinitely.
+  // admission as one epoch (one WAL append + fsync, one incremental index
+  // update over the batch's labels — both amortize over the whole batch).
+  // Later arrivals just sleep until a leader marks their waiter done, so
+  // admission throughput under load is bounded by batches, not callers.
+  // Leadership is TENURE-BOUNDED: once the leader's own admission is
+  // published it serves at most a couple more rounds and then hands the
+  // role to a queued waiter — a sustained stream of admitters can
+  // therefore never hold one caller's AdmitViews hostage indefinitely.
   AdmitWaiter me;
   me.views = std::move(views);
   std::unique_lock<std::mutex> lock(admit_mu_);
@@ -324,8 +330,8 @@ Result<uint64_t> ViewService::AdmitViews(std::vector<ExplanationView> views) {
 Status ViewService::AdmitCombined(const std::vector<AdmitWaiter*>& batch,
                                   uint64_t* published, uint64_t* wal_bytes) {
   // Writers serialize here; readers are untouched. Everything below — the
-  // WAL append, the views-map copy, and the index rebuild — happens on the
-  // NEXT snapshot, off to the side of the published one.
+  // WAL append, the views-map copy, and the incremental index update —
+  // happens on the NEXT snapshot, off to the side of the published one.
   std::lock_guard<std::mutex> lock(writer_mu_);
   if (options_.admit_test_hook) options_.admit_test_hook();
   std::shared_ptr<const Snapshot> cur = Load();
@@ -365,16 +371,21 @@ Status ViewService::AdmitCombined(const std::vector<AdmitWaiter*>& batch,
       store_->dirty_labels.insert(v.label);
     }
   }
-  auto next_views =
-      std::make_shared<std::map<int, ExplanationView>>(*cur->views);
+  // The next views map copies one pointer per label; only the admitted
+  // labels get new views, and only they are re-checked by Apply.
+  auto next_views = std::make_shared<ViewMap>(*cur->views);
+  std::set<int> changed;
   for (ExplanationView& v : record.views) {
-    (*next_views)[v.label] = std::move(v);
+    changed.insert(v.label);
+    (*next_views)[v.label] =
+        std::make_shared<const ExplanationView>(std::move(v));
   }
   auto next = std::make_shared<Snapshot>();
   next->epoch = *published;
   next->views = std::move(next_views);
   const auto build_start = std::chrono::steady_clock::now();
-  next->index = PatternIndex::Build(next->views, db_, options_.index);
+  next->index = PatternIndex::Apply(cur->index, next->views, changed,
+                                    options_.index.num_threads);
   StoreObs().index_rebuild->ObserveSeconds(SecondsSince(build_start));
   next->admitted_views = cur->admitted_views + total;
   next->admitted_batches = cur->admitted_batches + batch.size();
@@ -481,7 +492,7 @@ McsAnswer ViewService::MaxCommonSubgraph(int label, const Graph& query,
   out.epoch = snap->epoch;
   auto it = snap->views->find(label);
   if (it == snap->views->end()) return out;
-  for (const ExplanationSubgraph& s : it->second.subgraphs) {
+  for (const ExplanationSubgraph& s : it->second->subgraphs) {
     const McsResult r = gvex::MaxCommonSubgraph(query, s.subgraph, options);
     if (!r.exact) out.exact = false;  // some search stopped early
     if (r.size > out.size) {
@@ -577,8 +588,8 @@ Result<std::unique_ptr<ViewService>> ViewService::Open(
   if (plan.have_snapshot) {
     // The snapshot records the semantics its postings were computed with;
     // recovery must answer with those regardless of the caller's defaults
-    // — on BOTH paths below (posting decode and WAL-replay rebuild), and
-    // for every index rebuild a later admission triggers. Otherwise the
+    // — on BOTH paths below (posting decode and WAL-replay index update),
+    // and for every index update a later admission triggers. Otherwise the
     // same store would answer differently depending on whether a WAL
     // record happened to exist at reopen.
     options.index.match = plan.snapshot.match;
@@ -617,35 +628,41 @@ std::shared_ptr<const ViewService::Snapshot>
 ViewService::BuildRecoveredSnapshot(RecoveryPlan plan, const GraphDatabase* db,
                                     const ViewServiceOptions& options,
                                     std::set<int>* dirty) {
-  auto views = std::make_shared<std::map<int, ExplanationView>>(
-      std::move(plan.snapshot.views));
-  bool replayed_any = false;
+  ViewMapPtr base_views = ShareViews(std::move(plan.snapshot.views));
+  auto views = std::make_shared<ViewMap>(*base_views);
+  std::set<int> replayed;
   for (WalRecord& record : plan.replay.records) {
     // Records at or below the chain tip were folded into the base or a
     // delta already (Save never resets the WAL, so the log overlaps the
     // chain); applying them again would be a no-op anyway — skip.
     if (record.epoch <= plan.snapshot.epoch) continue;
     for (ExplanationView& v : record.views) {
-      if (dirty != nullptr) dirty->insert(v.label);
-      (*views)[v.label] = std::move(v);
+      replayed.insert(v.label);
+      (*views)[v.label] =
+          std::make_shared<const ExplanationView>(std::move(v));
     }
-    replayed_any = true;
   }
+  if (dirty != nullptr) dirty->insert(replayed.begin(), replayed.end());
   if (plan.final_epoch == 0) return nullptr;
   auto next = std::make_shared<Snapshot>();
   next->epoch = plan.final_epoch;
   next->views = std::move(views);
-  if (replayed_any || !plan.postings_valid) {
-    // WAL admissions or folded deltas changed the view set — one scratch
-    // index build over the recovered state.
+  if (!plan.postings_valid) {
+    // No stored postings describe the base (no snapshot, or deltas were
+    // folded in — deltas carry none): one scratch build over the recovered
+    // state.
     next->index = PatternIndex::Build(next->views, db, options.index);
   } else {
-    // Pure-base warm start: decode the postings, skip the isomorphism
-    // cross-product entirely.
+    // Warm start: decode the base postings (no isomorphism work), then
+    // re-check only the labels the WAL tail replaced.
     next->index =
-        PatternIndex::FromStored(next->views, db, plan.snapshot.match,
+        PatternIndex::FromStored(base_views, db, plan.snapshot.match,
                                  plan.snapshot.database_indexed,
                                  plan.snapshot.postings);
+    if (!replayed.empty()) {
+      next->index = PatternIndex::Apply(next->index, next->views, replayed,
+                                        options.index.num_threads);
+    }
   }
   return next;
 }
@@ -713,7 +730,8 @@ Status ViewService::ReplicaApplyWalRecords(
   std::lock_guard<std::mutex> lock(writer_mu_);
   std::shared_ptr<const Snapshot> cur = Load();
   uint64_t epoch = cur->epoch;
-  std::shared_ptr<std::map<int, ExplanationView>> next_views;
+  std::shared_ptr<ViewMap> next_views;
+  std::set<int> changed;
   for (const WalRecord& record : records) {
     if (record.epoch <= epoch) continue;  // already published
     if (record.epoch != epoch + 1) {
@@ -725,17 +743,20 @@ Status ViewService::ReplicaApplyWalRecords(
           static_cast<unsigned long long>(epoch)));
     }
     if (next_views == nullptr) {
-      next_views =
-          std::make_shared<std::map<int, ExplanationView>>(*cur->views);
+      next_views = std::make_shared<ViewMap>(*cur->views);
     }
-    for (const ExplanationView& v : record.views) (*next_views)[v.label] = v;
+    for (const ExplanationView& v : record.views) {
+      changed.insert(v.label);
+      (*next_views)[v.label] = std::make_shared<const ExplanationView>(v);
+    }
     epoch = record.epoch;
   }
   if (next_views == nullptr) return Status::OK();  // nothing new
   auto next = std::make_shared<Snapshot>();
   next->epoch = epoch;
   next->views = std::move(next_views);
-  next->index = PatternIndex::Build(next->views, db_, options_.index);
+  next->index = PatternIndex::Apply(cur->index, next->views, changed,
+                                    options_.index.num_threads);
   next->admitted_views = cur->admitted_views;
   next->admitted_batches = cur->admitted_batches;
   Publish(std::move(next));
@@ -821,7 +842,7 @@ Status ViewService::SaveLocked(const Snapshot& snap) {
   data.epoch = snap.epoch;
   data.match = snap.index.match_options();
   data.database_indexed = snap.index.database_indexed();
-  data.views = *snap.views;
+  data.views = PlainViews(*snap.views);
   data.postings = snap.index.ExportPostings();
   const Status status =
       SaveSnapshot(store_->dir + "/" + SnapshotFileName(snap.epoch), data);
@@ -856,7 +877,7 @@ Status ViewService::SaveDeltaLocked(const Snapshot& snap) {
   data.parent_epoch = store_->persisted_epoch;
   for (int label : store_->dirty_labels) {
     auto it = snap.views->find(label);
-    if (it != snap.views->end()) data.views.emplace(label, it->second);
+    if (it != snap.views->end()) data.views.emplace(label, *it->second);
   }
   const Status status =
       SaveDelta(store_->dir + "/" + DeltaFileName(snap.epoch), data);

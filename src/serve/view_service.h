@@ -9,8 +9,11 @@
 // query — or once per BATCH, so a batch sees a single consistent epoch —
 // and keep the snapshot alive for the duration via shared ownership.
 // Writers (AdmitView) serialize on a writer mutex, build the NEXT snapshot
-// entirely off to the side (including the index rebuild, the expensive
-// part), then atomically publish it. A reader therefore observes either
+// entirely off to the side, then atomically publish it. The next snapshot
+// shares every view and every coverage bitset the admission left alone
+// with the current one: copying the views map is O(labels), and the index
+// update (PatternIndex::Apply) re-checks only the admitted labels' subgraphs
+// plus any code new to the store. A reader therefore observes either
 // the previous complete epoch or the new complete epoch, never a torn
 // intermediate state; old epochs are reclaimed when their last reader
 // drops the shared_ptr (that is the RCU grace period).
@@ -238,7 +241,8 @@ class ViewService {
   /// Opens (or creates) a DURABLE service rooted at directory `dir`:
   /// warm-starts from the newest snapshot that validates (decoding the
   /// index postings — no isomorphism rebuild), replays WAL admissions
-  /// newer than it (one index rebuild when any exist), truncates a torn
+  /// newer than it (one PatternIndex::Apply over the labels they touched;
+  /// a scratch build only when a delta chain was folded in), truncates a torn
   /// WAL tail, and attaches the WAL so every subsequent admission is
   /// logged before it publishes. An empty directory opens as an empty
   /// epoch-0 service. `db` must be the database the stored views explain
@@ -316,8 +320,9 @@ class ViewService {
   Result<uint64_t> Compact();
 
   /// Publishes `view` (replacing any previous view for its label) as a new
-  /// epoch. The index rebuild happens off to the side; readers keep
-  /// serving the previous epoch until the atomic pointer swap. Returns the
+  /// epoch. The index update re-checks only this label and happens off to
+  /// the side; readers keep serving the previous epoch until the atomic
+  /// pointer swap. Returns the
   /// epoch THIS admission was published in (under concurrent admitters,
   /// epoch() may already be past it by the time the caller looks).
   Result<uint64_t> AdmitView(ExplanationView view);
@@ -325,9 +330,10 @@ class ViewService {
   /// Publishes several views atomically (readers see all or none of them).
   /// Concurrent AdmitViews callers are COALESCED by a single-writer
   /// combining queue: one caller becomes the leader and publishes every
-  /// queued admission as ONE epoch with ONE WAL append and ONE index
-  /// rebuild — so admission throughput under load is not bounded by one
-  /// WAL fsync + one rebuild per caller. Leadership is tenure-bounded
+  /// queued admission as ONE epoch with ONE WAL append (and fsync) and ONE
+  /// incremental index update over the union of the batch's labels — so
+  /// admission throughput under load is not bounded by one WAL fsync per
+  /// caller. Leadership is tenure-bounded
   /// (a leader serves a few rounds past its own admission, then hands
   /// off), so no caller waits unboundedly. The returned epoch is the
   /// combined batch's epoch (several concurrent callers may share it).
@@ -371,7 +377,7 @@ class ViewService {
  private:
   struct Snapshot {
     uint64_t epoch = 0;
-    std::shared_ptr<const std::map<int, ExplanationView>> views;
+    ViewMapPtr views;
     PatternIndex index;
     /// Cumulative admission counters, carried snapshot-to-snapshot so
     /// stats() reads them consistently WITH the epoch (one atomic load).
@@ -461,7 +467,8 @@ class ViewService {
   ViewQueryResult ExecuteCached(const Snapshot& snap,
                                 const ViewQuery& q) const;
   /// Publishes one combined batch of waiters as ONE epoch (one WAL append,
-  /// one index rebuild). Returns the published epoch via *published and
+  /// one PatternIndex::Apply over the batch's labels). Returns the
+  /// published epoch via *published and
   /// the WAL size via *wal_bytes; on error nothing was published.
   Status AdmitCombined(const std::vector<AdmitWaiter*>& batch,
                        uint64_t* published, uint64_t* wal_bytes);

@@ -150,13 +150,13 @@ void EncodePosting(const StoredPostings& p, std::string* dst) {
     PutZigzag64(dst, label);
     PutZigzag64(dst, pos);
   }
-  static const CoverageBits kNoBits;
-  const CoverageBits& sb = p.subgraph_bits ? *p.subgraph_bits : kNoBits;
-  PutVarint64(dst, sb.size());
-  for (const auto& [label, bits] : sb) {
+  PutVarint64(dst, p.subgraph_bits.size());
+  for (const auto& [label, bits] : p.subgraph_bits) {
     PutZigzag64(dst, label);
-    PutVarint64(dst, bits.size());
-    for (uint64_t w : bits) PutFixed64(dst, w);
+    PutVarint64(dst, bits ? bits->size() : 0);
+    if (bits) {
+      for (uint64_t w : *bits) PutFixed64(dst, w);
+    }
   }
   PutVarint64(dst, p.db_graphs.size());
   for (int g : p.db_graphs) PutZigzag64(dst, g);
@@ -182,7 +182,6 @@ Status DecodePosting(ByteReader* in, StoredPostings* p) {
                               static_cast<int>(pos));
   }
   GVEX_RETURN_NOT_OK(in->GetCount(in->remaining(), &n));
-  CoverageBits subgraph_bits;
   for (uint64_t i = 0; i < n; ++i) {
     int64_t label = 0;
     GVEX_RETURN_NOT_OK(in->GetZigzag64(&label));
@@ -192,10 +191,15 @@ Status DecodePosting(ByteReader* in, StoredPostings* p) {
     for (uint64_t w = 0; w < words; ++w) {
       GVEX_RETURN_NOT_OK(in->GetFixed64(&bits[static_cast<size_t>(w)]));
     }
-    subgraph_bits.emplace(static_cast<int>(label), std::move(bits));
+    if (!out.subgraph_bits.empty() &&
+        label <= out.subgraph_bits.back().first) {
+      return Status::InvalidArgument(
+          "posting coverage labels are not strictly ascending");
+    }
+    out.subgraph_bits.emplace_back(
+        static_cast<int>(label),
+        std::make_shared<const std::vector<uint64_t>>(std::move(bits)));
   }
-  out.subgraph_bits =
-      std::make_shared<const CoverageBits>(std::move(subgraph_bits));
   GVEX_RETURN_NOT_OK(in->GetCount(in->remaining(), &n));
   out.db_graphs.reserve(static_cast<size_t>(n));
   for (uint64_t i = 0; i < n; ++i) {
@@ -208,6 +212,30 @@ Status DecodePosting(ByteReader* in, StoredPostings* p) {
 }
 
 }  // namespace
+
+const CoverageWords* FindCoverage(const CoverageBits& bits, int label) {
+  auto it = std::lower_bound(
+      bits.begin(), bits.end(), label,
+      [](const auto& entry, int l) { return entry.first < l; });
+  return it != bits.end() && it->first == label ? &it->second : nullptr;
+}
+
+bool CoverageBitsEqual(const CoverageBits& a, const CoverageBits& b) {
+  static const std::vector<uint64_t> kNoWords;
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const auto& x, const auto& y) {
+                      return x.first == y.first &&
+                             (x.second ? *x.second : kNoWords) ==
+                                 (y.second ? *y.second : kNoWords);
+                    });
+}
+
+bool operator==(const StoredPostings& a, const StoredPostings& b) {
+  return a.code == b.code && a.labels == b.labels &&
+         a.tier_position == b.tier_position &&
+         CoverageBitsEqual(a.subgraph_bits, b.subgraph_bits) &&
+         a.db_graphs == b.db_graphs;
+}
 
 std::string SnapshotFileName(uint64_t epoch) {
   return StrFormat("%s%020llu%s", kSnapshotPrefix,
@@ -374,16 +402,14 @@ Result<SnapshotData> ParseSnapshot(const std::string& bytes) {
       return Status::InvalidArgument(
           "posting labels disagree with its tier positions");
     }
-    static const CoverageBits kNoBits;
-    const CoverageBits& sb = p.subgraph_bits ? *p.subgraph_bits : kNoBits;
-    if (sb.size() != data.views.size()) {
+    if (p.subgraph_bits.size() != data.views.size()) {
       return Status::InvalidArgument(
           "posting coverage bitsets do not cover every view label");
     }
-    for (const auto& [label, bits] : sb) {
+    for (const auto& [label, bits] : p.subgraph_bits) {
       auto view = data.views.find(label);
       if (view == data.views.end() ||
-          bits.size() != (view->second.subgraphs.size() + 63) / 64) {
+          bits->size() != (view->second.subgraphs.size() + 63) / 64) {
         return Status::InvalidArgument(StrFormat(
             "posting coverage bitset for label %d does not match its view",
             label));

@@ -30,6 +30,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "explain/explanation.h"
@@ -38,13 +39,25 @@
 
 namespace gvex {
 
-/// Per-label coverage bitsets of one posting: label -> bitset (64-bit
-/// words) over that label view's subgraph list. Immutable once built and
-/// SHARED by pointer between the in-memory index (PatternPostings) and the
-/// snapshot codec (StoredPostings) — Save()/FromStored() exchange postings
-/// without copying a single bitset word.
-using CoverageBits = std::map<int, std::vector<uint64_t>>;
-using CoverageBitsPtr = std::shared_ptr<const CoverageBits>;
+/// One label's coverage bitset (64-bit words over that label view's
+/// subgraph list). Immutable once built and shared by pointer.
+using CoverageWords = std::shared_ptr<const std::vector<uint64_t>>;
+
+/// Per-label coverage bitsets of one posting: (label, words) pairs in
+/// strictly ascending label order — a flat vector, so copying a posting's
+/// bitsets is one allocation. Each (code, label) bitset is its own shared
+/// pointer, so the in-memory index (PatternPostings), the snapshot codec
+/// (StoredPostings) and successive index epochs (PatternIndex::Apply)
+/// exchange postings without copying a single bitset word — an admission
+/// only allocates words for the labels it changed. A null pointer encodes
+/// like an empty bitset.
+using CoverageBits = std::vector<std::pair<int, CoverageWords>>;
+
+/// `label`'s entry in `bits` (binary search), or null when absent.
+const CoverageWords* FindCoverage(const CoverageBits& bits, int label);
+
+/// Content equality: same labels, same words (pointers may differ).
+bool CoverageBitsEqual(const CoverageBits& a, const CoverageBits& b);
 
 /// On-disk mirror of one PatternIndex posting (serve/pattern_index.h
 /// converts to and from this struct). Owning the mirror here decouples the
@@ -53,11 +66,16 @@ struct StoredPostings {
   std::string code;                ///< canonical pattern code (the key)
   std::vector<int> labels;         ///< labels carrying the code, ascending
   std::map<int, int> tier_position;
-  /// Never null after a successful decode; a null pointer encodes like an
-  /// empty map.
-  CoverageBitsPtr subgraph_bits;
+  /// Every pointer is non-null after a successful decode.
+  CoverageBits subgraph_bits;
   std::vector<int> db_graphs;
 };
+
+/// Content equality of two postings (coverage words compared by value).
+bool operator==(const StoredPostings& a, const StoredPostings& b);
+inline bool operator!=(const StoredPostings& a, const StoredPostings& b) {
+  return !(a == b);
+}
 
 /// Everything one snapshot file holds.
 struct SnapshotData {
@@ -77,7 +95,8 @@ struct SnapshotData {
 /// by PlanRecovery (store/recovery.h): a delta attaches iff its parent is
 /// exactly the chain tip so far. Deltas carry no postings — applying one
 /// changes the view set, so recovery rebuilds the index over the merged
-/// views (exactly like WAL replay does).
+/// views (WAL replay onto a pure base instead re-checks only the replayed
+/// labels, starting from the base's stored postings).
 struct DeltaData {
   uint64_t epoch = 0;         ///< epoch this delta persists
   uint64_t parent_epoch = 0;  ///< image it was computed against (< epoch)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -500,6 +501,78 @@ TEST_F(RecoveryTest, RecoveryAdoptsTheSnapshotsMatchOptions) {
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   EXPECT_EQ(static_cast<int>(snapshot.value().match.semantics),
             static_cast<int>(MatchSemantics::kNonInduced));
+}
+
+// Reads a whole file as bytes ("" when unreadable).
+std::string ReadBytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  std::ostringstream out;
+  out << f.rdbuf();
+  return out.str();
+}
+
+// Incremental index maintenance against a scratch build: after admits that
+// each re-check only their own labels — live (AdmitCombined) and on
+// recovery (base postings decoded, WAL tail applied) — a full Save must
+// write exactly the bytes a from-scratch PatternIndex::Build over the same
+// views serializes to.
+TEST_F(RecoveryTest, IncrementalAdmitsSaveBytesEqualScratchBuild) {
+  std::map<int, ExplanationView> views;
+  const auto admit = [&](ViewService* service, ExplanationView v) {
+    views[v.label] = v;
+    ASSERT_TRUE(service->AdmitView(std::move(v)).ok());
+  };
+  const auto expect_scratch_bytes = [&](ViewService* service,
+                                        const std::string& where) {
+    auto saved = service->Save(SaveKind::kFull);
+    ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+    SnapshotData scratch;
+    scratch.epoch = saved.value().epoch;
+    scratch.match = PatternIndex::BuildOptions().match;
+    scratch.database_indexed = true;
+    scratch.views = views;
+    scratch.postings = PatternIndex::Build(views, &store_.db).ExportPostings();
+    const std::string bytes =
+        ReadBytes(dir_.File(SnapshotFileName(saved.value().epoch)));
+    EXPECT_EQ(bytes, SerializeSnapshot(scratch)) << where;
+    auto parsed = ParseSnapshot(bytes);
+    ASSERT_TRUE(parsed.ok()) << where << ": " << parsed.status().ToString();
+    EXPECT_TRUE(parsed.value().postings == scratch.postings) << where;
+  };
+  // A view whose tier loses half its codes and gains another label's, so
+  // codes appear and vanish across epochs, and whose subgraph list shrinks,
+  // so its coverage words must be recomputed.
+  ExplanationView reshaped = store_.views[1];
+  reshaped.patterns.resize(reshaped.patterns.size() / 2);
+  reshaped.patterns.push_back(store_.views[2].patterns.back());
+  reshaped.subgraphs.pop_back();
+  ExplanationView regrown = store_.views[0];
+  regrown.subgraphs.push_back(store_.views[3].subgraphs.front());
+  ExplanationView fresh = store_.views[3];
+  fresh.label = 42;
+
+  {
+    auto durable = OpenDurable();
+    ASSERT_NE(durable, nullptr);
+    for (const ExplanationView& v : store_.views) admit(durable.get(), v);
+    ASSERT_TRUE(durable->Save(SaveKind::kFull).ok());
+    // The WAL tail past the snapshot: rotations, a reshaped tier, a new
+    // label.
+    admit(durable.get(), synthetic::VersionedView(store_, 0, 1));
+    admit(durable.get(), reshaped);
+    admit(durable.get(), fresh);
+    admit(durable.get(), synthetic::VersionedView(store_, 2, 3));
+  }
+  auto recovered = OpenDurable();
+  ASSERT_NE(recovered, nullptr);
+  EXPECT_EQ(recovered->epoch(), store_.views.size() + 4);
+  expect_scratch_bytes(recovered.get(), "snapshot + WAL tail recovery");
+
+  // Live admissions on the recovered service, then another full save.
+  admit(recovered.get(), synthetic::VersionedView(store_, 1, 2));
+  admit(recovered.get(), regrown);
+  admit(recovered.get(), store_.views[1]);
+  expect_scratch_bytes(recovered.get(), "live incremental admits");
 }
 
 // A crash between WAL creation and the header reaching disk leaves a

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "explain/view_io.h"
@@ -60,14 +61,14 @@ TEST(SnapshotFileNameTest, DeltaNamesParallelSnapshotNames) {
 
 TEST(SnapshotTest, SerializeParseRoundTripsEverything) {
   auto store = synthetic::MakeSyntheticStore(5, /*num_labels=*/3);
-  auto index = PatternIndex::Build(
-      std::make_shared<const std::map<int, ExplanationView>>(
-          [&] {
-            std::map<int, ExplanationView> m;
-            for (const auto& v : store.views) m[v.label] = v;
-            return m;
-          }()),
-      &store.db);
+  auto index = PatternIndex::Build(ShareViews([&] {
+                                     std::map<int, ExplanationView> m;
+                                     for (const auto& v : store.views) {
+                                       m[v.label] = v;
+                                     }
+                                     return m;
+                                   }()),
+                                   &store.db);
   const SnapshotData data = MakeSnapshot(store, index, 42);
 
   auto parsed = ParseSnapshot(SerializeSnapshot(data));
@@ -89,11 +90,12 @@ TEST(SnapshotTest, SerializeParseRoundTripsEverything) {
     EXPECT_EQ(got.postings[i].code, data.postings[i].code);
     EXPECT_EQ(got.postings[i].labels, data.postings[i].labels);
     EXPECT_EQ(got.postings[i].tier_position, data.postings[i].tier_position);
-    // The pointers differ (decode allocates fresh maps); the words match.
-    ASSERT_NE(got.postings[i].subgraph_bits, nullptr);
-    ASSERT_NE(data.postings[i].subgraph_bits, nullptr);
-    EXPECT_EQ(*got.postings[i].subgraph_bits,
-              *data.postings[i].subgraph_bits);
+    // The pointers differ (decode allocates fresh words); the words match.
+    for (const auto& [label, words] : got.postings[i].subgraph_bits) {
+      EXPECT_NE(words, nullptr) << "label " << label;
+    }
+    EXPECT_TRUE(CoverageBitsEqual(got.postings[i].subgraph_bits,
+                                  data.postings[i].subgraph_bits));
     EXPECT_EQ(got.postings[i].db_graphs, data.postings[i].db_graphs);
   }
 }
@@ -120,14 +122,23 @@ TEST(SnapshotTest, LogicallyInconsistentSnapshotsAreRejected) {
   }
   {
     // A coverage bitset with fewer words than the view's subgraph list.
-    // The shared map is immutable; mutate a copy and swap the pointer.
+    // The shared words are immutable; swap in a shortened copy.
     SnapshotData broken = data;
-    ASSERT_NE(broken.postings[0].subgraph_bits, nullptr);
-    ASSERT_FALSE(broken.postings[0].subgraph_bits->empty());
-    CoverageBits mutated = *broken.postings[0].subgraph_bits;
-    mutated.begin()->second.clear();
-    broken.postings[0].subgraph_bits =
-        std::make_shared<const CoverageBits>(std::move(mutated));
+    ASSERT_FALSE(broken.postings[0].subgraph_bits.empty());
+    broken.postings[0].subgraph_bits.begin()->second =
+        std::make_shared<const std::vector<uint64_t>>();
+    EXPECT_FALSE(ParseSnapshot(SerializeSnapshot(broken)).ok());
+  }
+  {
+    // Coverage bitsets out of label order, and one label listed twice in
+    // place of another: the count still matches the views, the order does
+    // not.
+    SnapshotData broken = data;
+    CoverageBits& bits = broken.postings[0].subgraph_bits;
+    ASSERT_EQ(bits.size(), 2u);
+    std::swap(bits[0], bits[1]);
+    EXPECT_FALSE(ParseSnapshot(SerializeSnapshot(broken)).ok());
+    bits[0] = bits[1];
     EXPECT_FALSE(ParseSnapshot(SerializeSnapshot(broken)).ok());
   }
   {
@@ -166,7 +177,7 @@ TEST(SnapshotTest, LoadedIndexAnswersBitIdentically) {
   opt.graphs_per_label = 5;
   opt.patterns_per_label = 10;
   auto store = synthetic::MakeSyntheticStore(13, opt);
-  auto views = std::make_shared<const std::map<int, ExplanationView>>([&] {
+  const ViewMapPtr views = ShareViews([&] {
     std::map<int, ExplanationView> m;
     for (const auto& v : store.views) m[v.label] = v;
     return m;
