@@ -1,5 +1,6 @@
 #include "gnn/influence.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -9,10 +10,46 @@ namespace gvex {
 
 namespace {
 
-// Exact mode: propagate Jacobian blocks for every source node u.
-// J_{k}(v,u) has shape d_k x d_0. We iterate sources; per source we keep a
-// vector of n blocks and apply one layer at a time. Requires access to the
-// GCN internals; other architectures fall back to the random-walk mode.
+size_t Idx(NodeId v) { return static_cast<size_t>(v); }
+
+// The rows of each node's layer output that its ReLU mask keeps, ascending:
+// node v's are rows[first[v]] .. rows[first[v + 1] - 1].
+struct LiveRows {
+  std::vector<int> rows;
+  std::vector<int> first;
+  const int* begin(NodeId v) const { return rows.data() + first[Idx(v)]; }
+  const int* end(NodeId v) const { return rows.data() + first[Idx(v) + 1]; }
+};
+
+LiveRows LiveRowsOf(const Matrix& relu_mask) {
+  LiveRows live;
+  live.first.reserve(static_cast<size_t>(relu_mask.rows()) + 1);
+  live.first.push_back(0);
+  for (int v = 0; v < relu_mask.rows(); ++v) {
+    for (int r = 0; r < relu_mask.cols(); ++r) {
+      if (relu_mask.at(v, r) != 0.0f) live.rows.push_back(r);
+    }
+    live.first.push_back(static_cast<int>(live.rows.size()));
+  }
+  return live;
+}
+
+// Exact mode: propagate the Jacobian blocks J_k(v,u) ∈ R^{d_k x d_0} of
+// every source node u one layer at a time,
+//
+//     J_k(v,u) = diag(relu'_k(v)) Σ_w S_vw W_k^T J_{k-1}(w,u),
+//
+// with J_0(w,u) = δ_wu I. Requires access to the GCN internals; other
+// architectures fall back to the random-walk mode.
+//
+// Only work that can change the result is done: a row r of J_k(v,·) whose
+// ReLU mask is dead is never computed (it is zero), and a dead row m of
+// J_{k-1}(w,·) is never read (its terms are ±0). Every computed entry adds
+// its surviving terms in the dense order — w in CSR order, then m
+// ascending — and an accumulator that starts at +0 is never -0, so adding
+// the skipped ±0 terms could not change it. I1 is therefore bit-identical
+// to the dense propagation (for finite weights); tests/gnn pins this
+// against a verbatim copy of it.
 Matrix ExactI1(const GcnModel& model, const Graph& g) {
   const int n = g.num_nodes();
   Matrix i1(n, n);
@@ -21,64 +58,81 @@ Matrix ExactI1(const GcnModel& model, const Graph& g) {
   GcnModel::Trace trace = model.Forward(g);
   const SparseMatrix& s = trace.s;
   const int d0 = trace.caches.front().input.cols();
+  const size_t num_layers = model.gcn_layers().size();
+
+  // Per layer, once per call: W_k^T (d_k x d_{k-1}) and the live rows.
+  std::vector<Matrix> wt;
+  std::vector<LiveRows> live;
+  int d_max = 0;
+  for (size_t k = 0; k < num_layers; ++k) {
+    wt.push_back(model.gcn_layers()[k].weight().Transposed());
+    live.push_back(LiveRowsOf(trace.caches[k].relu_mask));
+    d_max = std::max(d_max, wt.back().rows());
+  }
+
+  // Ping-pong blocks, node v's row r at (v * d_max + r) * d0, and whether
+  // J(v,u) exists at all. Only live rows are written or read, so neither
+  // buffer is ever cleared.
+  const size_t block = static_cast<size_t>(d_max) * static_cast<size_t>(d0);
+  std::vector<float> prev(static_cast<size_t>(n) * block);
+  std::vector<float> next(prev.size());
+  std::vector<char> prev_present(static_cast<size_t>(n));
+  std::vector<char> next_present(static_cast<size_t>(n));
+  auto row_of = [block, d0](std::vector<float>& buf, NodeId v, int r) {
+    return buf.data() + static_cast<size_t>(v) * block +
+           static_cast<size_t>(r) * static_cast<size_t>(d0);
+  };
 
   for (NodeId u = 0; u < n; ++u) {
-    // J_0(w,u) = δ_{wu} I (d0 x d0). Represent implicitly for layer 1 and
-    // materialize from layer 1 onward.
-    std::vector<Matrix> jac(static_cast<size_t>(n));
-    for (size_t k = 0; k < model.gcn_layers().size(); ++k) {
-      const GcnLayer& layer = model.gcn_layers()[k];
-      const Matrix wt = layer.weight().Transposed();  // d_k x d_{k-1}
-      const Matrix& mask = trace.caches[k].relu_mask;
-      std::vector<Matrix> next(static_cast<size_t>(n));
+    for (size_t k = 0; k < num_layers; ++k) {
       for (NodeId v = 0; v < n; ++v) {
-        Matrix acc(wt.rows(), d0);
+        // J_k(v,u) exists iff some neighbour's J_{k-1}(w,u) does.
         bool any = false;
-        for (int idx = s.row_begin(v); idx < s.row_end(v); ++idx) {
+        for (int idx = s.row_begin(v); idx < s.row_end(v) && !any; ++idx) {
           const NodeId w = s.col_at(idx);
-          const float sw = s.value_at(idx);
-          if (k == 0) {
-            // J_0(w,u) = δ_{wu} I: contribution sw * W^T columns.
-            if (w != u) continue;
-            for (int r = 0; r < wt.rows(); ++r) {
-              for (int c = 0; c < d0; ++c) {
-                acc.at(r, c) += sw * wt.at(r, c);
-              }
-            }
-            any = true;
-          } else {
-            const Matrix& jw = jac[static_cast<size_t>(w)];
-            if (jw.empty()) continue;
-            // acc += sw * W^T * J(w)
-            for (int r = 0; r < wt.rows(); ++r) {
-              float* arow = acc.row(r);
-              for (int m = 0; m < wt.cols(); ++m) {
-                const float wv = sw * wt.at(r, m);
-                if (wv == 0.0f) continue;
-                const float* jrow = jw.row(m);
-                for (int c = 0; c < d0; ++c) arow[c] += wv * jrow[c];
-              }
-            }
-            any = true;
-          }
+          any = k == 0 ? w == u : prev_present[Idx(w)] != 0;
         }
-        if (any) {
-          // Apply the ReLU mask of node v at layer k.
-          for (int r = 0; r < acc.rows(); ++r) {
-            const float mv = mask.at(v, r);
-            if (mv == 0.0f) {
-              float* arow = acc.row(r);
-              for (int c = 0; c < d0; ++c) arow[c] = 0.0f;
+        next_present[Idx(v)] = any ? 1 : 0;
+        if (!any) continue;
+        for (const int* r = live[k].begin(v); r != live[k].end(v); ++r) {
+          const float* wrow = wt[k].row(*r);
+          float* acc = row_of(next, v, *r);
+          std::fill(acc, acc + d0, 0.0f);
+          for (int idx = s.row_begin(v); idx < s.row_end(v); ++idx) {
+            const NodeId w = s.col_at(idx);
+            const float sw = s.value_at(idx);
+            if (k == 0) {
+              // J_0(w,u) = δ_wu I: the term is sw times row r of W^T.
+              if (w != u) continue;
+              for (int c = 0; c < d0; ++c) acc[c] += sw * wrow[c];
+              continue;
+            }
+            if (prev_present[Idx(w)] == 0) continue;
+            for (const int* m = live[k - 1].begin(w); m != live[k - 1].end(w);
+                 ++m) {
+              const float wv = sw * wrow[*m];
+              if (wv == 0.0f) continue;
+              const float* jrow = row_of(prev, w, *m);
+              for (int c = 0; c < d0; ++c) acc[c] += wv * jrow[c];
             }
           }
-          next[static_cast<size_t>(v)] = std::move(acc);
         }
       }
-      jac = std::move(next);
+      prev.swap(next);
+      prev_present.swap(next_present);
     }
+    // I1(v,u) = ||J_K(v,u)||_1 over the live rows: a dead row would add +0.
+    const LiveRows& last = live.back();
     for (NodeId v = 0; v < n; ++v) {
-      const Matrix& jv = jac[static_cast<size_t>(v)];
-      i1.at(v, u) = jv.empty() ? 0.0f : static_cast<float>(jv.L1Norm());
+      if (prev_present[Idx(v)] == 0) continue;
+      double l1 = 0.0;
+      for (const int* r = last.begin(v); r != last.end(v); ++r) {
+        const float* jrow = row_of(prev, v, *r);
+        for (int c = 0; c < d0; ++c) {
+          l1 += std::fabs(static_cast<double>(jrow[c]));
+        }
+      }
+      i1.at(v, u) = static_cast<float>(l1);
     }
   }
   return i1;

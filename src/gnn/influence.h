@@ -8,9 +8,11 @@
 // Two computation modes:
 //  * kExactJacobian — differentiates through the trained network. For each
 //    source u we forward-propagate the Jacobian block J_k(w,u) ∈ R^{d_k×d_0}
-//    through J_k(v,·) = diag(relu'_k(v)) Σ_w S_vw W_k^T J_{k-1}(w,·).
-//    Cost O(|V| · k · nnz(S) · d·D); exact but only practical for small
-//    graphs (molecules).
+//    through J_k(v,·) = diag(relu'_k(v)) Σ_w S_vw W_k^T J_{k-1}(w,·),
+//    computing only the rows the ReLU masks keep. Cost
+//    O(|V| · Σ_k nnz(S) · live_k · live_{k-1} · d0), live_k being the
+//    rows per node that layer k's mask keeps; exact (bit-identical to the
+//    dense propagation) but only practical for small graphs (molecules).
 //  * kRandomWalk — the expected-Jacobian surrogate of [Xu et al., ICML'18]
 //    cited by the paper: I1(v,u) ∝ [S^k]_{vu}, i.e. k-step random-walk mass.
 //    Cost O(k · nnz(S) · |V|); used for large graphs.

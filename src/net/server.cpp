@@ -87,6 +87,7 @@ TcpServer::~TcpServer() {
     Drain();
     Wait();
   }
+  CloseWakePipes();  // a failed Start() may have opened some
   if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
@@ -253,6 +254,16 @@ void TcpServer::Drain() {
     const char b = 1;
     (void)!::write(w->wake_write, &b, 1);
   }
+  drain_woken_.store(true);
+}
+
+void TcpServer::CloseWakePipes() {
+  for (auto& w : workers_) {
+    if (w->wake_read >= 0) ::close(w->wake_read);
+    if (w->wake_write >= 0) ::close(w->wake_write);
+    w->wake_read = -1;
+    w->wake_write = -1;
+  }
 }
 
 void TcpServer::Wait() {
@@ -262,6 +273,12 @@ void TcpServer::Wait() {
   for (auto& w : workers_) {
     if (w->thread.joinable()) w->thread.join();
   }
+  // The wake pipes outlive the loops: Drain() writes every worker's pipe,
+  // possibly after that worker has left its loop, and a closed fd number
+  // can be reused by an unrelated open. Workers leave only once draining_
+  // is set, so the Drain() that set it is finishing its writes; let it.
+  while (!drain_woken_.load()) std::this_thread::yield();
+  CloseWakePipes();
   {
     std::lock_guard<std::mutex> lock(watchdog_mu_);
     watchdog_stop_ = true;
@@ -493,8 +510,6 @@ void TcpServer::WorkerLoop(Worker* w, int index) {
     ServerObs().live->Set(live_sessions_.load());
   }
   w->incoming.clear();
-  ::close(w->wake_read);
-  ::close(w->wake_write);
   w->exited.store(true, std::memory_order_relaxed);
 }
 

@@ -151,6 +151,8 @@ class TcpServer {
   void WatchdogLoop();
   /// Closes a worker-owned session, folding its counters into stats.
   void CloseSession(Worker* w, int fd);
+  /// Closes every worker's wake pipe; only once no thread can write them.
+  void CloseWakePipes();
 
   ViewService* service_ = nullptr;
   const GraphDatabase* db_ = nullptr;
@@ -168,6 +170,7 @@ class TcpServer {
   std::vector<obs::HealthCheckHandle> health_handles_;
   std::atomic<bool> started_{false};
   std::atomic<bool> draining_{false};
+  std::atomic<bool> drain_woken_{false};  ///< Drain() wrote every wake pipe
   std::atomic<bool> waited_{false};
   std::atomic<int64_t> drain_deadline_ms_{0};  ///< steady_clock millis
   std::atomic<int64_t> drain_start_ms_{0};     ///< 0 = never drained

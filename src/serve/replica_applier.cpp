@@ -60,9 +60,10 @@ const ReplObs& Obs() {
   return obs;
 }
 
-bool SameManifest(const ReplManifest& a, const ReplManifest& b) {
-  if (a.epoch != b.epoch || a.wal_bytes != b.wal_bytes ||
-      a.wal_has_records != b.wal_has_records ||
+// Same snapshot/delta files and the same WAL generation: no save or
+// compaction landed between the two pulls (appends may have grown the log).
+bool SameGeneration(const ReplManifest& a, const ReplManifest& b) {
+  if (a.wal_has_records != b.wal_has_records ||
       a.wal_first_epoch != b.wal_first_epoch ||
       a.files.size() != b.files.size()) {
     return false;
@@ -74,6 +75,11 @@ bool SameManifest(const ReplManifest& a, const ReplManifest& b) {
     }
   }
   return true;
+}
+
+bool SameManifest(const ReplManifest& a, const ReplManifest& b) {
+  return a.epoch == b.epoch && a.wal_bytes == b.wal_bytes &&
+         SameGeneration(a, b);
 }
 
 Result<uint32_t> LocalPrefixCrc(const std::string& path, uint64_t bytes) {
@@ -532,6 +538,16 @@ Status ReplicaApplier::SyncPass() {
   const uint64_t local_wal_valid = plan.have_wal ? plan.replay.valid_bytes : 0;
   const uint64_t before = service_->epoch();
   if (plan.final_epoch < before) {
+    // Like a WAL fork, this verdict needs a STABLE observation. A manifest
+    // lists the files before it reads the WAL, so a Compact landing in
+    // between (new snapshot, then WAL reset) reads as the old files plus a
+    // reset log: an older verdict, not lost state. An unchanged generation
+    // on a fresh manifest proves no compaction raced this pass.
+    auto fresh = endpoint_->Manifest();
+    if (!fresh.ok()) return fresh.status();
+    if (!SameGeneration(fresh.value(), manifest)) {
+      return Status::Aborted("primary compacted mid-pass; retrying");
+    }
     return FailStop(Status::IOError(StrFormat(
         "replication would regress the replica from epoch %llu to %llu — "
         "state this replica acknowledged is missing from the primary",

@@ -24,23 +24,9 @@ namespace gvex {
 namespace {
 
 using testing::BlockingClient;
+using testing::NormalizeUptime;
 using testing::TestServer;
 using testing::TinyNetStore;
-
-// stats responses carry a wall-clock field (uptime_sec) that ticks
-// between the oracle run and the framed run; pin it so byte-for-byte
-// comparisons stay deterministic. started_unix is process-constant.
-std::string NormalizeUptime(std::string text) {
-  size_t pos = 0;
-  while ((pos = text.find("uptime_sec ", pos)) != std::string::npos) {
-    const size_t start = pos + 11;
-    size_t end = start;
-    while (end < text.size() && text[end] != ' ' && text[end] != '\n') ++end;
-    text.replace(start, end - start, "X");
-    pos = start;
-  }
-  return text;
-}
 
 // Current value of a frame-error counter (satellite assertions check the
 // error path also INCREMENTS the matching counter, not just answers err).

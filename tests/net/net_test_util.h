@@ -36,6 +36,22 @@ inline synthetic::SyntheticStore TinyNetStore(uint64_t seed, int num_labels) {
   return synthetic::MakeSyntheticStore(seed, opt);
 }
 
+/// stats responses carry a wall-clock field (uptime_sec) that ticks
+/// between an oracle run and a served run; masks its value so
+/// byte-for-byte comparisons stay deterministic. started_unix is
+/// process-constant and stays as it is.
+inline std::string NormalizeUptime(std::string text) {
+  size_t pos = 0;
+  while ((pos = text.find("uptime_sec ", pos)) != std::string::npos) {
+    const size_t start = pos + 11;
+    size_t end = start;
+    while (end < text.size() && text[end] != ' ' && text[end] != '\n') ++end;
+    text.replace(start, end - start, "X");
+    pos = start;
+  }
+  return text;
+}
+
 /// In-process TcpServer over a caller-owned ViewService, ephemeral port.
 class TestServer {
  public:

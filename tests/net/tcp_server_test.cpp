@@ -22,6 +22,7 @@ namespace gvex {
 namespace {
 
 using testing::BlockingClient;
+using testing::NormalizeUptime;
 using testing::TestServer;
 using testing::TinyNetStore;
 
@@ -80,7 +81,8 @@ TEST_F(TcpServerTest, PipelinedRequestsAnswerInOrder) {
   client.ShutdownWrite();
   std::string got;
   ASSERT_TRUE(client.RecvUntilClosed(&got));
-  EXPECT_EQ(got, expected);
+  // stats lines carry uptime_sec, which may tick between the two runs.
+  EXPECT_EQ(NormalizeUptime(got), NormalizeUptime(expected));
 }
 
 // The `shutdown` verb: acknowledged, then the server drains — in-flight

@@ -7,11 +7,12 @@
 #   tools/run_tests.sh --with-bench  # suite + parallel-bench baseline gate
 #                                    # (tools/run_bench_baseline.sh)
 #   tools/run_tests.sh --sanitize    # ASan+UBSan lane only: builds the
-#                                    # serve + store + net suites in
-#                                    # build-asan (GVEX_SANITIZE=address)
-#                                    # and runs them
+#                                    # serve + store + net + obs + gnn +
+#                                    # explain suites in build-asan
+#                                    # (GVEX_SANITIZE=address) and runs them
 #   tools/run_tests.sh --tsan        # ThreadSanitizer lane only: builds
-#                                    # the net + serve suites in build-tsan
+#                                    # the net + serve + obs + store suites
+#                                    # in build-tsan
 #                                    # (GVEX_SANITIZE=thread) and runs the
 #                                    # concurrency-heavy binaries
 set -euo pipefail
@@ -39,19 +40,23 @@ done
 # The sanitizer lanes are their own build trees; they cover the serving +
 # durable store + TCP front-end suites (the subsystems with the hairiest
 # pointer/lifetime traffic: shared postings, WAL replay, snapshot buffers,
-# nonblocking socket sessions) without paying for an instrumented build of
-# everything else.
+# nonblocking socket sessions) and the gnn + explain suites (the exact
+# influence kernel indexes raw flat Jacobian buffers) without paying for an
+# instrumented build of everything else.
 if [[ "${sanitize}" == 1 ]]; then
   asan_dir="${ASAN_BUILD_DIR:-${repo_root}/build-asan}"
   cmake -B "${asan_dir}" -S "${repo_root}" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGVEX_SANITIZE=address \
     -DGVEX_BUILD_BENCH=OFF -DGVEX_BUILD_EXAMPLES=OFF
   cmake --build "${asan_dir}" -j "${jobs}" \
-    --target gvex_serve_test gvex_store_test gvex_net_test gvex_obs_test
+    --target gvex_serve_test gvex_store_test gvex_net_test gvex_obs_test \
+      gvex_gnn_test gvex_explain_test
   "${asan_dir}/tests/gvex_serve_test"
   "${asan_dir}/tests/gvex_store_test"
   "${asan_dir}/tests/gvex_net_test"
   "${asan_dir}/tests/gvex_obs_test"
+  "${asan_dir}/tests/gvex_gnn_test"
+  "${asan_dir}/tests/gvex_explain_test"
   exit 0
 fi
 
