@@ -39,7 +39,8 @@ std::string SerializeViewsBinary(const std::vector<ExplanationView>& views);
 /// an error — never a partial view list.
 Result<std::vector<ExplanationView>> ParseViewsBinary(const std::string& bytes);
 
-/// File round-trip helpers for the binary format.
+/// File round-trip helpers for the binary format. Saves replace the file
+/// atomically (util/file_io.h AtomicWriteFile).
 Status SaveViewsBinary(const std::string& path,
                        const std::vector<ExplanationView>& views);
 Result<std::vector<ExplanationView>> LoadViewsBinary(const std::string& path);

@@ -1,42 +1,11 @@
 #include "obs/dump.h"
 
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <utility>
 
 namespace gvex {
 namespace obs {
-
-bool AtomicWriteTextFile(const std::string& path, const std::string& body,
-                         std::string* error) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    if (error != nullptr) {
-      *error = "open '" + tmp + "' failed: " + std::strerror(errno);
-    }
-    return false;
-  }
-  const size_t wrote = std::fwrite(body.data(), 1, body.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (wrote != body.size() || !flushed) {
-    if (error != nullptr) *error = "short write to '" + tmp + "'";
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    if (error != nullptr) {
-      *error = "rename to '" + path + "' failed: " + std::strerror(errno);
-    }
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
 
 PeriodicDumper::PeriodicDumper(double interval_sec,
                                std::function<void()> dump)

@@ -1,11 +1,11 @@
-// File dump plumbing shared by `--metrics-dump` and `--health-file`:
-// atomic text-file replacement (tmp + rename, so scrapers never read a
-// half-written file) and a background PeriodicDumper whose destructor —
-// or an explicit Final() — always runs ONE last dump after stopping the
-// thread. That last point is the contract the drain path relies on: the
-// final dump happens whether the drain completed cleanly or timed out and
-// force-closed sessions, and it runs on the caller's thread so a wedged
-// dump thread cannot swallow it.
+// The dump thread shared by `--metrics-dump` and `--health-file`: a
+// background PeriodicDumper whose destructor — or an explicit Final() —
+// always runs ONE last dump after stopping the thread. That last point is
+// the contract the drain path relies on: the final dump happens whether the
+// drain completed cleanly or timed out and force-closed sessions, and it
+// runs on the caller's thread so a wedged dump thread cannot swallow it.
+// Each dump replaces its file through util/file_io.h AtomicWriteFile (tmp,
+// fsync, rename), so scrapers never read a half-written file.
 
 #ifndef GVEX_OBS_DUMP_H_
 #define GVEX_OBS_DUMP_H_
@@ -18,11 +18,6 @@
 
 namespace gvex {
 namespace obs {
-
-/// Writes `body` to `path` atomically (write to `<path>.tmp`, fsync,
-/// rename). Returns false and fills *error (when non-null) on failure.
-bool AtomicWriteTextFile(const std::string& path, const std::string& body,
-                         std::string* error = nullptr);
 
 /// Runs `dump` every `interval_sec` on a background thread, plus exactly
 /// one final time from Final() / the destructor after the thread stops.

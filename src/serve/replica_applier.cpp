@@ -1,15 +1,11 @@
 #include "serve/replica_applier.h"
 
 #include <errno.h>
-#include <fcntl.h>
 #include <string.h>
-#include <sys/file.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <set>
 #include <utility>
 
@@ -19,6 +15,7 @@
 #include "store/recovery.h"
 #include "store/snapshot.h"
 #include "store/wal.h"
+#include "util/file_io.h"
 #include "util/string_util.h"
 
 namespace gvex {
@@ -82,36 +79,6 @@ bool SameManifest(const ReplManifest& a, const ReplManifest& b) {
          SameGeneration(a, b);
 }
 
-Result<uint32_t> LocalPrefixCrc(const std::string& path, uint64_t bytes) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IOError(StrFormat("cannot open %s", path.c_str()));
-  }
-  std::string buf(static_cast<size_t>(bytes), '\0');
-  in.read(buf.data(), static_cast<std::streamsize>(bytes));
-  if (static_cast<uint64_t>(in.gcount()) != bytes) {
-    return Status::IOError(StrFormat("%s shorter than %llu bytes",
-                                     path.c_str(),
-                                     static_cast<unsigned long long>(bytes)));
-  }
-  return Crc32(buf);
-}
-
-Status FsyncPath(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::IOError(
-        StrFormat("open %s for fsync: %s", path.c_str(), strerror(errno)));
-  }
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) {
-    return Status::IOError(
-        StrFormat("fsync %s: %s", path.c_str(), strerror(errno)));
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Result<std::unique_ptr<ReplicaApplier>> ReplicaApplier::Open(
@@ -129,18 +96,7 @@ Result<std::unique_ptr<ReplicaApplier>> ReplicaApplier::Open(
 
   // Own the directory like any writer would: the LOCK keeps a second
   // applier (or a primary ViewService::Open) off the same mirror.
-  const std::string lock_path = dir + "/LOCK";
-  const int fd = ::open(lock_path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return Status::IOError(
-        StrFormat("cannot open %s: %s", lock_path.c_str(), strerror(errno)));
-  }
-  if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
-    ::close(fd);
-    return Status::FailedPrecondition(StrFormat(
-        "store %s is locked by another process", dir.c_str()));
-  }
-  applier->lock_fd_ = fd;
+  GVEX_RETURN_NOT_OK(applier->lock_.TryLock(dir));
 
   GVEX_ASSIGN_OR_RETURN(
       applier->service_,
@@ -179,7 +135,6 @@ ReplicaApplier::~ReplicaApplier() {
   Stop();
   // The checks capture `this`; unregister before any state they read dies.
   health_handles_.clear();
-  if (lock_fd_ >= 0) ::close(lock_fd_);
 }
 
 Status ReplicaApplier::FailStop(const Status& why) {
@@ -228,63 +183,32 @@ Status ReplicaApplier::SyncOnce() {
 }
 
 Status ReplicaApplier::MirrorFile(const ReplFileInfo& info) {
-  // tmp + fsync + rename: a half-fetched snapshot/delta never exists under
-  // its real name, so PlanRecovery only ever sees complete mirrors.
-  const std::string path = dir_ + "/" + info.name;
-  const std::string tmp = path + ".repltmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::IOError(StrFormat("cannot create %s", tmp.c_str()));
+  // Fetched whole, then written atomically: a half-fetched snapshot/delta
+  // never exists under its real name, so PlanRecovery only ever sees
+  // complete mirrors.
+  std::string bytes;
+  while (bytes.size() < info.bytes) {
+    const uint64_t want = std::min<uint64_t>(options_.fetch_chunk_bytes,
+                                             info.bytes - bytes.size());
+    auto chunk = endpoint_->Fetch(info.name, bytes.size(), want);
+    if (!chunk.ok()) return chunk.status();
+    if (chunk.value().empty()) {
+      // The file shrank or vanished on the primary mid-fetch (pruned by a
+      // compaction); the next manifest reconciles it.
+      return Status::Aborted(StrFormat(
+          "%s changed on the primary mid-fetch", info.name.c_str()));
     }
-    uint64_t offset = 0;
-    while (offset < info.bytes) {
-      const uint64_t want =
-          std::min<uint64_t>(options_.fetch_chunk_bytes, info.bytes - offset);
-      auto chunk = endpoint_->Fetch(info.name, offset, want);
-      if (!chunk.ok()) {
-        out.close();
-        ::unlink(tmp.c_str());
-        return chunk.status();
-      }
-      if (chunk.value().empty()) {
-        // The file shrank or vanished on the primary mid-fetch (pruned by a
-        // compaction); the next manifest reconciles it.
-        out.close();
-        ::unlink(tmp.c_str());
-        return Status::Aborted(StrFormat(
-            "%s changed on the primary mid-fetch", info.name.c_str()));
-      }
-      out.write(chunk.value().data(),
-                static_cast<std::streamsize>(chunk.value().size()));
-      offset += chunk.value().size();
-    }
-    out.flush();
-    if (!out) {
-      ::unlink(tmp.c_str());
-      return Status::IOError(StrFormat("write %s failed", tmp.c_str()));
-    }
+    bytes += chunk.value();
   }
-  Status st = FsyncPath(tmp);
-  if (!st.ok()) {
-    ::unlink(tmp.c_str());
-    return st;
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const Status err = Status::IOError(StrFormat(
-        "rename %s -> %s: %s", tmp.c_str(), path.c_str(), strerror(errno)));
-    ::unlink(tmp.c_str());
-    return err;
-  }
-  return Status::OK();
+  return AtomicWriteFile(dir_ + "/" + info.name, bytes);
 }
 
 Status ReplicaApplier::SyncWal(const ReplManifest& manifest, bool* progressed,
                                bool* files_changed) {
   const std::string wal_path = dir_ + "/" + WalFileName();
-  struct stat st;
-  bool local_exists = ::stat(wal_path.c_str(), &st) == 0;
-  uint64_t local_bytes = local_exists ? static_cast<uint64_t>(st.st_size) : 0;
+  auto local_size = FileSize(wal_path);
+  const bool local_exists = local_size.ok();
+  uint64_t local_bytes = local_size.value_or(0);
 
   if (manifest.wal_bytes == 0) {
     // The primary has no WAL file at all (fresh directory). If the replica
@@ -318,11 +242,11 @@ Status ReplicaApplier::SyncWal(const ReplManifest& manifest, bool* progressed,
       reset_local = true;  // the primary reset to an empty (header-only) log
     }
   }
+  // Every change to the local mirror below goes through this one handle;
+  // opening it creates the log when the replica has none yet.
+  AppendFile wal;
+  GVEX_RETURN_NOT_OK(wal.Open(wal_path, /*truncate=*/reset_local));
   if (reset_local) {
-    if (::truncate(wal_path.c_str(), 0) != 0) {
-      return Status::IOError(
-          StrFormat("truncate %s: %s", wal_path.c_str(), strerror(errno)));
-    }
     local_bytes = 0;
     resyncs_.fetch_add(1, std::memory_order_relaxed);
     Obs().resyncs->Add(1);
@@ -336,7 +260,8 @@ Status ReplicaApplier::SyncWal(const ReplManifest& manifest, bool* progressed,
   if (shared > 0) {
     auto remote_crc = endpoint_->PrefixCrc(WalFileName(), shared);
     if (!remote_crc.ok()) return remote_crc.status();
-    auto local_crc = LocalPrefixCrc(wal_path, shared);
+    auto local_crc = ReplicationSource(dir_, nullptr)
+                         .PrefixCrc(WalFileName(), shared);
     if (!local_crc.ok()) return local_crc.status();
     if (remote_crc.value() != local_crc.value()) {
       // A fail-stop verdict needs a STABLE observation: the primary may
@@ -367,10 +292,7 @@ Status ReplicaApplier::SyncWal(const ReplManifest& manifest, bool* progressed,
   // bytes were never applied here unless the replica published them — in
   // which case the PlanRecovery regression check below fail-stops.
   if (local_bytes > manifest.wal_bytes) {
-    if (::truncate(wal_path.c_str(), manifest.wal_bytes) != 0) {
-      return Status::IOError(
-          StrFormat("truncate %s: %s", wal_path.c_str(), strerror(errno)));
-    }
+    GVEX_RETURN_NOT_OK(wal.TruncateTo(manifest.wal_bytes));
     local_bytes = manifest.wal_bytes;
     reships_.fetch_add(1, std::memory_order_relaxed);
     Obs().reships->Add(1);
@@ -380,13 +302,6 @@ Status ReplicaApplier::SyncWal(const ReplManifest& manifest, bool* progressed,
 
   // Append the missing suffix [local_bytes, manifest.wal_bytes).
   if (local_bytes < manifest.wal_bytes) {
-    const int fd =
-        ::open(wal_path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
-               0644);
-    if (fd < 0) {
-      return Status::IOError(
-          StrFormat("open %s: %s", wal_path.c_str(), strerror(errno)));
-    }
     uint64_t offset = local_bytes;
     Status fetch_status = Status::OK();
     while (offset < manifest.wal_bytes) {
@@ -398,35 +313,14 @@ Status ReplicaApplier::SyncWal(const ReplManifest& manifest, bool* progressed,
         break;
       }
       if (chunk.value().empty()) break;  // primary log shrank mid-pass
-      const char* data = chunk.value().data();
-      size_t remaining = chunk.value().size();
-      while (remaining > 0) {
-        const ssize_t n = ::write(fd, data, remaining);
-        if (n < 0) {
-          if (errno == EINTR) continue;
-          fetch_status = Status::IOError(StrFormat(
-              "write %s: %s", wal_path.c_str(), strerror(errno)));
-          break;
-        }
-        data += n;
-        remaining -= static_cast<size_t>(n);
-      }
+      fetch_status = wal.Append(chunk.value());
       if (!fetch_status.ok()) break;
       offset += chunk.value().size();
     }
     // Bytes count as mirrored only once they are durable: a failed fsync
-    // or close leaves local_bytes (and the lag the standby reports) where
-    // it was, and the next pass re-checks the prefix and re-ships.
-    Status sync_status = Status::OK();
-    if (::fsync(fd) != 0) {
-      sync_status = Status::IOError(
-          StrFormat("fsync %s: %s", wal_path.c_str(), strerror(errno)));
-    }
-    if (::close(fd) != 0 && sync_status.ok()) {
-      sync_status = Status::IOError(
-          StrFormat("close %s: %s", wal_path.c_str(), strerror(errno)));
-    }
-    if (!sync_status.ok()) return sync_status;
+    // leaves local_bytes (and the lag the standby reports) where it was,
+    // and the next pass re-checks the prefix and re-ships.
+    GVEX_RETURN_NOT_OK(wal.Sync());
     if (offset > local_bytes) *progressed = true;
     local_bytes = offset;
     if (!fetch_status.ok()) return fetch_status;
@@ -443,14 +337,11 @@ Status ReplicaApplier::SyncWal(const ReplManifest& manifest, bool* progressed,
     return FailStop(replay.status());
   }
   if (replay.value().torn_tail && replay.value().valid_bytes < local_bytes) {
-    if (::truncate(wal_path.c_str(), replay.value().valid_bytes) != 0) {
-      return Status::IOError(
-          StrFormat("truncate %s: %s", wal_path.c_str(), strerror(errno)));
-    }
+    GVEX_RETURN_NOT_OK(wal.TruncateTo(replay.value().valid_bytes));
     reships_.fetch_add(1, std::memory_order_relaxed);
     Obs().reships->Add(1);
   }
-  return Status::OK();
+  return wal.Close();
 }
 
 Status ReplicaApplier::SyncPass() {
@@ -516,7 +407,7 @@ Status ReplicaApplier::SyncPass() {
     files_changed = true;
     progressed = true;
   }
-  if (files_changed) GVEX_RETURN_NOT_OK(SyncDir(dir_));
+  if (files_changed) GVEX_RETURN_NOT_OK(FsyncPath(dir_));
 
   // 3. Mirror the WAL (generation check, prefix CRC, append, torn-tail
   //    truncate + re-ship).
@@ -623,20 +514,13 @@ Result<uint64_t> ReplicaApplier::Promote() {
   }
   // Hand the LOCK to the service: release ours, let Promote re-acquire it
   // exclusively (it refuses if anyone else grabbed the store meanwhile).
-  if (lock_fd_ >= 0) {
-    ::close(lock_fd_);
-    lock_fd_ = -1;
-  }
+  lock_.Release();
   Status st = service_->Promote();
   if (!st.ok()) {
     // Keep mirroring read-only: re-take the LOCK so the dir stays owned.
-    const int fd = ::open((dir_ + "/LOCK").c_str(),
-                          O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-    if (fd >= 0 && ::flock(fd, LOCK_EX | LOCK_NB) == 0) {
-      lock_fd_ = fd;
-    } else if (fd >= 0) {
-      ::close(fd);
-    }
+    // Best effort: if another process took it meanwhile, the promote error
+    // is still the one the caller needs.
+    (void)lock_.TryLock(dir_);
     return st;
   }
   promoted_.store(true, std::memory_order_release);

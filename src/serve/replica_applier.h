@@ -58,6 +58,7 @@
 #include "obs/health.h"
 #include "serve/view_service.h"
 #include "store/replication.h"
+#include "util/file_io.h"
 #include "util/status.h"
 
 namespace gvex {
@@ -132,15 +133,15 @@ class ReplicaApplier {
   Status SyncPass();
   /// Latches `why` as the permanent fail-stop verdict and returns it.
   Status FailStop(const Status& why);
-  /// Fetches [offset, end) of `name` appending to local `path` ("" fetches
-  /// to a tmp file first and renames into place at the end).
+  /// Fetches `info` whole from the primary and writes it into the mirror
+  /// with AtomicWriteFile.
   Status MirrorFile(const ReplFileInfo& info);
   Status SyncWal(const ReplManifest& manifest, bool* progressed,
                  bool* files_changed);
   void SetLag(uint64_t lag_epochs, uint64_t lag_bytes);
 
   std::string dir_;
-  int lock_fd_ = -1;
+  DirLock lock_;
   std::unique_ptr<ReplicationEndpoint> endpoint_;
   ReplicaApplierOptions options_;
   std::unique_ptr<ViewService> service_;

@@ -1,13 +1,7 @@
 #include "serve/view_service.h"
 
-#include <fcntl.h>
-#include <sys/file.h>
-#include <sys/stat.h>
-
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <functional>
 #include <utility>
 
@@ -188,12 +182,8 @@ void ViewService::RegisterDurableHealthChecks() {
   DurableStore* store = store_.get();
   health_handles_.push_back(obs::RegisterHealthCheck(
       "store_lock", [store]() -> obs::HealthCheckResult {
-        if (store->lock_fd < 0) {
+        if (!store->lock.held()) {
           return {obs::HealthStatus::kFail, "store LOCK not held"};
-        }
-        struct stat st;
-        if (::fstat(store->lock_fd, &st) != 0) {
-          return {obs::HealthStatus::kFail, "store LOCK fd unusable"};
         }
         return {obs::HealthStatus::kOk, "flock held on " + store->dir + "/LOCK"};
       }));
@@ -569,18 +559,7 @@ Result<std::unique_ptr<ViewService>> ViewService::Open(
   // flock is advisory but every store entry point goes through Open.
   auto store = std::make_unique<DurableStore>();
   store->dir = dir;
-  const std::string lock_path = dir + "/LOCK";
-  store->lock_fd = ::open(lock_path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC,
-                          0644);
-  if (store->lock_fd < 0) {
-    return Status::IOError(StrFormat("cannot open %s: %s", lock_path.c_str(),
-                                     std::strerror(errno)));
-  }
-  if (::flock(store->lock_fd, LOCK_EX | LOCK_NB) != 0) {
-    return Status::FailedPrecondition(StrFormat(
-        "store %s is locked by another process (close it, or wait for it "
-        "to exit)", dir.c_str()));
-  }
+  GVEX_RETURN_NOT_OK(store->lock.TryLock(dir));
 
   // The shared fail-stop verdict (src/store/recovery.h): newest valid
   // snapshot, WAL contiguity, acknowledged-epoch reachability.
@@ -791,18 +770,13 @@ Status ViewService::Promote() {
   // LOCK before calling (ReplicaApplier::Promote orders this).
   auto store = std::make_unique<DurableStore>();
   store->dir = dir;
-  const std::string lock_path = dir + "/LOCK";
-  store->lock_fd = ::open(lock_path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC,
-                          0644);
-  if (store->lock_fd < 0) {
-    return Status::IOError(StrFormat("cannot open %s: %s", lock_path.c_str(),
-                                     std::strerror(errno)));
-  }
-  if (::flock(store->lock_fd, LOCK_EX | LOCK_NB) != 0) {
+  Status locked = store->lock.TryLock(dir);
+  if (locked.IsFailedPrecondition()) {
     return Status::FailedPrecondition(StrFormat(
         "store %s is still locked (the replication applier must release it "
         "before promotion)", dir.c_str()));
   }
+  GVEX_RETURN_NOT_OK(locked);
 
   if (plan.have_snapshot) {
     options_.index.match = plan.snapshot.match;

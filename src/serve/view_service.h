@@ -45,8 +45,6 @@
 #ifndef GVEX_SERVE_VIEW_SERVICE_H_
 #define GVEX_SERVE_VIEW_SERVICE_H_
 
-#include <unistd.h>
-
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -71,6 +69,7 @@
 #include "store/recovery.h"
 #include "store/snapshot.h"
 #include "store/wal.h"
+#include "util/file_io.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -413,13 +412,9 @@ class ViewService {
   /// `compacting` before the scheduler's move-assignment into `compactor`
   /// completes, so flag-only coordination would race on the handle).
   struct DurableStore {
-    ~DurableStore() {
-      if (lock_fd >= 0) ::close(lock_fd);  // releases the flock
-    }
     std::string dir;
-    /// Held (flock LOCK_EX) for the service's lifetime — one writer per
-    /// store directory; -1 until Open acquires it.
-    int lock_fd = -1;
+    /// Held for the service's lifetime — one writer per store directory.
+    DirLock lock;
     WalWriter wal;
     /// Chain bookkeeping, guarded by writer_mu_ (mutated by Save/Compact/
     /// admissions, all of which hold it). `persisted_epoch` is the newest

@@ -1,13 +1,12 @@
 #include "store/codec.h"
 
 #include <cstring>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "explain/view_io.h"
+#include "util/file_io.h"
 #include "util/string_util.h"
 
 namespace gvex {
@@ -480,20 +479,13 @@ Result<std::vector<ExplanationView>> ParseViewsBinary(
 
 Status SaveViewsBinary(const std::string& path,
                        const std::vector<ExplanationView>& views) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f.good()) return Status::IOError("cannot open " + path);
-  const std::string bytes = SerializeViewsBinary(views);
-  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!f.good()) return Status::IOError("write failed for " + path);
-  return Status::OK();
+  return AtomicWriteFile(path, SerializeViewsBinary(views));
 }
 
 Result<std::vector<ExplanationView>> LoadViewsBinary(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f.good()) return Status::IOError("cannot open " + path);
-  std::stringstream ss;
-  ss << f.rdbuf();
-  return ParseViewsBinary(ss.str());
+  auto bytes = ReadFile(path);
+  if (!bytes.ok()) return Status::IOError(bytes.status().message());
+  return ParseViewsBinary(bytes.value());
 }
 
 }  // namespace gvex

@@ -1,12 +1,9 @@
 #include "store/recovery.h"
 
-#include <fcntl.h>
-#include <sys/file.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <utility>
 
+#include "util/file_io.h"
 #include "util/string_util.h"
 
 namespace gvex {
@@ -130,19 +127,7 @@ Result<RecoveryPlan> PlanRecovery(const std::string& dir) {
 
 Result<StoreVerifyReport> VerifyStore(const std::string& dir) {
   StoreVerifyReport report;
-  // Writer probe: non-blocking SHARED flock on an EXISTING LOCK file only.
-  // O_CREAT here would fabricate store state in a directory verify must not
-  // mutate; a missing LOCK simply means no writer ever opened the store.
-  const std::string lock_path = dir + "/LOCK";
-  const int fd = ::open(lock_path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd >= 0) {
-    if (::flock(fd, LOCK_SH | LOCK_NB) == 0) {
-      ::flock(fd, LOCK_UN);  // released before any I/O below
-    } else {
-      report.writer_active = true;
-    }
-    ::close(fd);
-  }
+  report.writer_active = DirLock::WriterActive(dir);
   GVEX_ASSIGN_OR_RETURN(report.plan, PlanRecovery(dir));
   return report;
 }

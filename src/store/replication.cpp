@@ -1,33 +1,19 @@
 #include "store/replication.h"
 
 #include <dirent.h>
-#include <sys/stat.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <utility>
 
 #include "store/codec.h"
 #include "store/snapshot.h"
 #include "store/wal.h"
+#include "util/file_io.h"
 #include "util/string_util.h"
 
 namespace gvex {
-
-namespace {
-
-Result<uint64_t> FileBytes(const std::string& path) {
-  struct stat st;
-  if (::stat(path.c_str(), &st) != 0) {
-    return Status::NotFound(StrFormat("cannot stat %s: %s", path.c_str(),
-                                      std::strerror(errno)));
-  }
-  return static_cast<uint64_t>(st.st_size);
-}
-
-}  // namespace
 
 ReplicationSource::ReplicationSource(std::string dir,
                                      std::function<uint64_t()> epoch_provider)
@@ -56,7 +42,7 @@ Result<ReplManifest> ReplicationSource::Manifest() const {
   while (struct dirent* entry = ::readdir(d)) {
     const std::string name = entry->d_name;
     if (name == WalFileName() || !ValidFileName(name)) continue;
-    auto bytes = FileBytes(dir_ + "/" + name);
+    auto bytes = FileSize(dir_ + "/" + name);
     // A file pruned between readdir and stat simply drops out.
     if (!bytes.ok()) continue;
     m.files.push_back(ReplFileInfo{name, bytes.value()});
@@ -68,7 +54,7 @@ Result<ReplManifest> ReplicationSource::Manifest() const {
             });
 
   const std::string wal_path = dir_ + "/" + WalFileName();
-  auto wal_bytes = FileBytes(wal_path);
+  auto wal_bytes = FileSize(wal_path);
   if (wal_bytes.ok()) {
     m.wal_bytes = wal_bytes.value();
     auto start = ReadWalStart(wal_path);
@@ -88,15 +74,7 @@ Result<std::string> ReplicationSource::Fetch(const std::string& name,
   if (!ValidFileName(name)) {
     return Status::InvalidArgument("not a replicable file: " + name);
   }
-  std::ifstream f(dir_ + "/" + name, std::ios::binary);
-  if (!f.good()) return Status::NotFound("no file " + name);
-  f.seekg(static_cast<std::streamoff>(offset));
-  if (!f.good()) return std::string();  // offset past EOF
-  std::string out;
-  out.resize(static_cast<size_t>(max_len));
-  f.read(&out[0], static_cast<std::streamsize>(max_len));
-  out.resize(static_cast<size_t>(f.gcount()));
-  return out;
+  return ReadFileRange(dir_ + "/" + name, offset, max_len);
 }
 
 Result<uint32_t> ReplicationSource::PrefixCrc(const std::string& name,
@@ -104,15 +82,12 @@ Result<uint32_t> ReplicationSource::PrefixCrc(const std::string& name,
   if (!ValidFileName(name)) {
     return Status::InvalidArgument("not a replicable file: " + name);
   }
-  std::ifstream f(dir_ + "/" + name, std::ios::binary);
-  if (!f.good()) return Status::NotFound("no file " + name);
   // Incremental CRC via the one-shot helper over a rolling buffer would
   // change the polynomial chaining; read the prefix whole instead (prefix
   // checks run on generation changes and divergence probes, not per poll).
-  std::string buf;
-  buf.resize(static_cast<size_t>(bytes));
-  f.read(&buf[0], static_cast<std::streamsize>(bytes));
-  if (static_cast<uint64_t>(f.gcount()) != bytes) {
+  GVEX_ASSIGN_OR_RETURN(const std::string buf,
+                        ReadFileRange(dir_ + "/" + name, 0, bytes));
+  if (buf.size() != bytes) {
     return Status::InvalidArgument(
         StrFormat("%s holds fewer than %llu bytes", name.c_str(),
                   static_cast<unsigned long long>(bytes)));

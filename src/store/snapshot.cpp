@@ -1,21 +1,16 @@
 #include "store/snapshot.h"
 
 #include <dirent.h>
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <sys/types.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "store/codec.h"
+#include "util/file_io.h"
 #include "util/string_util.h"
 
 namespace gvex {
@@ -79,45 +74,6 @@ Result<std::vector<uint64_t>> ListEpochFiles(const std::string& dir,
   ::closedir(d);
   std::sort(epochs.begin(), epochs.end());
   return epochs;
-}
-
-// Atomic file write shared by full snapshots and deltas: write to
-// `<path>.tmp`, fsync the bytes, rename into place, fsync the directory
-// entry — a crash at any point leaves either the old file or the new one,
-// never a torn mix (and recovery ignores stray *.tmp leftovers).
-Status AtomicWriteFile(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f.good()) return Status::IOError("cannot open " + tmp);
-    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    f.flush();
-    if (!f.good()) return Status::IOError("write failed for " + tmp);
-  }
-  // fsync before rename: the rename must never publish an unflushed image
-  // (Compact resets the WAL on the strength of this file, so a skipped or
-  // failed fsync here could lose acknowledged admissions on power loss).
-  FILE* f = std::fopen(tmp.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IOError(StrFormat("cannot reopen %s for fsync: %s",
-                                     tmp.c_str(), std::strerror(errno)));
-  }
-  const bool synced = ::fsync(::fileno(f)) == 0;
-  const int sync_errno = errno;
-  std::fclose(f);
-  if (!synced) {
-    (void)std::remove(tmp.c_str());
-    return Status::IOError(StrFormat("fsync failed for %s: %s", tmp.c_str(),
-                                     std::strerror(sync_errno)));
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IOError(StrFormat("rename %s -> %s failed: %s",
-                                     tmp.c_str(), path.c_str(),
-                                     std::strerror(errno)));
-  }
-  // The rename is a directory-entry mutation: without a directory fsync a
-  // power loss can undo it even though the file bytes are on disk.
-  return SyncParentDir(path);
 }
 
 void EncodeMatchOptions(const MatchOptions& m, std::string* dst) {
@@ -512,20 +468,18 @@ Status SaveDelta(const std::string& path, const DeltaData& data) {
   return AtomicWriteFile(path, SerializeDelta(data));
 }
 
+// A missing image is an I/O failure to the loaders (recovery only asks
+// for files it listed), unlike the WAL, whose absence is a state.
 Result<DeltaData> LoadDelta(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f.good()) return Status::IOError("cannot open " + path);
-  std::stringstream ss;
-  ss << f.rdbuf();
-  return ParseDelta(ss.str());
+  auto bytes = ReadFile(path);
+  if (!bytes.ok()) return Status::IOError(bytes.status().message());
+  return ParseDelta(bytes.value());
 }
 
 Result<SnapshotData> LoadSnapshot(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f.good()) return Status::IOError("cannot open " + path);
-  std::stringstream ss;
-  ss << f.rdbuf();
-  return ParseSnapshot(ss.str());
+  auto bytes = ReadFile(path);
+  if (!bytes.ok()) return Status::IOError(bytes.status().message());
+  return ParseSnapshot(bytes.value());
 }
 
 Result<std::vector<uint64_t>> ListSnapshotEpochs(const std::string& dir) {
@@ -546,41 +500,6 @@ Result<int> PruneDeltas(const std::string& dir, uint64_t keep_epoch) {
     if (std::remove(path.c_str()) == 0) ++removed;
   }
   return removed;
-}
-
-Status EnsureDir(const std::string& dir) {
-  if (::mkdir(dir.c_str(), 0755) == 0) {
-    // The new directory's own entry must be durable before anything
-    // fsynced INSIDE it can be considered durable.
-    return SyncParentDir(dir);
-  }
-  if (errno == EEXIST) return Status::OK();
-  return Status::IOError(StrFormat("cannot create directory %s: %s",
-                                   dir.c_str(), std::strerror(errno)));
-}
-
-Status SyncDir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::IOError(StrFormat("cannot open directory %s for fsync: %s",
-                                     dir.c_str(), std::strerror(errno)));
-  }
-  const bool synced = ::fsync(fd) == 0;
-  const int sync_errno = errno;
-  ::close(fd);
-  if (!synced) {
-    return Status::IOError(StrFormat("fsync failed for directory %s: %s",
-                                     dir.c_str(),
-                                     std::strerror(sync_errno)));
-  }
-  return Status::OK();
-}
-
-Status SyncParentDir(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return SyncDir(".");
-  if (slash == 0) return SyncDir("/");
-  return SyncDir(path.substr(0, slash));
 }
 
 Result<int> PruneSnapshots(const std::string& dir, uint64_t keep_epoch) {

@@ -15,8 +15,8 @@
 //   footer record:   record counts again (truncation at a record boundary
 //                    is detected, not silently accepted)
 //
-// Writes are atomic: the image is written to `<path>.tmp`, fsynced, and
-// renamed into place, so a crash mid-save never corrupts an existing
+// Writes are atomic (util/file_io.h AtomicWriteFile: `<path>.tmp`, fsync,
+// rename, directory fsync), so a crash mid-save never corrupts an existing
 // snapshot. Loads validate everything before returning — a corrupt file
 // yields an error, never a partial SnapshotData.
 //
@@ -118,8 +118,8 @@ std::string DeltaFileName(uint64_t epoch);
 /// name is not a delta file).
 Result<uint64_t> ParseDeltaFileName(const std::string& name);
 
-/// Serializes / writes a delta (write goes through tmp-file + rename, same
-/// atomicity as full snapshots — a crash mid-save never corrupts anything).
+/// Serializes / writes a delta (AtomicWriteFile, same atomicity as full
+/// snapshots — a crash mid-save never corrupts anything).
 std::string SerializeDelta(const DeltaData& data);
 Status SaveDelta(const std::string& path, const DeltaData& data);
 
@@ -137,7 +137,7 @@ Result<std::vector<uint64_t>> ListDeltaEpochs(const std::string& dir);
 /// obsolete). Returns the number removed.
 Result<int> PruneDeltas(const std::string& dir, uint64_t keep_epoch);
 
-/// Serializes / writes a snapshot (write goes through tmp-file + rename).
+/// Serializes / writes a snapshot (AtomicWriteFile).
 std::string SerializeSnapshot(const SnapshotData& data);
 Status SaveSnapshot(const std::string& path, const SnapshotData& data);
 
@@ -148,17 +148,6 @@ Result<SnapshotData> LoadSnapshot(const std::string& path);
 /// Epochs of every snapshot file in `dir`, ascending. Missing directory is
 /// an IOError; a directory without snapshots is an empty list.
 Result<std::vector<uint64_t>> ListSnapshotEpochs(const std::string& dir);
-
-/// Creates `dir` if it does not exist (one level).
-Status EnsureDir(const std::string& dir);
-
-/// fsyncs `dir` itself, making directory-entry mutations (a rename into the
-/// directory, a newly created file) durable across power loss. File-content
-/// fsync alone does not cover the entry.
-Status SyncDir(const std::string& dir);
-
-/// SyncDir on the directory containing `path`.
-Status SyncParentDir(const std::string& path);
 
 /// Deletes snapshot files in `dir` with epoch < `keep_epoch` (compaction
 /// hygiene). Returns the number removed.

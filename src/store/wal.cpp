@@ -1,19 +1,12 @@
 #include "store/wal.h"
 
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cerrno>
+#include <algorithm>
 #include <chrono>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "store/codec.h"
-#include "store/snapshot.h"  // SyncParentDir
-#include "util/string_util.h"
+#include "util/file_io.h"
 
 namespace gvex {
 
@@ -22,7 +15,7 @@ namespace {
 constexpr uint8_t kAdmitTag = 1;
 
 // WAL instruments, registered once (appends then never touch the registry
-// lock). Append covers the whole call — framing, fwrite, and any fsync its
+// lock). Append covers the whole call — framing, write, and any fsync its
 // sync_every policy triggered — so batched-sync configurations show their
 // bimodal latency.
 struct WalInstruments {
@@ -92,11 +85,7 @@ Status DecodeWalRecord(const std::string& payload, WalRecord* record) {
 std::string WalFileName() { return "wal.gvxw"; }
 
 Result<WalReplay> ReplayWal(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f.good()) return Status::NotFound("no WAL at " + path);
-  std::stringstream ss;
-  ss << f.rdbuf();
-  const std::string bytes = ss.str();
+  GVEX_ASSIGN_OR_RETURN(const std::string bytes, ReadFile(path));
 
   if (bytes.size() < kStoreHeaderBytes) {
     // A crash between WAL creation and the header reaching disk leaves a
@@ -139,17 +128,11 @@ Result<WalReplay> ReplayWal(const std::string& path) {
 }
 
 Result<WalStart> ReadWalStart(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f.good()) return Status::NotFound("no WAL at " + path);
   // The first record is bounded in practice but not in principle, so read
   // progressively larger prefixes until one frame parses (or the file ends).
-  std::string bytes;
-  for (size_t budget = 1 << 16;; budget *= 4) {
-    f.clear();
-    f.seekg(0);
-    bytes.resize(budget);
-    f.read(&bytes[0], static_cast<std::streamsize>(budget));
-    bytes.resize(static_cast<size_t>(f.gcount()));
+  for (uint64_t budget = 1 << 16;; budget *= 4) {
+    GVEX_ASSIGN_OR_RETURN(const std::string bytes,
+                          ReadFileRange(path, 0, budget));
     const bool whole_file = bytes.size() < budget;
 
     WalStart start;
@@ -170,104 +153,66 @@ Result<WalStart> ReadWalStart(const std::string& path) {
   }
 }
 
-WalWriter::~WalWriter() { Close(); }
+WalWriter::~WalWriter() {
+  // A destructor cannot report a failed final sync; callers that can act
+  // on it call Close() first.
+  (void)Close();
+}
 
-void WalWriter::Close() {
-  if (file_ != nullptr) {
-    std::fflush(file_);
-    ::fsync(::fileno(file_));
-    std::fclose(file_);
-    file_ = nullptr;
-  }
+Status WalWriter::Close() {
+  if (!file_.is_open()) return Status::OK();
+  Status synced = file_.Sync();
+  Status closed = file_.Close();
+  return synced.ok() ? closed : synced;
 }
 
 Status WalWriter::Open(const std::string& path, uint64_t truncate_to) {
-  Close();
+  GVEX_RETURN_NOT_OK(Close());
   failed_ = false;
   unsynced_ = 0;
   bytes_ = 0;  // never leave a stale size behind an error return below
   path_ = path;
 
-  struct stat st;
-  const bool exists = ::stat(path.c_str(), &st) == 0;
-  const uint64_t size = exists ? static_cast<uint64_t>(st.st_size) : 0;
-
-  if (!exists || size < kStoreHeaderBytes || truncate_to < kStoreHeaderBytes) {
+  auto existing = FileSize(path);
+  const uint64_t size = existing.ok() ? existing.value() : 0;
+  // Any failure below must leave the writer fully CLOSED (not half-open
+  // with a stale size): Append guards only on the open file and failed_,
+  // and a half-open writer would accept records at a bogus offset.
+  Status st;
+  if (!existing.ok() || size < kStoreHeaderBytes ||
+      truncate_to < kStoreHeaderBytes) {
     // Fresh log (also the path for an unusably short file).
-    file_ = std::fopen(path.c_str(), "wb");
-    if (file_ == nullptr) {
-      return Status::IOError(StrFormat("cannot create WAL %s: %s",
-                                       path.c_str(), std::strerror(errno)));
-    }
-    // Any failure below must leave the writer fully CLOSED (not half-open
-    // with a stale size): Append guards only on file_/failed_, and a
-    // half-open writer would accept records at a bogus offset.
-    const auto fail_closed = [this](Status st) {
-      std::fclose(file_);
-      file_ = nullptr;
-      bytes_ = 0;
-      return st;
-    };
     std::string header;
     PutStoreHeader(&header, StoreFileKind::kWal);
-    if (std::fwrite(header.data(), 1, header.size(), file_) !=
-        header.size()) {
-      return fail_closed(
-          Status::IOError("cannot write WAL header to " + path));
-    }
+    st = file_.Open(path, /*truncate=*/true);
+    if (st.ok()) st = file_.Append(header);
     // An unchecked header fsync would let Open succeed while the header
     // may never reach disk — recovery would then read a torn header and
     // silently treat every acknowledged append as an empty log.
-    if (std::fflush(file_) != 0) {
-      return fail_closed(Status::IOError("WAL flush failed for " + path));
-    }
-    if (::fsync(::fileno(file_)) != 0) {
-      return fail_closed(
-          Status::IOError(StrFormat("WAL fsync failed for %s: %s",
-                                    path.c_str(), std::strerror(errno))));
-    }
+    if (st.ok()) st = file_.Sync();
+    // A brand-new file is a directory-entry mutation; without a directory
+    // fsync, power loss can leave acknowledged (file-fsynced) appends in a
+    // file that no longer has a name.
+    if (st.ok() && !existing.ok()) st = SyncParentDir(path);
     bytes_ = header.size();
-    if (!exists) {
-      // A brand-new file is a directory-entry mutation; without a
-      // directory fsync, power loss can leave acknowledged (file-fsynced)
-      // appends in a file that no longer has a name.
-      Status synced = SyncParentDir(path);
-      if (!synced.ok()) return fail_closed(std::move(synced));
-    }
-    return Status::OK();
-  }
-
-  if (truncate_to < size) {
+  } else {
+    st = file_.Open(path, /*truncate=*/false);
     // Drop a torn tail before appending resumes.
-    if (::truncate(path.c_str(), static_cast<off_t>(truncate_to)) != 0) {
-      return Status::IOError(StrFormat("cannot truncate WAL %s: %s",
-                                       path.c_str(), std::strerror(errno)));
-    }
+    if (st.ok() && truncate_to < size) st = file_.TruncateTo(truncate_to);
+    bytes_ = std::min(truncate_to, size);
   }
-  file_ = std::fopen(path.c_str(), "ab");
-  if (file_ == nullptr) {
-    return Status::IOError(StrFormat("cannot open WAL %s: %s", path.c_str(),
-                                     std::strerror(errno)));
+  if (!st.ok()) {
+    bytes_ = 0;
+    (void)file_.Close();  // the error above is the one to report
   }
-  bytes_ = truncate_to < size ? truncate_to : size;
-  return Status::OK();
+  return st;
 }
 
 void WalWriter::RestoreTo(uint64_t offset) {
-  // A failed write may have left a partial frame in the file (or in the
-  // stdio buffer, flushed who-knows-how-far). Discard everything past the
-  // last good offset so a later successful append is never stranded
-  // behind torn bytes that replay would stop at.
-  if (file_ != nullptr) {
-    std::fclose(file_);  // drops any buffered partial frame
-    file_ = nullptr;
-  }
-  if (::truncate(path_.c_str(), static_cast<off_t>(offset)) != 0) {
-    failed_ = true;
-    return;
-  }
-  file_ = std::fopen(path_.c_str(), "ab");
-  if (file_ == nullptr) {
+  // A failed write may have left a partial frame in the file. Discard
+  // everything past the last good offset so a later successful append is
+  // never stranded behind torn bytes that replay would stop at.
+  if (!file_.TruncateTo(offset).ok()) {
     failed_ = true;
     return;
   }
@@ -280,34 +225,24 @@ Status WalWriter::Append(const WalRecord& record) {
     return Status::FailedPrecondition(
         "WAL writer failed and could not roll back; reopen it");
   }
-  if (file_ == nullptr) {
+  if (!file_.is_open()) {
     return Status::FailedPrecondition("WAL is not open");
   }
   const auto t0 = std::chrono::steady_clock::now();
   const uint64_t start = bytes_;
   std::string framed;
   PutFramedRecord(&framed, EncodeWalRecord(record));
-  if (std::fwrite(framed.data(), 1, framed.size(), file_) != framed.size()) {
-    RestoreTo(start);
-    return Status::IOError("WAL append failed for " + path_);
+  // Below the sync_every threshold the fsync is deferred (a power failure
+  // may lose the batch); the bytes are in the kernel either way, so a
+  // process crash loses nothing.
+  Status st = file_.Append(framed);
+  if (st.ok()) {
+    bytes_ += framed.size();
+    if (++unsynced_ >= sync_every_) st = Sync();
   }
-  bytes_ += framed.size();
-  ++unsynced_;
-  if (unsynced_ >= sync_every_) {
-    Status synced = Sync();
-    if (!synced.ok()) {
-      RestoreTo(start);
-      return synced;
-    }
-    WalObs().append_seconds->ObserveSeconds(WalSecondsSince(t0));
-    WalObs().appended_bytes->Add(framed.size());
-    return synced;
-  }
-  // Batched: push to the OS now (a process crash loses nothing), defer the
-  // fsync (a power failure may lose the batch).
-  if (std::fflush(file_) != 0) {
+  if (!st.ok()) {
     RestoreTo(start);
-    return Status::IOError("WAL flush failed for " + path_);
+    return st;
   }
   WalObs().append_seconds->ObserveSeconds(WalSecondsSince(t0));
   WalObs().appended_bytes->Add(framed.size());
@@ -319,17 +254,11 @@ Status WalWriter::Sync() {
     return Status::FailedPrecondition(
         "WAL writer failed and could not roll back; reopen it");
   }
-  if (file_ == nullptr) {
+  if (!file_.is_open()) {
     return Status::FailedPrecondition("WAL is not open");
   }
   const auto t0 = std::chrono::steady_clock::now();
-  if (std::fflush(file_) != 0) {
-    return Status::IOError("WAL flush failed for " + path_);
-  }
-  if (::fsync(::fileno(file_)) != 0) {
-    return Status::IOError(StrFormat("WAL fsync failed for %s: %s",
-                                     path_.c_str(), std::strerror(errno)));
-  }
+  GVEX_RETURN_NOT_OK(file_.Sync());
   WalObs().fsync_seconds->ObserveSeconds(WalSecondsSince(t0));
   unsynced_ = 0;
   return Status::OK();
@@ -345,7 +274,9 @@ Status WalWriter::Reset() {
   }
   const std::string path = path_;
   const int sync_every = sync_every_;
-  Close();
+  // Open rewrites the header over whatever the old handle left, so a
+  // failed final sync of the old handle changes nothing.
+  (void)Close();
   Status st = Open(path, 0);  // 0 forces the fresh-header path
   set_sync_every(sync_every);
   return st;

@@ -18,10 +18,11 @@
 // design (their ordering guarantee is gone), exactly like LevelDB-family
 // logs.
 //
-// Durability: appends are buffered and fsynced every `sync_every` records
-// (1 = every append; larger values batch fsyncs for admission-heavy loads
-// at the cost of losing up to sync_every-1 tail records on power failure —
-// process crashes lose nothing that fwrite completed).
+// Durability: every append is written straight to the kernel through a
+// util/file_io.h AppendFile and fsynced every `sync_every` records (1 =
+// every append; larger values batch fsyncs for admission-heavy loads at the
+// cost of losing up to sync_every-1 tail records on power failure — a
+// process crash loses nothing an Append returned OK for).
 //
 // Thread-safety: WalWriter is NOT internally synchronized; the ViewService
 // serializes appends under its writer mutex. ReplayWal is a pure read.
@@ -30,11 +31,11 @@
 #define GVEX_STORE_WAL_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "explain/explanation.h"
+#include "util/file_io.h"
 #include "util/status.h"
 
 namespace gvex {
@@ -96,11 +97,10 @@ class WalWriter {
 
   /// Serializes one admission record, appends it, and applies the fsync
   /// policy. The record is durable (modulo batching) when this returns OK.
-  /// On a write failure the log is rolled back to the last good offset
-  /// (truncate + reopen), so a LATER successful append is never stranded
-  /// behind torn bytes; if even the rollback fails, the writer latches
-  /// into a failed state and every subsequent Append/Sync errors until
-  /// Open is called again.
+  /// On a write failure the log is truncated back to the last good offset,
+  /// so a LATER successful append is never stranded behind torn bytes; if
+  /// even the rollback fails, the writer latches into a failed state and
+  /// every subsequent Append/Sync errors until Open is called again.
   Status Append(const WalRecord& record);
 
   /// Flushes and fsyncs any batched appends immediately.
@@ -109,9 +109,11 @@ class WalWriter {
   /// Truncates the log back to just its header (after compaction).
   Status Reset();
 
-  void Close();
+  /// fsyncs and closes the file, returning the first failure. OK when
+  /// nothing is open.
+  Status Close();
 
-  bool is_open() const { return file_ != nullptr; }
+  bool is_open() const { return file_.is_open(); }
   /// Current file size in bytes (header included) — drives the automatic
   /// compaction threshold.
   uint64_t file_bytes() const { return bytes_; }
@@ -122,11 +124,11 @@ class WalWriter {
   int sync_every() const { return sync_every_; }
 
  private:
-  /// Rolls the file back to `offset` after a failed write (close +
-  /// truncate + reopen); latches failed_ when the rollback itself fails.
+  /// Truncates the file back to `offset` after a failed write; latches
+  /// failed_ when the rollback itself fails.
   void RestoreTo(uint64_t offset);
 
-  std::FILE* file_ = nullptr;
+  AppendFile file_;
   std::string path_;
   uint64_t bytes_ = 0;
   int sync_every_ = 1;

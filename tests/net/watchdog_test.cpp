@@ -23,6 +23,7 @@
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "serve/serve_protocol.h"
+#include "util/file_io.h"
 
 namespace gvex {
 namespace {
@@ -215,7 +216,8 @@ TEST(WatchdogTest, FinalMetricsDumpSurvivesForcedDrain) {
     // write the file, which is exactly the property under test.
     obs::PeriodicDumper dumper(3600.0, [&] {
       closed_at_dump = server.stats().closed;
-      (void)obs::AtomicWriteTextFile(dump_path, RenderMetricsText(&service));
+      EXPECT_TRUE(
+          AtomicWriteFile(dump_path, RenderMetricsText(&service)).ok());
     });
 
     // Baseline BEFORE the client exists: the pause can land any time

@@ -1,66 +1,22 @@
-// PeriodicDumper / AtomicWriteTextFile suite. The contract under test is
-// the drain-robustness fix: Final() joins the background thread FIRST and
-// then runs the dump on the caller's thread, so the final export always
-// lands and always reflects end state — even if the periodic thread never
-// got a turn or the process is mid-teardown.
+// PeriodicDumper suite. The contract under test is the drain-robustness
+// fix: Final() joins the background thread FIRST and then runs the dump on
+// the caller's thread, so the final export always lands and always
+// reflects end state — even if the periodic thread never got a turn or the
+// process is mid-teardown.
 
 #include "obs/dump.h"
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <fstream>
-#include <string>
 #include <thread>
 
 namespace gvex {
 namespace obs {
 namespace {
 
-std::string ReadFile(const std::string& path) {
-  std::ifstream f(path);
-  return std::string((std::istreambuf_iterator<char>(f)),
-                     std::istreambuf_iterator<char>());
-}
-
-class DumpTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    char tmpl[] = "/tmp/gvex_dump_XXXXXX";
-    ASSERT_NE(::mkdtemp(tmpl), nullptr);
-    dir_ = tmpl;
-  }
-  void TearDown() override {
-    ::unlink((dir_ + "/out.txt").c_str());
-    ::unlink((dir_ + "/out.txt.tmp").c_str());
-    ::rmdir(dir_.c_str());
-  }
-  std::string dir_;
-};
-
-TEST_F(DumpTest, AtomicWriteTextFileWritesAndReplaces) {
-  const std::string path = dir_ + "/out.txt";
-  std::string error;
-  ASSERT_TRUE(AtomicWriteTextFile(path, "first\n", &error)) << error;
-  EXPECT_EQ(ReadFile(path), "first\n");
-  ASSERT_TRUE(AtomicWriteTextFile(path, "second\n", &error)) << error;
-  EXPECT_EQ(ReadFile(path), "second\n");
-  // No leftover temp file once the rename landed.
-  EXPECT_NE(::access((path + ".tmp").c_str(), F_OK), 0);
-}
-
-TEST_F(DumpTest, AtomicWriteTextFileReportsUnwritableTarget) {
-  std::string error;
-  EXPECT_FALSE(AtomicWriteTextFile(dir_ + "/no/such/dir/out.txt", "x",
-                                   &error));
-  EXPECT_FALSE(error.empty());
-}
-
-TEST_F(DumpTest, FinalRunsTheDumpOnTheCallerThreadExactlyOnce) {
+TEST(DumpTest, FinalRunsTheDumpOnTheCallerThreadExactlyOnce) {
   std::atomic<int> dumps{0};
   const std::thread::id caller = std::this_thread::get_id();
   std::atomic<bool> final_on_caller{false};
@@ -82,13 +38,13 @@ TEST_F(DumpTest, FinalRunsTheDumpOnTheCallerThreadExactlyOnce) {
   EXPECT_EQ(dumps.load(), 1);
 }
 
-TEST_F(DumpTest, DestructorActsAsFinal) {
+TEST(DumpTest, DestructorActsAsFinal) {
   std::atomic<int> dumps{0};
   { PeriodicDumper dumper(0, [&] { dumps.fetch_add(1); }); }
   EXPECT_EQ(dumps.load(), 1);
 }
 
-TEST_F(DumpTest, PeriodicThreadDumpsRepeatedly) {
+TEST(DumpTest, PeriodicThreadDumpsRepeatedly) {
   std::atomic<int> dumps{0};
   {
     PeriodicDumper dumper(0.02, [&] { dumps.fetch_add(1); });

@@ -1,13 +1,17 @@
-// Scratch-directory helper for the store suites: a unique directory under
-// the system temp root, recursively removed at scope exit.
+// File-system helpers for the store and file-I/O suites: a scratch
+// directory under the system temp root, recursively removed at scope exit,
+// and a file-size cap that makes write syscalls really fail.
 
 #ifndef GVEX_TESTS_STORE_STORE_TEST_UTIL_H_
 #define GVEX_TESTS_STORE_STORE_TEST_UTIL_H_
 
 #include <dirent.h>
 #include <stdlib.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -50,6 +54,42 @@ class ScratchDir {
   }
 
   std::string path_;
+};
+
+/// Caps how large any write may grow a file (RLIMIT_FSIZE) with SIGXFSZ
+/// ignored: a write that crosses the cap comes back short and the next one
+/// fails with EFBIG — a write syscall that really fails, as root too. The
+/// previous limit and signal disposition come back at scope exit. The cap
+/// is process-wide, so hold it only around the calls under test.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(uint64_t bytes) {
+    if (::getrlimit(RLIMIT_FSIZE, &saved_) != 0) return;
+    saved_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    if (saved_handler_ == SIG_ERR) return;
+    struct rlimit cap = saved_;
+    cap.rlim_cur = static_cast<rlim_t>(bytes);
+    active_ = true;
+    ok_ = ::setrlimit(RLIMIT_FSIZE, &cap) == 0;
+  }
+  ~FileSizeLimit() {
+    if (!active_) return;
+    // Both restore values the constructor read back from the kernel, so
+    // neither can be refused.
+    (void)::setrlimit(RLIMIT_FSIZE, &saved_);
+    (void)std::signal(SIGXFSZ, saved_handler_);
+  }
+
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+  bool ok() const { return ok_; }
+
+ private:
+  struct rlimit saved_ = {};
+  void (*saved_handler_)(int) = SIG_DFL;
+  bool active_ = false;
+  bool ok_ = false;
 };
 
 }  // namespace testing

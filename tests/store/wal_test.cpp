@@ -230,6 +230,63 @@ TEST_F(WalTest, ResetRecoversAClosedWriter) {
   ASSERT_EQ(replay.value().records.size(), 1u);
 }
 
+// A write that really fails: under a file-size cap the append comes back
+// short mid-frame (then EFBIG). The writer reports IOError and leaves the
+// file at the last acknowledged offset, so once the cap lifts the next
+// append lands right after it and replay sees every acknowledged record.
+TEST_F(WalTest, FailedAppendRollsBackToTheLastAcknowledgedRecord) {
+  for (int sync_every : {1, 4}) {
+    SCOPED_TRACE(sync_every);
+    WalWriter wal;
+    ASSERT_TRUE(wal.Open(path_, 0).ok());
+    wal.set_sync_every(sync_every);
+    ASSERT_TRUE(wal.Append(MakeRecord(1, {store_.views[0]})).ok());
+    const uint64_t acked = wal.file_bytes();
+    {
+      testing::FileSizeLimit limit(acked + 20);
+      ASSERT_TRUE(limit.ok());
+      Status st = wal.Append(MakeRecord(2, {store_.views[1]}));
+      EXPECT_TRUE(st.IsIOError()) << st.ToString();
+      EXPECT_EQ(wal.file_bytes(), acked);
+      EXPECT_EQ(ReadFileBytes(path_).size(), acked);
+    }
+    ASSERT_TRUE(wal.Append(MakeRecord(2, {store_.views[1]})).ok());
+    ASSERT_TRUE(wal.Close().ok());
+
+    auto replay = ReplayWal(path_);
+    ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+    EXPECT_FALSE(replay.value().torn_tail) << replay.value().tail_error;
+    ASSERT_EQ(replay.value().records.size(), 2u);
+    for (uint64_t i = 0; i < 2; ++i) {
+      const WalRecord& record = replay.value().records[i];
+      EXPECT_EQ(record.epoch, i + 1);
+      ASSERT_EQ(record.views.size(), 1u);
+      EXPECT_EQ(SerializeView(record.views[0]), SerializeView(store_.views[i]));
+    }
+    EXPECT_EQ(replay.value().valid_bytes, ReadFileBytes(path_).size());
+  }
+}
+
+// A fresh log whose header cannot be written must leave the writer closed,
+// not half-open at a bogus offset.
+TEST_F(WalTest, OpenFailsClosedWhenTheHeaderCannotBeWritten) {
+  WalWriter wal;
+  {
+    testing::FileSizeLimit limit(kStoreHeaderBytes - 1);
+    ASSERT_TRUE(limit.ok());
+    EXPECT_TRUE(wal.Open(path_, 0).IsIOError());
+  }
+  EXPECT_FALSE(wal.is_open());
+  EXPECT_EQ(wal.file_bytes(), 0u);
+  EXPECT_TRUE(wal.Append(MakeRecord(1, {})).IsFailedPrecondition());
+  ASSERT_TRUE(wal.Reset().ok());
+  ASSERT_TRUE(wal.Append(MakeRecord(1, {store_.views[0]})).ok());
+  ASSERT_TRUE(wal.Close().ok());
+  auto replay = ReplayWal(path_);
+  ASSERT_TRUE(replay.ok());
+  EXPECT_EQ(replay.value().records.size(), 1u);
+}
+
 TEST_F(WalTest, GarbageFileIsRejected) {
   WriteFileBytes(path_, "this is not a WAL at all, not even close");
   EXPECT_FALSE(ReplayWal(path_).ok());

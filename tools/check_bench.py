@@ -21,45 +21,27 @@ Checks applied to every section present in BOTH files:
     record hardware_concurrency and the values differ, timings are reported
     but not gated (re-record the baseline on the new machine instead).
     Timings below --min-seconds are skipped (too noisy to gate).
-  * speedup floor — for every current key "speedup_N" with
-    N >= --min-speedup-workers (default 4), the value must be >=
-    --min-speedup. This is an absolute floor on the machine running the
-    gate, independent of where the baseline was recorded; it is only
-    enforced when the current run reports hardware_concurrency >= N, since
-    a worker count the machine cannot actually run in parallel says nothing
-    about the sharded path. Low worker counts (speedup_2) are reported but
-    not gated: a flat 1.5x floor would demand 75% parallel efficiency at
-    N = 2, which ordinary pool overhead can miss without any regression.
-  * scan-speedup floor — every current key named "scan_speedup" (or
-    prefixed "scan_speedup_") must be >= --min-scan-speedup (default 10).
-    These keys are same-machine ratios (e.g. the serving bench's indexed
-    path vs the legacy linear scan on one workload), so the floor is
-    hardware-independent and enforced unconditionally — unlike the
-    worker-count speedups, no core-count precondition applies.
-  * warm-speedup floor — every current key named "warm_speedup" (or
-    prefixed "warm_speedup_") must be >= --min-warm-speedup (default 5).
-    Same-machine ratio of the store bench's cold index build vs warm
-    snapshot load, gated unconditionally like scan_speedup.
-  * delta-save floor — every current key named "delta_save_speedup" (or
-    prefixed "delta_save_speedup_") must be >= --min-delta-save-speedup
-    (default 3). Same-machine ratio of a full snapshot save vs an
-    incremental delta save after a single-view change on the store
-    bench's 1k-pattern store — the acceptance bar for incremental
-    snapshots (a save must not cost O(store) once deltas exist), gated
-    unconditionally like the other ratios.
-  * fallback floor — every current key named "fallback_speedup" (or
-    prefixed "fallback_speedup_") must be >= --min-fallback-speedup
-    (default 3). Same-machine ratio of the serving bench's unindexed
-    (fallback) query mix scanned with the blind backtracking matcher vs
-    the candidate-filtered matcher — the acceptance bar for the filtered
-    fallback path, gated unconditionally like the other ratios.
-  * concurrent floor — every current key named "concurrent_speedup" (or
-    prefixed "concurrent_speedup_") must be >= --min-concurrent-speedup
-    (default 3). Same-machine ratio of the net bench's many-connection
-    admit throughput vs one pipelined connection over the same TcpServer
-    — the acceptance bar for admission coalescing on the socket path
-    (independent of core count: the win is fewer index rebuilds, not
-    parallel compute), gated unconditionally like the other ratios.
+  * ratio floors — one table, FLOORS, maps a metric prefix to its floor.
+    Every current key equal to a prefix or starting with "<prefix>_" must
+    be >= that floor:
+
+      speedup             1.5   speedup_N of the sharded view generation
+                                (bench_fig9e_parallel), N workers vs 1
+      scan_speedup       10     indexed reads vs the linear scan
+      warm_speedup        5     cold index build vs warm snapshot load
+      delta_save_speedup  3     full snapshot save vs one-view delta save
+      fallback_speedup    3     blind vs candidate-filtered fallback scan
+      concurrent_speedup  3     many-connection vs one-connection admits
+
+    Every ratio but speedup_N compares two paths run on the same machine in
+    the same process, so its floor is hardware-independent and gated
+    unconditionally. A speedup_N floor is an absolute property of the
+    machine running the gate: it applies only from SPEEDUP_MIN_WORKERS (4)
+    workers up — a flat 1.5x floor would demand 75% parallel efficiency at
+    N = 2, which ordinary pool overhead can miss without any regression —
+    and only when the current run reports hardware_concurrency >= N, since
+    a worker count the machine cannot run in parallel says nothing about
+    the sharded path.
 
 Exit status 0 when all gates pass, 1 otherwise (2 for usage errors).
 """
@@ -67,6 +49,18 @@ Exit status 0 when all gates pass, 1 otherwise (2 for usage errors).
 import argparse
 import json
 import sys
+
+# Floor per metric prefix (see the module docstring).
+FLOORS = {
+    "speedup": 1.5,
+    "scan_speedup": 10.0,
+    "warm_speedup": 5.0,
+    "delta_save_speedup": 3.0,
+    "fallback_speedup": 3.0,
+    "concurrent_speedup": 3.0,
+}
+# speedup_N keys are gated only from this many workers up.
+SPEEDUP_MIN_WORKERS = 4
 
 
 def load(path):
@@ -114,55 +108,34 @@ def check_section(name, base, cur, args):
                     f"{name}.{key} regressed: {c:.3f}s > {limit:.3f}s "
                     f"({args.tolerance:.0%} over baseline {b:.3f}s)")
 
-    # Same-machine ratio floors: scan_speedup* / warm_speedup* keys compare
-    # two paths run on the same hardware in the same process, so they gate
-    # everywhere — no baseline value and no core-count precondition needed.
-    ratio_floors = (("scan_speedup", args.min_scan_speedup),
-                    ("warm_speedup", args.min_warm_speedup),
-                    ("delta_save_speedup", args.min_delta_save_speedup),
-                    ("fallback_speedup", args.min_fallback_speedup),
-                    ("concurrent_speedup", args.min_concurrent_speedup))
+    # Ratio floors cover every current key, not just those shared with the
+    # baseline: a floor needs no baseline value.
     for key in sorted(cur):
-        floor = next((f for base_key, f in ratio_floors
-                      if key == base_key or key.startswith(base_key + "_")),
-                     None)
-        if floor is None:
+        prefix = next((p for p in FLOORS
+                       if key == p or key.startswith(p + "_")), None)
+        if prefix is None:
             continue
-        c = cur[key]
+        floor, c = FLOORS[prefix], cur[key]
+        if prefix == "speedup":
+            try:
+                workers = int(key.split("_", 1)[1])
+            except (IndexError, ValueError):
+                continue
+            if workers < SPEEDUP_MIN_WORKERS:
+                print(f"  {name}.{key}: current {c:.2f}x (not gated: floor "
+                      f"applies from {SPEEDUP_MIN_WORKERS} workers)")
+                continue
+            if cur_hc is None or cur_hc < workers:
+                hc = 0 if cur_hc is None else cur_hc
+                print(f"  {name}.{key}: current {c:.2f}x (not gated: "
+                      f"hardware_concurrency {hc:g} < {workers} workers)")
+                continue
         status = "ok" if c >= floor else "FAIL"
         print(f"  {name}.{key}: current {c:.2f}x "
               f"(floor {floor:.2f}x) {status}")
         if c < floor:
             failures.append(
                 f"{name}.{key} below floor: {c:.2f}x < {floor:.2f}x")
-
-    # The speedup floor is an absolute property of the current run (does
-    # the sharded path scale on THIS machine?), so it covers every current
-    # speedup key, not just those shared with the baseline.
-    for key in sorted(cur):
-        if not key.startswith("speedup_"):
-            continue
-        c = cur[key]
-        try:
-            workers = int(key.split("_", 1)[1])
-        except ValueError:
-            continue
-        if workers < args.min_speedup_workers:
-            print(f"  {name}.{key}: current {c:.2f}x (not gated: floor "
-                  f"applies from {args.min_speedup_workers} workers)")
-            continue
-        if cur_hc is None or cur_hc < workers:
-            hc = 0 if cur_hc is None else cur_hc
-            print(f"  {name}.{key}: current {c:.2f}x (not gated: "
-                  f"hardware_concurrency {hc:g} < {workers} workers)")
-            continue
-        status = "ok" if c >= args.min_speedup else "FAIL"
-        print(f"  {name}.{key}: current {c:.2f}x "
-              f"(floor {args.min_speedup:.2f}x) {status}")
-        if c < args.min_speedup:
-            failures.append(
-                f"{name}.{key} below floor: {c:.2f}x < "
-                f"{args.min_speedup:.2f}x")
     return failures
 
 
@@ -177,27 +150,6 @@ def main():
     parser.add_argument("--tolerance", type=float, default=0.35,
                         help="allowed fractional slowdown per timing "
                              "(default 0.35 = 35%%)")
-    parser.add_argument("--min-speedup", type=float, default=1.5,
-                        help="floor for speedup_N keys when the machine has "
-                             ">= N cores (default 1.5)")
-    parser.add_argument("--min-speedup-workers", type=int, default=4,
-                        help="apply the speedup floor only to speedup_N "
-                             "keys with N >= this (default 4)")
-    parser.add_argument("--min-scan-speedup", type=float, default=10.0,
-                        help="hardware-independent floor for scan_speedup* "
-                             "ratio keys (default 10)")
-    parser.add_argument("--min-warm-speedup", type=float, default=5.0,
-                        help="hardware-independent floor for warm_speedup* "
-                             "ratio keys (default 5)")
-    parser.add_argument("--min-delta-save-speedup", type=float, default=3.0,
-                        help="hardware-independent floor for "
-                             "delta_save_speedup* ratio keys (default 3)")
-    parser.add_argument("--min-fallback-speedup", type=float, default=3.0,
-                        help="hardware-independent floor for "
-                             "fallback_speedup* ratio keys (default 3)")
-    parser.add_argument("--min-concurrent-speedup", type=float, default=3.0,
-                        help="hardware-independent floor for "
-                             "concurrent_speedup* ratio keys (default 3)")
     parser.add_argument("--min-seconds", type=float, default=0.02,
                         help="timings below this are too noisy to gate "
                              "(default 0.02)")

@@ -75,11 +75,14 @@
 #include "obs/dump.h"
 #include "obs/flight.h"
 #include "obs/health.h"
+#include "obs/rate_limiter.h"
 #include "obs/trace.h"
 #include "serve/replica_applier.h"
 #include "serve/synthetic_store.h"
 #include "serve/view_service.h"
 #include "tool_args.h"
+#include "util/file_io.h"
+#include "util/logging.h"
 #include "util/string_util.h"
 
 using namespace gvex;
@@ -120,20 +123,25 @@ void HandleSignal(int) {
 }
 
 // One observability dump pass: metrics file, health file (each optional,
-// tmp + rename via AtomicWriteTextFile), and a refresh of the crash
-// handler's preallocated metrics snapshot so a post-mortem always carries
-// counters at most one dump interval stale. Best-effort — dump failures
-// must never take the server down.
+// replaced via AtomicWriteFile), and a refresh of the crash handler's
+// preallocated metrics snapshot so a post-mortem always carries counters
+// at most one dump interval stale. Best-effort — dump failures must never
+// take the server down — but each one is logged (rate-limited: a small
+// burst, then one per 5 s) so an operator can see why a file went stale.
 void DumpObservability(const ViewService* service,
                        const std::string& metrics_path,
                        const std::string& health_path) {
+  static obs::RateLimiter* warn_limiter = new obs::RateLimiter(5.0, 2);
+  const auto write = [](const std::string& path, const std::string& body) {
+    const Status st = AtomicWriteFile(path, body);
+    if (!st.ok() && warn_limiter->Allow()) {
+      GVEX_LOG(kWarning) << "observability dump failed: " << st.ToString();
+    }
+  };
   const std::string metrics = RenderMetricsText(service);
-  if (!metrics_path.empty()) {
-    (void)obs::AtomicWriteTextFile(metrics_path, metrics);
-  }
+  if (!metrics_path.empty()) write(metrics_path, metrics);
   if (!health_path.empty()) {
-    (void)obs::AtomicWriteTextFile(
-        health_path, obs::RenderHealthText(obs::Health().Evaluate()));
+    write(health_path, obs::RenderHealthText(obs::Health().Evaluate()));
   }
   obs::UpdateCrashMetricsSnapshot(metrics);
 }

@@ -14,34 +14,13 @@
 #   BENCH_BUILD_DIR        build tree to use (default: <repo>/build-bench)
 #   BENCH_TOLERANCE        fractional slowdown allowed per timing
 #                          (default 0.35)
-#   BENCH_MIN_SPEEDUP      speedup floor for N-worker runs on >=N-core
-#                          machines (default 1.5)
-#   BENCH_MIN_SCAN_SPEEDUP hardware-independent floor for the serving
-#                          bench's indexed-vs-scan ratio (default 10)
-#   BENCH_MIN_WARM_SPEEDUP hardware-independent floor for the store
-#                          bench's cold-build-vs-warm-load ratio (default 5)
-#   BENCH_MIN_DELTA_SAVE_SPEEDUP
-#                          hardware-independent floor for the store bench's
-#                          full-save-vs-delta-save ratio (default 3)
-#   BENCH_MIN_FALLBACK_SPEEDUP
-#                          hardware-independent floor for the serving
-#                          bench's blind-vs-filtered fallback scan ratio
-#                          (default 3)
-#   BENCH_MIN_CONCURRENT_SPEEDUP
-#                          hardware-independent floor for the net bench's
-#                          concurrent-vs-single-connection admit
-#                          throughput ratio (default 3)
+#
+# The ratio floors live in one table in tools/check_bench.py (FLOORS).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${BENCH_BUILD_DIR:-${repo_root}/build-bench}"
 tolerance="${BENCH_TOLERANCE:-0.35}"
-min_speedup="${BENCH_MIN_SPEEDUP:-1.5}"
-min_scan_speedup="${BENCH_MIN_SCAN_SPEEDUP:-10}"
-min_warm_speedup="${BENCH_MIN_WARM_SPEEDUP:-5}"
-min_delta_save_speedup="${BENCH_MIN_DELTA_SAVE_SPEEDUP:-3}"
-min_fallback_speedup="${BENCH_MIN_FALLBACK_SPEEDUP:-3}"
-min_concurrent_speedup="${BENCH_MIN_CONCURRENT_SPEEDUP:-3}"
 jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
 record=0
@@ -88,12 +67,6 @@ gate() {
     --baseline "${baseline}" \
     --current "${current}" \
     --tolerance "${tolerance}" \
-    --min-speedup "${min_speedup}" \
-    --min-scan-speedup "${min_scan_speedup}" \
-    --min-warm-speedup "${min_warm_speedup}" \
-    --min-delta-save-speedup "${min_delta_save_speedup}" \
-    --min-fallback-speedup "${min_fallback_speedup}" \
-    --min-concurrent-speedup "${min_concurrent_speedup}" \
     --section "${section}"
 }
 

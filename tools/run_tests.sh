@@ -7,11 +7,12 @@
 #   tools/run_tests.sh --with-bench  # suite + parallel-bench baseline gate
 #                                    # (tools/run_bench_baseline.sh)
 #   tools/run_tests.sh --sanitize    # ASan+UBSan lane only: builds the
-#                                    # serve + store + net + obs + gnn +
-#                                    # explain suites in build-asan
+#                                    # util + serve + store + net + obs +
+#                                    # gnn + explain suites in build-asan
 #                                    # (GVEX_SANITIZE=address) and runs them
 #   tools/run_tests.sh --tsan        # ThreadSanitizer lane only: builds
-#                                    # the net + serve + obs + store suites
+#                                    # the util + net + serve + obs + store
+#                                    # suites
 #                                    # in build-tsan
 #                                    # (GVEX_SANITIZE=thread) and runs the
 #                                    # concurrency-heavy binaries
@@ -40,7 +41,8 @@ done
 # The sanitizer lanes are their own build trees; they cover the serving +
 # durable store + TCP front-end suites (the subsystems with the hairiest
 # pointer/lifetime traffic: shared postings, WAL replay, snapshot buffers,
-# nonblocking socket sessions) and the gnn + explain suites (the exact
+# nonblocking socket sessions), the util suite (util/file_io holds the
+# store's syscall-level code) and the gnn + explain suites (the exact
 # influence kernel indexes raw flat Jacobian buffers) without paying for an
 # instrumented build of everything else.
 if [[ "${sanitize}" == 1 ]]; then
@@ -49,8 +51,9 @@ if [[ "${sanitize}" == 1 ]]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGVEX_SANITIZE=address \
     -DGVEX_BUILD_BENCH=OFF -DGVEX_BUILD_EXAMPLES=OFF
   cmake --build "${asan_dir}" -j "${jobs}" \
-    --target gvex_serve_test gvex_store_test gvex_net_test gvex_obs_test \
-      gvex_gnn_test gvex_explain_test
+    --target gvex_util_test gvex_serve_test gvex_store_test gvex_net_test \
+      gvex_obs_test gvex_gnn_test gvex_explain_test
+  "${asan_dir}/tests/gvex_util_test"
   "${asan_dir}/tests/gvex_serve_test"
   "${asan_dir}/tests/gvex_store_test"
   "${asan_dir}/tests/gvex_net_test"
@@ -71,7 +74,9 @@ if [[ "${tsan}" == 1 ]]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGVEX_SANITIZE=thread \
     -DGVEX_BUILD_BENCH=OFF -DGVEX_BUILD_EXAMPLES=OFF
   cmake --build "${tsan_dir}" -j "${jobs}" \
-    --target gvex_net_test gvex_serve_test gvex_obs_test gvex_store_test
+    --target gvex_util_test gvex_net_test gvex_serve_test gvex_obs_test \
+      gvex_store_test
+  "${tsan_dir}/tests/gvex_util_test"
   "${tsan_dir}/tests/gvex_net_test"
   "${tsan_dir}/tests/gvex_serve_test"
   "${tsan_dir}/tests/gvex_obs_test"
