@@ -205,11 +205,12 @@ Result<ExplanationView> ApproxGvex::GenerateViewImpl(const GraphDatabase& db,
         StrFormat("no feasible explanation subgraph for label %d", label));
   }
 
-  // Summary phase; the pool also shards Psum's candidate coverage table.
+  // Summary phase, sequential: Psum reads its set-cover table from PGen's
+  // occurrence lists instead of matching again, so no pass is left to shard.
   std::vector<const Graph*> subs;
   subs.reserve(view.subgraphs.size());
   for (const auto& s : view.subgraphs) subs.push_back(&s.subgraph);
-  auto psum = Psum(subs, config_, pool);
+  auto psum = Psum(subs, config_);
   if (!psum.ok()) return psum.status();
   view.patterns = std::move(psum.value().patterns);
 
@@ -222,7 +223,7 @@ Result<std::vector<ExplanationView>> ApproxGvex::GenerateViews(
     const GraphDatabase& db, const std::vector<int>& labels,
     int num_threads) const {
   // One pool for the whole call: workers are reused across every label's
-  // explanation and summary phases instead of being respawned per label.
+  // explanation phase instead of being respawned per label.
   std::unique_ptr<ThreadPool> pool;
   if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
   std::vector<ExplanationView> views;

@@ -1,25 +1,13 @@
 #include "explain/psum.h"
 
 #include <algorithm>
-#include <set>
 
 #include "pattern/coverage.h"
-#include "util/thread_pool.h"
 
 namespace gvex {
 
-namespace {
-
-// Per-candidate coverage across all subgraphs, flattened to global ids.
-struct CandidateCoverage {
-  std::vector<int> nodes;  // global node ids covered
-  std::vector<int> edges;  // global edge ids covered
-};
-
-}  // namespace
-
 Result<PsumResult> Psum(const std::vector<const Graph*>& subgraphs,
-                        const Configuration& config, ThreadPool* pool) {
+                        const Configuration& config) {
   PsumResult out;
   // Global id layout.
   std::vector<int> node_base(subgraphs.size() + 1, 0);
@@ -44,57 +32,33 @@ Result<PsumResult> Psum(const std::vector<const Graph*>& subgraphs,
     return Status::Internal("PGen produced no candidates on non-empty input");
   }
 
-  // Precompute the per-candidate global coverage table — the dominant Psum
-  // cost (one pattern match per candidate x subgraph). Candidates are
-  // partitioned into contiguous shards; each shard fills a shard-local
-  // accumulator, and the accumulators are spliced back in shard-index order
-  // at the barrier, so the table is byte-identical however the shards were
-  // scheduled.
+  // Per-candidate coverage table, flattened to global node and edge ids.
+  // PGen already matched every candidate against every subgraph; an
+  // occurrence whose match list no cap cut is exactly what ComputeCoverage
+  // would return, so only a capped one is matched again.
   MatchOptions mo;
   mo.semantics = mopts.semantics;
-  const int num_candidates = static_cast<int>(mined.size());
-  auto cover_one = [&](int c) {
-    CandidateCoverage cc;
-    for (size_t gi = 0; gi < subgraphs.size(); ++gi) {
-      CoverageMask mask =
-          ComputeCoverage(mined[static_cast<size_t>(c)].pattern,
-                          *subgraphs[gi], mo);
+  struct CandidateCoverage {
+    std::vector<int> nodes;
+    std::vector<int> edges;
+  };
+  std::vector<CandidateCoverage> cov(mined.size());
+  for (size_t c = 0; c < mined.size(); ++c) {
+    for (Occurrence& occ : mined[c].occurrences) {
+      const size_t gi = static_cast<size_t>(occ.graph);
+      const CoverageMask mask =
+          occ.complete ? std::move(occ.mask)
+                       : ComputeCoverage(mined[c].pattern, *subgraphs[gi], mo);
       for (size_t v = 0; v < mask.nodes.size(); ++v) {
         if (mask.nodes[v]) {
-          cc.nodes.push_back(node_base[gi] + static_cast<int>(v));
+          cov[c].nodes.push_back(node_base[gi] + static_cast<int>(v));
         }
       }
       for (size_t e = 0; e < mask.edges.size(); ++e) {
         if (mask.edges[e]) {
-          cc.edges.push_back(edge_base[gi] + static_cast<int>(e));
+          cov[c].edges.push_back(edge_base[gi] + static_cast<int>(e));
         }
       }
-    }
-    return cc;
-  };
-
-  std::vector<CandidateCoverage> cov(mined.size());
-  if (pool != nullptr && pool->num_threads() > 1 && num_candidates > 1) {
-    // Batched shards (4x workers) smooth out uneven candidate match costs.
-    const int num_shards = pool->num_threads() * 4;
-    std::vector<std::vector<CandidateCoverage>> shard_acc(
-        ThreadPool::MakeShards(num_shards, num_candidates).size());
-    pool->RunSharded(num_shards, num_candidates, [&](const Shard& shard) {
-      std::vector<CandidateCoverage>& acc =
-          shard_acc[static_cast<size_t>(shard.index)];
-      acc.reserve(static_cast<size_t>(shard.size()));
-      for (int c = shard.begin; c < shard.end; ++c) {
-        acc.push_back(cover_one(c));
-      }
-    });
-    // Barrier passed: merge shard-local accumulators deterministically.
-    size_t next = 0;
-    for (std::vector<CandidateCoverage>& acc : shard_acc) {
-      for (CandidateCoverage& cc : acc) cov[next++] = std::move(cc);
-    }
-  } else {
-    for (int c = 0; c < num_candidates; ++c) {
-      cov[static_cast<size_t>(c)] = cover_one(c);
     }
   }
 
@@ -150,11 +114,11 @@ Result<PsumResult> Psum(const std::vector<const Graph*>& subgraphs,
 }
 
 Result<PsumResult> Psum(const std::vector<Graph>& subgraphs,
-                        const Configuration& config, ThreadPool* pool) {
+                        const Configuration& config) {
   std::vector<const Graph*> ptrs;
   ptrs.reserve(subgraphs.size());
   for (const Graph& g : subgraphs) ptrs.push_back(&g);
-  return Psum(ptrs, config, pool);
+  return Psum(ptrs, config);
 }
 
 }  // namespace gvex

@@ -3,17 +3,15 @@
 // total edge-miss weight  w(P) = 1 - |P_ES| / |E_S|  via greedy weighted set
 // cover (H_{u_l}-approximation, Lemma 4.3).
 //
-// Complexity: with c mined candidates, k subgraphs, and m the cost of one
-// ComputeCoverage pattern match, the coverage table costs O(c·k·m) and the
-// greedy cover O(|P^l|·c·coverage-size); the coverage table dominates and is
-// what the sharded parallel path (§A.7) splits across workers.
+// Complexity: with c mined candidates and k subgraphs, PGen matches each
+// candidate against each subgraph once (O(c·k·m), m the cost of one capped
+// pattern match) and records the union of the matches it found per
+// subgraph. The set-cover table is read from those occurrence lists; only
+// an occurrence whose match list hit a cap is matched again. The greedy
+// cover then costs O(|P^l|·c·coverage-size).
 //
-// Thread-safety: Psum is a pure function of its inputs — concurrent calls on
-// distinct outputs are safe. When given a ThreadPool, candidate shards are
-// processed into shard-local accumulators and merged in shard-index order at
-// the pool barrier, so the result is bit-identical to the sequential path;
-// the pool itself must not be used concurrently from other threads during
-// the call.
+// Thread-safety: Psum is a pure, single-threaded function of its inputs —
+// concurrent calls are safe.
 
 #ifndef GVEX_EXPLAIN_PSUM_H_
 #define GVEX_EXPLAIN_PSUM_H_
@@ -27,8 +25,6 @@
 #include "util/status.h"
 
 namespace gvex {
-
-class ThreadPool;
 
 /// Output of the summary phase.
 struct PsumResult {
@@ -51,19 +47,12 @@ struct PsumResult {
 /// Runs PGen (pattern mining) + greedy weighted set cover over the given
 /// explanation subgraphs. Guarantees node coverage by falling back to
 /// single-node patterns, which always exist among the candidates.
-///
-/// `pool` (optional) parallelizes the dominant cost — the per-candidate
-/// coverage table — by sharding candidates across the pool's workers with
-/// shard-local accumulators merged deterministically at the barrier. The
-/// result is identical to the sequential path (pool == nullptr).
 Result<PsumResult> Psum(const std::vector<const Graph*>& subgraphs,
-                        const Configuration& config,
-                        ThreadPool* pool = nullptr);
+                        const Configuration& config);
 
 /// Overload for owned graphs.
 Result<PsumResult> Psum(const std::vector<Graph>& subgraphs,
-                        const Configuration& config,
-                        ThreadPool* pool = nullptr);
+                        const Configuration& config);
 
 }  // namespace gvex
 

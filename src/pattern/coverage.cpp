@@ -17,17 +17,17 @@ bool CoverageMask::AllNodes() const {
   return std::all_of(nodes.begin(), nodes.end(), [](bool b) { return b; });
 }
 
-CoverageMask ComputeCoverage(const Pattern& pattern, const Graph& g,
-                             const MatchOptions& options) {
+CoverageMask MatchCoverage(const Graph& pattern, const Graph& g,
+                           const std::vector<Match>& matches) {
   CoverageMask mask;
   mask.nodes.assign(static_cast<size_t>(g.num_nodes()), false);
   mask.edges.assign(static_cast<size_t>(g.num_edges()), false);
-  auto matches = FindMatches(pattern.graph(), g, options);
-  if (matches.empty()) return mask;
-  // Index data edges for O(1) lookup by endpoints.
   for (const Match& m : matches) {
     for (NodeId v : m) mask.nodes[static_cast<size_t>(v)] = true;
-    for (const Edge& pe : pattern.graph().edges()) {
+    // Find each matched edge by a linear scan of g.edges(). The first edge
+    // joining the pair wins, so a directed pair stored in both orientations
+    // counts once.
+    for (const Edge& pe : pattern.edges()) {
       NodeId a = m[static_cast<size_t>(pe.u)];
       NodeId b = m[static_cast<size_t>(pe.v)];
       for (size_t ei = 0; ei < g.edges().size(); ++ei) {
@@ -40,6 +40,12 @@ CoverageMask ComputeCoverage(const Pattern& pattern, const Graph& g,
     }
   }
   return mask;
+}
+
+CoverageMask ComputeCoverage(const Pattern& pattern, const Graph& g,
+                             const MatchOptions& options) {
+  return MatchCoverage(pattern.graph(), g,
+                       FindMatches(pattern.graph(), g, options));
 }
 
 CoverageMask ComputeCoverage(const std::vector<Pattern>& patterns,

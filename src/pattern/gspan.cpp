@@ -1,7 +1,6 @@
 #include "pattern/gspan.h"
 
-#include <algorithm>
-#include <set>
+#include <string>
 #include <unordered_set>
 
 #include "pattern/canonical.h"
@@ -11,13 +10,14 @@ namespace gvex {
 
 namespace {
 
-// Support counting with a fixed semantics (non-induced during growth keeps
-// the anti-monotone property; induced matching can gain matches as patterns
-// grow, which would break pruning).
-int CountSupport(const Graph& pattern, const std::vector<const Graph*>& graphs,
-                 MatchSemantics semantics, int min_needed) {
+// Support under non-induced semantics, which is anti-monotone and so safe
+// to prune growth with (induced matching can gain matches as patterns grow).
+// Stops early once `min_needed` is out of reach.
+int NonInducedSupport(const Graph& pattern,
+                      const std::vector<const Graph*>& graphs,
+                      int min_needed) {
   MatchOptions opt;
-  opt.semantics = semantics;
+  opt.semantics = MatchSemantics::kNonInduced;
   opt.max_matches = 1;
   int support = 0;
   const int remaining_possible = static_cast<int>(graphs.size());
@@ -25,113 +25,40 @@ int CountSupport(const Graph& pattern, const std::vector<const Graph*>& graphs,
     if (support + (remaining_possible - static_cast<int>(gi)) < min_needed) {
       return support;  // cannot reach min_support anymore
     }
-    if (ContainsPattern(*graphs[gi], pattern.num_nodes() == 0 ? pattern
-                                                              : pattern,
-                        opt)) {
-      ++support;
-    }
+    if (ContainsPattern(*graphs[gi], pattern, opt)) ++support;
   }
   return support;
 }
 
-// Full statistics under the configured semantics (mirrors the level-wise
-// miner's accounting).
-void FillStats(const Graph& pattern, const std::vector<const Graph*>& graphs,
-               const MinerOptions& opt, MinedPattern* out) {
-  out->support = 0;
-  out->total_matches = 0;
-  std::set<std::pair<int, NodeId>> nodes_covered;
-  std::set<std::tuple<int, NodeId, NodeId>> edges_covered;
-  MatchOptions mopt;
-  mopt.semantics = opt.semantics;
-  mopt.max_matches = opt.max_matches_per_graph;
-  for (size_t gi = 0; gi < graphs.size(); ++gi) {
-    auto matches = FindMatches(pattern, *graphs[gi], mopt);
-    if (matches.empty()) continue;
-    ++out->support;
-    out->total_matches += static_cast<int>(matches.size());
-    for (const Match& m : matches) {
-      for (NodeId v : m) nodes_covered.insert({static_cast<int>(gi), v});
-      for (const Edge& pe : pattern.edges()) {
-        NodeId a = m[static_cast<size_t>(pe.u)];
-        NodeId b = m[static_cast<size_t>(pe.v)];
-        if (a > b) std::swap(a, b);
-        edges_covered.insert({static_cast<int>(gi), a, b});
-      }
-    }
-  }
-  out->covered_nodes = static_cast<int>(nodes_covered.size());
-  out->covered_edges = static_cast<int>(edges_covered.size());
-}
-
-// Edge vocabulary (from_type, to_type, edge_type) present in the data.
-struct EdgeRule {
-  int a_type;
-  int b_type;
-  int edge_type;
-};
-
-std::vector<EdgeRule> CollectRules(const std::vector<const Graph*>& graphs) {
-  std::set<std::tuple<int, int, int>> seen;
-  for (const Graph* g : graphs) {
-    for (const Edge& e : g->edges()) {
-      seen.insert({g->node_type(e.u), g->node_type(e.v), e.edge_type});
-      seen.insert({g->node_type(e.v), g->node_type(e.u), e.edge_type});
-    }
-  }
-  std::vector<EdgeRule> rules;
-  rules.reserve(seen.size());
-  for (const auto& [a, b, t] : seen) rules.push_back({a, b, t});
-  return rules;
-}
-
 }  // namespace
 
-std::vector<MinedPattern> MineGspan(const std::vector<const Graph*>& graphs,
-                                    const MinerOptions& options) {
-  std::vector<MinedPattern> results;
-  if (graphs.empty()) return results;
-
-  const auto rules = CollectRules(graphs);
+void GrowGspan(const std::vector<const Graph*>& graphs,
+               const std::vector<ExtensionRule>& rules,
+               const MinerOptions& options,
+               std::vector<MinedPattern>* results) {
   std::unordered_set<std::string> seen_codes;
-
-  // Seeds: single-node patterns per type.
-  std::set<int> types;
-  for (const Graph* g : graphs) {
-    for (NodeId v = 0; v < g->num_nodes(); ++v) types.insert(g->node_type(v));
-  }
   std::vector<Graph> frontier;
-  auto accept = [&](Graph candidate) -> bool {
+  for (const MinedPattern& mp : *results) {
+    seen_codes.insert(mp.pattern.canonical_code());
+    frontier.push_back(mp.pattern.graph());
+  }
+  auto accept = [&](Graph candidate) {
     std::string code = CanonicalCode(candidate);
-    if (seen_codes.count(code)) return false;
-    // Anti-monotone support pruning under non-induced semantics.
-    const int support = CountSupport(candidate, graphs,
-                                     MatchSemantics::kNonInduced,
-                                     options.min_support);
-    if (support < options.min_support) return false;
+    if (seen_codes.count(code)) return;
+    if (NonInducedSupport(candidate, graphs, options.min_support) <
+        options.min_support) {
+      return;
+    }
     seen_codes.insert(std::move(code));
     auto pattern = Pattern::Create(std::move(candidate));
-    if (!pattern.ok()) return false;
-    MinedPattern mp;
-    FillStats(pattern.value().graph(), graphs, options, &mp);
-    if (mp.support < options.min_support) {
-      // Frequent non-induced but infrequent induced: still extend (children
-      // may be induced-frequent), just do not report it.
-      mp.support = 0;
-    }
+    if (!pattern.ok()) return;
+    // A pattern frequent non-induced but infrequent induced is still
+    // extended (its children may be induced-frequent), just not reported.
     frontier.push_back(pattern.value().graph());
-    if (mp.support >= options.min_support) {
-      mp.pattern = std::move(pattern).value();
-      results.push_back(std::move(mp));
-    }
-    return true;
+    MinedPattern mp =
+        CountOccurrences(std::move(pattern).value(), graphs, options);
+    if (mp.support >= options.min_support) results->push_back(std::move(mp));
   };
-
-  for (int t : types) {
-    Graph g;
-    g.AddNode(t);
-    (void)accept(std::move(g));
-  }
 
   // DFS-style worklist over edge extensions.
   size_t head = 0;
@@ -140,12 +67,12 @@ std::vector<MinedPattern> MineGspan(const std::vector<const Graph*>& graphs,
     // Forward extensions: attach a new node via a vocabulary edge.
     if (base.num_nodes() < options.max_pattern_nodes) {
       for (NodeId anchor = 0; anchor < base.num_nodes(); ++anchor) {
-        for (const EdgeRule& rule : rules) {
-          if (base.node_type(anchor) != rule.a_type) continue;
+        for (const ExtensionRule& rule : rules) {
+          if (base.node_type(anchor) != rule.from_type) continue;
           Graph cand = base;
-          NodeId nv = cand.AddNode(rule.b_type);
+          NodeId nv = cand.AddNode(rule.new_type);
           if (!cand.AddEdge(anchor, nv, rule.edge_type).ok()) continue;
-          (void)accept(std::move(cand));
+          accept(std::move(cand));
         }
       }
     }
@@ -153,52 +80,34 @@ std::vector<MinedPattern> MineGspan(const std::vector<const Graph*>& graphs,
     for (NodeId u = 0; u < base.num_nodes(); ++u) {
       for (NodeId v = u + 1; v < base.num_nodes(); ++v) {
         if (base.HasEdge(u, v)) continue;
-        for (const EdgeRule& rule : rules) {
-          if (base.node_type(u) != rule.a_type ||
-              base.node_type(v) != rule.b_type) {
+        for (const ExtensionRule& rule : rules) {
+          if (base.node_type(u) != rule.from_type ||
+              base.node_type(v) != rule.new_type) {
             continue;
           }
           Graph cand = base;
           if (!cand.AddEdge(u, v, rule.edge_type).ok()) continue;
-          (void)accept(std::move(cand));
+          accept(std::move(cand));
         }
       }
     }
     // Worklist guard: cap the explored space.
     if (frontier.size() > 4096) break;
   }
+}
 
-  if (options.min_pattern_nodes > 1) {
-    results.erase(
-        std::remove_if(results.begin(), results.end(),
-                       [&](const MinedPattern& mp) {
-                         return mp.pattern.num_nodes() <
-                                options.min_pattern_nodes;
-                       }),
-        results.end());
-  }
-  std::sort(results.begin(), results.end(),
-            [](const MinedPattern& a, const MinedPattern& b) {
-              if (a.covered_nodes != b.covered_nodes) {
-                return a.covered_nodes > b.covered_nodes;
-              }
-              if (a.pattern.num_nodes() != b.pattern.num_nodes()) {
-                return a.pattern.num_nodes() < b.pattern.num_nodes();
-              }
-              return a.pattern.canonical_code() < b.pattern.canonical_code();
-            });
-  if (static_cast<int>(results.size()) > options.max_patterns) {
-    results.resize(static_cast<size_t>(options.max_patterns));
-  }
-  return results;
+std::vector<MinedPattern> MineGspan(const std::vector<const Graph*>& graphs,
+                                    const MinerOptions& options) {
+  MinerOptions gspan = options;
+  gspan.engine = MinerEngine::kGspan;
+  return MinePatterns(graphs, gspan);
 }
 
 std::vector<MinedPattern> MineGspan(const std::vector<Graph>& graphs,
                                     const MinerOptions& options) {
-  std::vector<const Graph*> ptrs;
-  ptrs.reserve(graphs.size());
-  for (const Graph& g : graphs) ptrs.push_back(&g);
-  return MineGspan(ptrs, options);
+  MinerOptions gspan = options;
+  gspan.engine = MinerEngine::kGspan;
+  return MinePatterns(graphs, gspan);
 }
 
 }  // namespace gvex

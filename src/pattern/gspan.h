@@ -6,7 +6,9 @@
 // nodes. Cyclic patterns — e.g. the paper's carbon-ring pattern P32 — become
 // minable. Candidates are deduplicated by canonical code; support pruning
 // uses non-induced matching during growth (anti-monotone), while the
-// reported statistics honor the configured semantics.
+// reported statistics honor the configured semantics. Seeding, support
+// counting, ranking and truncation are the level-wise miner's
+// (pattern/miner.h); only the growth step is gSpan's own.
 
 #ifndef GVEX_PATTERN_GSPAN_H_
 #define GVEX_PATTERN_GSPAN_H_
@@ -18,7 +20,8 @@
 
 namespace gvex {
 
-/// Mines frequent connected patterns (trees AND cycles) from `graphs`.
+/// MinePatterns with `engine` forced to kGspan: mines frequent connected
+/// patterns (trees AND cycles) from `graphs`.
 /// Options are shared with the level-wise miner; `max_pattern_nodes` bounds
 /// node count, and the number of extra back edges per pattern is bounded by
 /// the pattern size.
@@ -28,6 +31,14 @@ std::vector<MinedPattern> MineGspan(const std::vector<const Graph*>& graphs,
 /// Convenience overload for owned graphs.
 std::vector<MinedPattern> MineGspan(const std::vector<Graph>& graphs,
                                     const MinerOptions& options = {});
+
+/// The kGspan growth step behind MinePatterns: extends the single-node
+/// seeds in `results` by forward and backward edge extensions along
+/// `rules`, appending every frequent pattern found (unranked).
+void GrowGspan(const std::vector<const Graph*>& graphs,
+               const std::vector<ExtensionRule>& rules,
+               const MinerOptions& options,
+               std::vector<MinedPattern>* results);
 
 }  // namespace gvex
 

@@ -1,68 +1,85 @@
 #include "pattern/miner.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <unordered_set>
 
-#include "pattern/canonical.h"
 #include "pattern/gspan.h"
 
 namespace gvex {
 
 namespace {
 
-// Key for a data edge within graph gi.
-struct EdgeKey {
-  int graph;
-  NodeId u;
-  NodeId v;
-  bool operator<(const EdgeKey& o) const {
-    if (graph != o.graph) return graph < o.graph;
-    if (u != o.u) return u < o.u;
-    return v < o.v;
+// Level-wise growth: every pattern of the last level gains one pendant node
+// along each applicable rule. `results` holds the single-node seeds on entry.
+void GrowLevelWise(const std::vector<const Graph*>& graphs,
+                   const std::vector<ExtensionRule>& rules,
+                   const MinerOptions& options,
+                   std::vector<MinedPattern>* results) {
+  std::unordered_set<std::string> seen_codes;
+  std::vector<Pattern> frontier;
+  for (const MinedPattern& mp : *results) {
+    seen_codes.insert(mp.pattern.canonical_code());
+    frontier.push_back(mp.pattern);
   }
-};
-
-// Computes support + coverage of a candidate pattern over all graphs.
-void CountSupport(const Graph& pattern,
-                  const std::vector<const Graph*>& graphs,
-                  const MinerOptions& opt, MinedPattern* out) {
-  out->support = 0;
-  out->total_matches = 0;
-  std::set<std::pair<int, NodeId>> nodes_covered;
-  std::set<EdgeKey> edges_covered;
-  MatchOptions mopt;
-  mopt.semantics = opt.semantics;
-  mopt.max_matches = opt.max_matches_per_graph;
-  for (size_t gi = 0; gi < graphs.size(); ++gi) {
-    const Graph& g = *graphs[gi];
-    auto matches = FindMatches(pattern, g, mopt);
-    if (matches.empty()) continue;
-    ++out->support;
-    out->total_matches += static_cast<int>(matches.size());
-    for (const Match& m : matches) {
-      for (NodeId v : m) nodes_covered.insert({static_cast<int>(gi), v});
-      for (const Edge& pe : pattern.edges()) {
-        NodeId a = m[static_cast<size_t>(pe.u)];
-        NodeId b = m[static_cast<size_t>(pe.v)];
-        if (a > b) std::swap(a, b);
-        edges_covered.insert({static_cast<int>(gi), a, b});
+  for (int level = 2; level <= options.max_pattern_nodes; ++level) {
+    std::vector<Pattern> next_frontier;
+    for (const Pattern& base : frontier) {
+      const Graph& bg = base.graph();
+      for (NodeId anchor = 0; anchor < bg.num_nodes(); ++anchor) {
+        for (const ExtensionRule& rule : rules) {
+          if (bg.node_type(anchor) != rule.from_type) continue;
+          Graph cand = bg;
+          NodeId nv = cand.AddNode(rule.new_type);
+          if (!cand.AddEdge(anchor, nv, rule.edge_type).ok()) continue;
+          auto pr = Pattern::Create(std::move(cand));
+          if (!pr.ok()) continue;
+          Pattern p = std::move(pr).value();
+          if (!seen_codes.insert(p.canonical_code()).second) continue;
+          MinedPattern mp = CountOccurrences(p, graphs, options);
+          if (mp.support < options.min_support) continue;
+          results->push_back(std::move(mp));
+          next_frontier.push_back(std::move(p));
+        }
       }
     }
+    frontier = std::move(next_frontier);
+    if (frontier.empty()) break;
   }
-  out->covered_nodes = static_cast<int>(nodes_covered.size());
-  out->covered_edges = static_cast<int>(edges_covered.size());
 }
 
-// Generates extensions of `base` by one node, guided by edges that actually
-// occur in the data graphs (type-pair vocabulary).
-struct ExtensionRule {
-  int from_type;   // type of the existing endpoint
-  int new_type;    // type of the added node
-  int edge_type;
-};
+}  // namespace
+
+MinedPattern CountOccurrences(Pattern pattern,
+                              const std::vector<const Graph*>& graphs,
+                              const MinerOptions& options) {
+  MinedPattern out;
+  out.pattern = std::move(pattern);
+  const Graph& pg = out.pattern.graph();
+  MatchOptions mopt;
+  mopt.semantics = options.semantics;
+  mopt.max_matches = options.max_matches_per_graph;
+  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+    const std::vector<Match> matches = FindMatches(pg, *graphs[gi], mopt);
+    if (matches.empty()) continue;
+    const int n = static_cast<int>(matches.size());
+    auto below = [n](int cap) { return cap <= 0 || n < cap; };
+    Occurrence occ;
+    occ.graph = static_cast<int>(gi);
+    occ.matches = n;
+    occ.mask = MatchCoverage(pg, *graphs[gi], matches);
+    occ.complete =
+        below(mopt.max_matches) && below(MatchOptions{}.max_matches);
+    out.total_matches += n;
+    out.covered_nodes += occ.mask.CountNodes();
+    out.covered_edges += occ.mask.CountEdges();
+    out.occurrences.push_back(std::move(occ));
+  }
+  out.support = static_cast<int>(out.occurrences.size());
+  return out;
+}
 
 std::vector<ExtensionRule> CollectExtensionRules(
     const std::vector<const Graph*>& graphs) {
@@ -79,63 +96,27 @@ std::vector<ExtensionRule> CollectExtensionRules(
   return rules;
 }
 
-}  // namespace
-
 std::vector<MinedPattern> MinePatterns(const std::vector<const Graph*>& graphs,
                                        const MinerOptions& options) {
-  if (options.engine == MinerEngine::kGspan) {
-    return MineGspan(graphs, options);
-  }
   std::vector<MinedPattern> results;
   if (graphs.empty()) return results;
 
-  // Level 1: single-node patterns for every node type in the data.
+  // Seeds for both engines: single-node patterns for every node type in the
+  // data.
   std::set<int> types;
   for (const Graph* g : graphs) {
     for (NodeId v = 0; v < g->num_nodes(); ++v) types.insert(g->node_type(v));
   }
-  std::unordered_set<std::string> seen_codes;
-  std::vector<Pattern> frontier;
   for (int t : types) {
-    Pattern p = Pattern::SingleNode(t);
-    MinedPattern mp;
-    CountSupport(p.graph(), graphs, options, &mp);
-    if (mp.support < options.min_support) continue;
-    mp.pattern = p;
-    seen_codes.insert(p.canonical_code());
-    results.push_back(mp);
-    frontier.push_back(std::move(p));
+    MinedPattern mp = CountOccurrences(Pattern::SingleNode(t), graphs, options);
+    if (mp.support >= options.min_support) results.push_back(std::move(mp));
   }
 
   const auto rules = CollectExtensionRules(graphs);
-
-  // Level-wise growth.
-  for (int level = 2; level <= options.max_pattern_nodes; ++level) {
-    std::vector<Pattern> next_frontier;
-    for (const Pattern& base : frontier) {
-      const Graph& bg = base.graph();
-      for (NodeId anchor = 0; anchor < bg.num_nodes(); ++anchor) {
-        for (const ExtensionRule& rule : rules) {
-          if (bg.node_type(anchor) != rule.from_type) continue;
-          Graph cand = bg;
-          NodeId nv = cand.AddNode(rule.new_type);
-          if (!cand.AddEdge(anchor, nv, rule.edge_type).ok()) continue;
-          auto pr = Pattern::Create(std::move(cand));
-          if (!pr.ok()) continue;
-          Pattern p = std::move(pr).value();
-          if (seen_codes.count(p.canonical_code())) continue;
-          seen_codes.insert(p.canonical_code());
-          MinedPattern mp;
-          CountSupport(p.graph(), graphs, options, &mp);
-          if (mp.support < options.min_support) continue;
-          mp.pattern = p;
-          results.push_back(mp);
-          next_frontier.push_back(std::move(p));
-        }
-      }
-    }
-    frontier = std::move(next_frontier);
-    if (frontier.empty()) break;
+  if (options.engine == MinerEngine::kGspan) {
+    GrowGspan(graphs, rules, options, &results);
+  } else {
+    GrowLevelWise(graphs, rules, options, &results);
   }
 
   if (options.min_pattern_nodes > 1) {

@@ -3,7 +3,9 @@
 // patterns are grown one node at a time along edges present in the data,
 // deduplicated by canonical code, and pruned by support (anti-monotone).
 // MDL flavour: candidates are scored by how many data edges they describe,
-// which Psum consumes as the weighted-set-cover weight.
+// which Psum consumes as the weighted-set-cover weight. Each candidate keeps
+// its per-graph occurrence list (the union of the matches found there), so
+// Psum builds its set-cover table without matching again.
 
 #ifndef GVEX_PATTERN_MINER_H_
 #define GVEX_PATTERN_MINER_H_
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "pattern/coverage.h"
 #include "pattern/isomorphism.h"
 #include "pattern/pattern.h"
 
@@ -40,14 +43,50 @@ struct MinerOptions {
   MatchSemantics semantics = MatchSemantics::kInduced;
 };
 
-/// A mined pattern with its support statistics over the input graphs.
+/// Where a pattern occurs in one input graph.
+struct Occurrence {
+  int graph = 0;    // index into the mined graph list
+  int matches = 0;  // matches enumerated there (capped)
+  /// Union of those matches' nodes and edges.
+  CoverageMask mask;
+  /// True when the match list stayed shorter than both
+  /// MinerOptions::max_matches_per_graph and MatchOptions{}.max_matches, so
+  /// no cap cut it: `mask` then equals ComputeCoverage(pattern, graph) under
+  /// the mining semantics and either cap.
+  bool complete = false;
+};
+
+/// A mined pattern with its occurrences and the statistics derived from
+/// them over the input graphs.
 struct MinedPattern {
   Pattern pattern;
-  int support = 0;          // number of input graphs containing it
-  int total_matches = 0;    // total embeddings found (capped)
+  /// One entry per graph the pattern occurs in, ascending by graph index.
+  std::vector<Occurrence> occurrences;
+  int support = 0;          // occurrences.size()
+  int total_matches = 0;    // sum of Occurrence::matches
   int covered_nodes = 0;    // distinct data nodes covered across all inputs
   int covered_edges = 0;    // distinct data edges covered across all inputs
 };
+
+/// Matches `pattern` against every graph under `options.semantics`, capped
+/// at `options.max_matches_per_graph` matches per graph, and returns its
+/// occurrence list and statistics. Both mining engines count support here.
+MinedPattern CountOccurrences(Pattern pattern,
+                              const std::vector<const Graph*>& graphs,
+                              const MinerOptions& options);
+
+/// One oriented edge of the data's type vocabulary: a pattern node of
+/// `from_type` may gain a `new_type` neighbour over an `edge_type` edge.
+/// Both engines extend patterns only along these rules.
+struct ExtensionRule {
+  int from_type;
+  int new_type;
+  int edge_type;
+};
+
+/// The rules for every edge in `graphs`, in both orientations, sorted.
+std::vector<ExtensionRule> CollectExtensionRules(
+    const std::vector<const Graph*>& graphs);
 
 /// Mines frequent connected patterns from `graphs`. Deterministic order:
 /// descending covered_nodes, then fewer pattern nodes, then canonical code.

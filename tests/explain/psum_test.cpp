@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "explain/psum_reference.h"
 #include "pattern/coverage.h"
 #include "test_util.h"
-#include "util/thread_pool.h"
 
 namespace gvex {
 namespace {
@@ -14,6 +14,38 @@ Configuration PsumConfig(int max_pattern_nodes = 3) {
   c.miner.max_pattern_nodes = max_pattern_nodes;
   c.miner.max_patterns = 64;
   return c;
+}
+
+// Pins Psum to the rematch oracle of tests/explain/psum_reference.h: the
+// same patterns in the same greedy order and the same edge accounting.
+void ExpectMatchesReference(const std::vector<Graph>& subs,
+                            const Configuration& config) {
+  std::vector<const Graph*> ptrs;
+  for (const Graph& g : subs) ptrs.push_back(&g);
+  auto got = Psum(ptrs, config);
+  ASSERT_TRUE(got.ok());
+  const PsumResult want = testing::ReferencePsum(ptrs, config);
+  ASSERT_EQ(got.value().patterns.size(), want.patterns.size());
+  for (size_t p = 0; p < want.patterns.size(); ++p) {
+    EXPECT_EQ(got.value().patterns[p].canonical_code(),
+              want.patterns[p].canonical_code())
+        << "pattern " << p;
+  }
+  EXPECT_EQ(got.value().covered_edges, want.covered_edges);
+  EXPECT_EQ(got.value().total_edges, want.total_edges);
+  EXPECT_EQ(got.value().full_node_coverage, want.full_node_coverage);
+}
+
+// True when some mined candidate has an occurrence that `binds` selects.
+template <typename Pred>
+bool SomeOccurrence(const std::vector<Graph>& subs, const MinerOptions& opt,
+                    Pred binds) {
+  for (const MinedPattern& mp : MinePatterns(subs, opt)) {
+    for (const Occurrence& occ : mp.occurrences) {
+      if (binds(occ)) return true;
+    }
+  }
+  return false;
 }
 
 TEST(PsumTest, EmptyInputIsTriviallyCovered) {
@@ -76,27 +108,41 @@ TEST(PsumTest, PatternsAreFewerThanNodes) {
   EXPECT_LE(r.value().patterns.size(), 2u);
 }
 
-TEST(PsumTest, PooledCoverageTableMatchesSequential) {
-  // The sharded coverage-table path must be bit-identical to the sequential
-  // one: same patterns in the same greedy order, same edge accounting.
+TEST(PsumTest, MatchesRematchReferenceWhenNoCapBinds) {
   std::vector<Graph> subs{testing::TriangleWithTail(), testing::StarGraph(4),
                           testing::PathGraph(5, 1), testing::StarGraph(2)};
-  auto sequential = Psum(subs, PsumConfig());
-  ASSERT_TRUE(sequential.ok());
-  ThreadPool pool(4);
-  auto pooled = Psum(subs, PsumConfig(), &pool);
-  ASSERT_TRUE(pooled.ok());
-  ASSERT_EQ(pooled.value().patterns.size(),
-            sequential.value().patterns.size());
-  for (size_t p = 0; p < sequential.value().patterns.size(); ++p) {
-    EXPECT_EQ(pooled.value().patterns[p].canonical_code(),
-              sequential.value().patterns[p].canonical_code())
-        << "pattern " << p;
+  for (int nodes : {1, 3, 4}) {
+    SCOPED_TRACE(nodes);
+    const Configuration config = PsumConfig(nodes);
+    ASSERT_FALSE(SomeOccurrence(subs, config.miner, [](const Occurrence& o) {
+      return !o.complete;
+    }));
+    ExpectMatchesReference(subs, config);
   }
-  EXPECT_EQ(pooled.value().covered_edges, sequential.value().covered_edges);
-  EXPECT_EQ(pooled.value().total_edges, sequential.value().total_edges);
-  EXPECT_EQ(pooled.value().full_node_coverage,
-            sequential.value().full_node_coverage);
+}
+
+TEST(PsumTest, MatchesRematchReferenceWhenMiningCapBinds) {
+  // Two matches per graph cut most lists, so Psum matches those again.
+  std::vector<Graph> subs{testing::StarGraph(6), testing::TriangleWithTail(),
+                          testing::PathGraph(7, 0)};
+  Configuration config = PsumConfig(4);
+  config.miner.max_matches_per_graph = 2;
+  ASSERT_TRUE(SomeOccurrence(subs, config.miner, [](const Occurrence& o) {
+    return !o.complete;
+  }));
+  ExpectMatchesReference(subs, config);
+}
+
+TEST(PsumTest, MatchesRematchReferenceWhenDefaultCapBinds) {
+  // leaf-hub-leaf has 70 * 69 = 4830 matches in a 70-leaf star: under the
+  // mining cap of 8192 but over the default 4096 that ComputeCoverage uses.
+  std::vector<Graph> subs{testing::StarGraph(70), testing::PathGraph(3, 0)};
+  Configuration config = PsumConfig(3);
+  config.miner.max_matches_per_graph = 8192;
+  ASSERT_TRUE(SomeOccurrence(subs, config.miner, [](const Occurrence& o) {
+    return o.matches > MatchOptions{}.max_matches && !o.complete;
+  }));
+  ExpectMatchesReference(subs, config);
 }
 
 TEST(PsumTest, EdgelessSubgraphCoveredBySingletons) {

@@ -8,7 +8,8 @@
 #                                    # (tools/run_bench_baseline.sh)
 #   tools/run_tests.sh --sanitize    # ASan+UBSan lane only: builds the
 #                                    # util + serve + store + net + obs +
-#                                    # gnn + explain suites in build-asan
+#                                    # pattern + gnn + explain suites in
+#                                    # build-asan
 #                                    # (GVEX_SANITIZE=address) and runs them
 #   tools/run_tests.sh --tsan        # ThreadSanitizer lane only: builds
 #                                    # the util + net + serve + obs + store
@@ -42,9 +43,10 @@ done
 # durable store + TCP front-end suites (the subsystems with the hairiest
 # pointer/lifetime traffic: shared postings, WAL replay, snapshot buffers,
 # nonblocking socket sessions), the util suite (util/file_io holds the
-# store's syscall-level code) and the gnn + explain suites (the exact
-# influence kernel indexes raw flat Jacobian buffers) without paying for an
-# instrumented build of everything else.
+# store's syscall-level code), the pattern suite (the miner's occurrence
+# lists and the coverage masks Psum reads) and the gnn + explain suites (the
+# exact influence kernel indexes raw flat Jacobian buffers) without paying
+# for an instrumented build of everything else.
 if [[ "${sanitize}" == 1 ]]; then
   asan_dir="${ASAN_BUILD_DIR:-${repo_root}/build-asan}"
   cmake -B "${asan_dir}" -S "${repo_root}" \
@@ -52,12 +54,13 @@ if [[ "${sanitize}" == 1 ]]; then
     -DGVEX_BUILD_BENCH=OFF -DGVEX_BUILD_EXAMPLES=OFF
   cmake --build "${asan_dir}" -j "${jobs}" \
     --target gvex_util_test gvex_serve_test gvex_store_test gvex_net_test \
-      gvex_obs_test gvex_gnn_test gvex_explain_test
+      gvex_obs_test gvex_pattern_test gvex_gnn_test gvex_explain_test
   "${asan_dir}/tests/gvex_util_test"
   "${asan_dir}/tests/gvex_serve_test"
   "${asan_dir}/tests/gvex_store_test"
   "${asan_dir}/tests/gvex_net_test"
   "${asan_dir}/tests/gvex_obs_test"
+  "${asan_dir}/tests/gvex_pattern_test"
   "${asan_dir}/tests/gvex_gnn_test"
   "${asan_dir}/tests/gvex_explain_test"
   exit 0
