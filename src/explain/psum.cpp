@@ -1,6 +1,7 @@
 #include "explain/psum.h"
 
 #include <algorithm>
+#include <set>
 
 #include "pattern/coverage.h"
 
@@ -23,13 +24,23 @@ Result<PsumResult> Psum(const std::vector<const Graph*>& subgraphs,
     return out;
   }
 
-  // PGen: mine candidates. min_support 1 so single-node patterns for every
-  // type survive — they guarantee feasibility of full node coverage.
+  // PGen: mine candidates. Single-node patterns make full node coverage
+  // feasible (C1), but truncation to max_patterns ranks by coverage and can
+  // cut a rare type's; append each type's that is missing.
   MinerOptions mopts = config.miner;
   mopts.min_support = 1;
   std::vector<MinedPattern> mined = MinePatterns(subgraphs, mopts);
-  if (mined.empty()) {
-    return Status::Internal("PGen produced no candidates on non-empty input");
+  std::set<int> missing;
+  for (const Graph* g : subgraphs) {
+    missing.insert(g->node_types().begin(), g->node_types().end());
+  }
+  for (const MinedPattern& mp : mined) {
+    if (mp.pattern.num_nodes() == 1) {
+      missing.erase(mp.pattern.graph().node_type(0));
+    }
+  }
+  for (int t : missing) {
+    mined.push_back(CountOccurrences(Pattern::SingleNode(t), subgraphs, mopts));
   }
 
   // Per-candidate coverage table, flattened to global node and edge ids.

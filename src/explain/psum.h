@@ -45,8 +45,9 @@ struct PsumResult {
 };
 
 /// Runs PGen (pattern mining) + greedy weighted set cover over the given
-/// explanation subgraphs. Guarantees node coverage by falling back to
-/// single-node patterns, which always exist among the candidates.
+/// explanation subgraphs. Guarantees node coverage: every node type present
+/// has its single-node pattern among the candidates, appended when the
+/// miner's max_patterns cut dropped it.
 Result<PsumResult> Psum(const std::vector<const Graph*>& subgraphs,
                         const Configuration& config);
 

@@ -2,13 +2,15 @@
 // before it read PGen's occurrence lists. Every mined candidate is matched
 // against every subgraph again with ComputeCoverage (default match cap,
 // mining semantics), and the same greedy weighted set cover runs on that
-// table. Its patterns, covered_edges and full_node_coverage are the
+// table. Like Psum, it appends the single-node pattern of every node type
+// the miner's max_patterns cut left without one. Its patterns, covered_edges and full_node_coverage are the
 // specification the production Psum must match exactly.
 
 #ifndef GVEX_TESTS_EXPLAIN_PSUM_REFERENCE_H_
 #define GVEX_TESTS_EXPLAIN_PSUM_REFERENCE_H_
 
 #include <algorithm>
+#include <set>
 #include <vector>
 
 #include "explain/psum.h"
@@ -36,9 +38,17 @@ inline PsumResult ReferencePsum(const std::vector<const Graph*>& subgraphs,
   MinerOptions mopts = config.miner;
   mopts.min_support = 1;
   std::vector<Pattern> candidates;
+  std::set<int> missing;  // node types without a single-node candidate
+  for (const Graph* g : subgraphs) {
+    missing.insert(g->node_types().begin(), g->node_types().end());
+  }
   for (const MinedPattern& mp : MinePatterns(subgraphs, mopts)) {
     candidates.push_back(mp.pattern);
+    if (mp.pattern.num_nodes() == 1) {
+      missing.erase(mp.pattern.graph().node_type(0));
+    }
   }
+  for (int t : missing) candidates.push_back(Pattern::SingleNode(t));
 
   // The rematch table: one ComputeCoverage per candidate x subgraph.
   MatchOptions mo;

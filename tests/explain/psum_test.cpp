@@ -145,6 +145,29 @@ TEST(PsumTest, MatchesRematchReferenceWhenDefaultCapBinds) {
   ExpectMatchesReference(subs, config);
 }
 
+TEST(PsumTest, CoversRareTypeDroppedByPatternCap) {
+  // Type 7 occurs once. Ranked by covered nodes, its single-node pattern
+  // and the 0-7 edge fall behind the type-0 paths and are cut by
+  // max_patterns, yet the view must still cover that node (C1).
+  Graph rare = testing::PathGraph(4, 0);
+  const NodeId odd = rare.AddNode(7);
+  ASSERT_TRUE(rare.AddEdge(3, odd).ok());
+  std::vector<Graph> subs{testing::PathGraph(5, 0), testing::PathGraph(5, 0),
+                          std::move(rare)};
+  Configuration config = PsumConfig(3);
+  config.miner.max_patterns = 2;
+  for (const MinedPattern& mp : MinePatterns(subs, config.miner)) {
+    for (int type : mp.pattern.graph().node_types()) ASSERT_NE(type, 7);
+  }
+  auto r = Psum(subs, config);
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r.value().full_node_coverage);
+  std::vector<const Graph*> ptrs;
+  for (const Graph& g : subs) ptrs.push_back(&g);
+  EXPECT_TRUE(PatternsCoverAllNodes(r.value().patterns, ptrs));
+  ExpectMatchesReference(subs, config);
+}
+
 TEST(PsumTest, EdgelessSubgraphCoveredBySingletons) {
   Graph g;
   g.AddNode(2);
