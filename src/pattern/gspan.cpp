@@ -5,6 +5,7 @@
 
 #include "pattern/canonical.h"
 #include "pattern/isomorphism.h"
+#include "pattern/miner_internal.h"
 
 namespace gvex {
 

@@ -32,14 +32,6 @@ std::vector<MinedPattern> MineGspan(const std::vector<const Graph*>& graphs,
 std::vector<MinedPattern> MineGspan(const std::vector<Graph>& graphs,
                                     const MinerOptions& options = {});
 
-/// The kGspan growth step behind MinePatterns: extends the single-node
-/// seeds in `results` by forward and backward edge extensions along
-/// `rules`, appending every frequent pattern found (unranked).
-void GrowGspan(const std::vector<const Graph*>& graphs,
-               const std::vector<ExtensionRule>& rules,
-               const MinerOptions& options,
-               std::vector<MinedPattern>* results);
-
 }  // namespace gvex
 
 #endif  // GVEX_PATTERN_GSPAN_H_

@@ -6,7 +6,7 @@
 #include <tuple>
 #include <unordered_set>
 
-#include "pattern/gspan.h"
+#include "pattern/miner_internal.h"
 
 namespace gvex {
 

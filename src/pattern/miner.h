@@ -75,19 +75,6 @@ MinedPattern CountOccurrences(Pattern pattern,
                               const std::vector<const Graph*>& graphs,
                               const MinerOptions& options);
 
-/// One oriented edge of the data's type vocabulary: a pattern node of
-/// `from_type` may gain a `new_type` neighbour over an `edge_type` edge.
-/// Both engines extend patterns only along these rules.
-struct ExtensionRule {
-  int from_type;
-  int new_type;
-  int edge_type;
-};
-
-/// The rules for every edge in `graphs`, in both orientations, sorted.
-std::vector<ExtensionRule> CollectExtensionRules(
-    const std::vector<const Graph*>& graphs);
-
 /// Mines frequent connected patterns from `graphs`. Deterministic order:
 /// descending covered_nodes, then fewer pattern nodes, then canonical code.
 std::vector<MinedPattern> MinePatterns(const std::vector<const Graph*>& graphs,
