@@ -205,8 +205,7 @@ Result<ExplanationView> ApproxGvex::GenerateViewImpl(const GraphDatabase& db,
         StrFormat("no feasible explanation subgraph for label %d", label));
   }
 
-  // Summary phase, sequential: Psum reads its set-cover table from PGen's
-  // occurrence lists instead of matching again, so no pass is left to shard.
+  // Summary phase, on this thread: Psum's cost is PGen's one matching pass.
   std::vector<const Graph*> subs;
   subs.reserve(view.subgraphs.size());
   for (const auto& s : view.subgraphs) subs.push_back(&s.subgraph);

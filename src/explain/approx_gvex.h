@@ -59,9 +59,10 @@ class ApproxGvex {
 
   /// Views for several labels; `num_threads` > 1 parallelizes each label
   /// group's explanation phase over a single worker pool shared across
-  /// labels (§A.7); Psum runs sequentially after it. Graphs are partitioned into
-  /// batched shards with shard-local result accumulators merged in shard
-  /// order at a barrier, so the views are identical for every thread count.
+  /// labels (§A.7); Psum runs sequentially after it. Graphs are partitioned
+  /// into batched shards with shard-local result accumulators merged in
+  /// shard order at a barrier, so the views are identical for every thread
+  /// count.
   Result<std::vector<ExplanationView>> GenerateViews(
       const GraphDatabase& db, const std::vector<int>& labels,
       int num_threads = 1) const;

@@ -45,8 +45,8 @@ Result<PsumResult> Psum(const std::vector<const Graph*>& subgraphs,
 
   // Per-candidate coverage table, flattened to global node and edge ids.
   // PGen already matched every candidate against every subgraph; an
-  // occurrence whose match list no cap cut is exactly what ComputeCoverage
-  // would return, so only a capped one is matched again.
+  // occurrence whose match list no cap cut is exactly the coverage a fresh
+  // match would give, so only a capped one is matched again.
   MatchOptions mo;
   mo.semantics = mopts.semantics;
   struct CandidateCoverage {

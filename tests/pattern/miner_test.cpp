@@ -209,9 +209,12 @@ TEST_P(MinerOccurrenceTest, IncompleteExactlyWhenCapReached) {
   EXPECT_TRUE(some_complete);
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, MinerOccurrenceTest,
-                         ::testing::Values(MinerEngine::kLevelWise,
-                                           MinerEngine::kGspan));
+INSTANTIATE_TEST_SUITE_P(
+    Engines, MinerOccurrenceTest,
+    ::testing::Values(MinerEngine::kLevelWise, MinerEngine::kGspan),
+    [](const ::testing::TestParamInfo<MinerEngine>& info) {
+      return info.param == MinerEngine::kGspan ? "Gspan" : "LevelWise";
+    });
 
 }  // namespace
 }  // namespace gvex
