@@ -1,5 +1,5 @@
-// Serving-path benchmark: the indexed ViewService against the legacy
-// linear-scan ViewStore on a 1k-pattern store. Measures end-to-end query
+// Serving-path benchmark: the indexed ViewService against the linear scan
+// of tests/serve/scan_reference.h on a 1k-pattern store. Measures end-to-end query
 // throughput (queries/sec) and tail latency (p50/p99) on a mixed workload
 // — per-label containment queries, exact tier lookups, full-database
 // pattern queries, and discriminative-pattern queries — and records the
@@ -8,7 +8,7 @@
 //
 // A second, fallback-heavy workload times queries whose canonical code is
 // NOT indexed — the path every non-exact containment query takes. Both
-// front ends scan there; the legacy store scans with the blind backtracking
+// front ends scan there; the scan reference uses the blind backtracking
 // matcher, the index with the candidate-filtered matcher (pattern/
 // matcher.h), and the hardware-independent ratio `fallback_speedup` (blind
 // scan time / filtered scan time, same machine, same queries) records the
@@ -28,9 +28,9 @@
 #include <vector>
 
 #include "common.h"
+#include "serve/scan_reference.h"
 #include "serve/synthetic_store.h"
 #include "serve/view_service.h"
-#include "serve/view_store.h"
 #include "util/timer.h"
 
 using namespace gvex;
@@ -59,8 +59,8 @@ synthetic::SyntheticStore MakeStore(uint64_t seed) {
   return synthetic::MakeSyntheticStore(seed, opt);
 }
 
-// --- The mixed query workload, runnable against both front ends (ViewStore
-// and ViewService expose the same query signatures). Returns a checksum so
+// --- The mixed query workload, runnable against both front ends (the scan
+// reference and ViewService expose the same query signatures). Returns a checksum so
 // the two paths can be asserted identical. ---
 
 template <typename Front>
@@ -149,9 +149,7 @@ int main() {
   }
 
   // Legacy scan front end (the oracle the index is pinned against).
-  ViewStoreOptions legacy_opts;
-  legacy_opts.use_index = false;
-  ViewStore legacy(&store.db, legacy_opts);
+  testing::ScanReference legacy(&store.db);
   for (const ExplanationView& v : store.views) legacy.AddView(v);
   Timer legacy_timer;
   const uint64_t legacy_sum = RunWorkload(legacy, queries, nullptr);
@@ -209,7 +207,7 @@ int main() {
   stress_opt.extra_edge_prob = 0.4;
   synthetic::SyntheticStore stress =
       synthetic::MakeSyntheticStore(1042, stress_opt);
-  ViewStore stress_legacy(&stress.db, legacy_opts);
+  testing::ScanReference stress_legacy(&stress.db);
   for (const ExplanationView& v : stress.views) stress_legacy.AddView(v);
   ViewService stress_service(&stress.db, cold_opts);
   if (!stress_service.AdmitViews(stress.views).ok()) {

@@ -11,9 +11,9 @@
 #include "data/datasets.h"
 #include "data/motifs.h"
 #include "explain/approx_gvex.h"
-#include "explain/view_query.h"
 #include "gnn/trainer.h"
 #include "pattern/gspan.h"
+#include "serve/view_service.h"
 
 using namespace gvex;
 
@@ -92,15 +92,20 @@ int main() {
     for (const Pattern& p : view.value().patterns) {
       std::printf("  %s\n", RenderPattern(p, AtomVocab()).c_str());
     }
-    ViewStore store(&db);
-    store.AddView(view.value());
+    ViewService service(&db);
+    auto admitted = service.AdmitViews({view.value()});
+    if (!admitted.ok()) {
+      std::fprintf(stderr, "admission failed: %s\n",
+                   admitted.status().ToString().c_str());
+      return 1;
+    }
     Pattern nitro = NitroPattern();
     std::printf("\nQuery: 'which mutagens contain the toxicophore NO2?'\n");
-    auto hits = store.DatabaseGraphsWithPattern(nitro, kMutagen);
+    auto hits = service.DatabaseGraphsWithPattern(nitro, kMutagen);
     std::printf("  -> %zu of %zu mutagens\n", hits.size(),
                 db.LabelGroup(kMutagen).size());
     std::printf("Query: 'which NONmutagens contain NO2?'\n");
-    auto misses = store.DatabaseGraphsWithPattern(nitro, 0);
+    auto misses = service.DatabaseGraphsWithPattern(nitro, 0);
     std::printf("  -> %zu (the toxicophore is discriminative)\n",
                 misses.size());
   }

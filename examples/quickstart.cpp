@@ -12,8 +12,8 @@
 #include "explain/approx_gvex.h"
 #include "explain/metrics.h"
 #include "explain/verify.h"
-#include "explain/view_query.h"
 #include "gnn/trainer.h"
+#include "serve/view_service.h"
 
 using namespace gvex;
 
@@ -80,11 +80,16 @@ int main() {
               Sparsity(db, view.value().subgraphs),
               Compression(view.value()));
 
-  ViewStore store(&db);
-  store.AddView(view.value());
-  const auto& patterns = store.PatternsForLabel(kMutagen);
+  ViewService service(&db);
+  auto admitted = service.AdmitViews({view.value()});
+  if (!admitted.ok()) {
+    std::fprintf(stderr, "admission failed: %s\n",
+                 admitted.status().ToString().c_str());
+    return 1;
+  }
+  const auto patterns = service.PatternsForLabel(kMutagen);
   if (!patterns.empty()) {
-    auto graphs = store.GraphsWithPattern(kMutagen, patterns.front());
+    auto graphs = service.GraphsWithPattern(kMutagen, patterns.front());
     std::printf("\nQuery: graphs whose explanation contains pattern #0 -> "
                 "%zu graphs\n",
                 graphs.size());

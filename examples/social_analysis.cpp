@@ -8,9 +8,9 @@
 
 #include "data/datasets.h"
 #include "explain/approx_gvex.h"
-#include "explain/view_query.h"
 #include "gnn/trainer.h"
 #include "pattern/miner.h"
+#include "serve/view_service.h"
 
 using namespace gvex;
 
@@ -99,10 +99,15 @@ int main() {
   std::printf("\n--- Scenario 3: both classes ---\n");
   auto views = gvex.GenerateViews(db, {kDiscussion, kQa});
   if (views.ok()) {
-    ViewStore store(&db);
-    for (auto& v : views.value()) store.AddView(v);
-    for (int label : store.Labels()) {
-      auto disc = store.DiscriminativePatterns(label);
+    ViewService service(&db);
+    auto admitted = service.AdmitViews(views.value());
+    if (!admitted.ok()) {
+      std::fprintf(stderr, "admission failed: %s\n",
+                   admitted.status().ToString().c_str());
+      return 1;
+    }
+    for (int label : service.Labels()) {
+      auto disc = service.DiscriminativePatterns(label);
       std::printf("Label %d: %zu discriminative patterns (occur in no other "
                   "class's explanations)\n",
                   label, disc.size());

@@ -1,12 +1,7 @@
 #include "net/loadgen.h"
 
-#include <arpa/inet.h>
 #include <errno.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
-#include <string.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -17,6 +12,7 @@
 #include <random>
 #include <thread>
 
+#include "net/socket.h"
 #include "util/string_util.h"
 
 namespace gvex {
@@ -53,23 +49,15 @@ std::string MixVerb(const LoadgenRequest& req) {
   return head.empty() ? std::string("?") : head[0];
 }
 
-int ConnectTo(const std::string& host, int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  struct sockaddr_in addr;
-  ::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
+/// A connection for the poll loops below, which need a non-blocking fd.
+Result<int> ConnectNonBlocking(const std::string& host, int port) {
+  Result<int> fd = ConnectTcp(host, port);
+  if (!fd.ok()) return fd;
+  const Status st = SetNonBlocking(fd.value());
+  if (!st.ok()) {
+    ::close(fd.value());
+    return st;
   }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
   return fd;
 }
 
@@ -77,11 +65,12 @@ int ConnectTo(const std::string& host, int port) {
 void RunConnection(const LoadgenOptions& opts,
                    const std::vector<LoadgenRequest>& mix, int conn_index,
                    ConnResult* out) {
-  const int fd = ConnectTo(opts.host, opts.port);
-  if (fd < 0) {
+  const Result<int> connected = ConnectNonBlocking(opts.host, opts.port);
+  if (!connected.ok()) {
     out->aborted = true;
     return;
   }
+  const int fd = connected.value();
 
   std::mt19937 rng(opts.seed + static_cast<unsigned>(conn_index) * 7919u);
   std::vector<double> weights;
@@ -279,12 +268,11 @@ Result<LoadgenReport> RunLoadgen(const LoadgenOptions& options,
 
 Result<std::string> FetchMetrics(const std::string& host, int port,
                                  double timeout_sec) {
-  const int fd = ConnectTo(host, port);
-  if (fd < 0) {
-    return Status::IOError(
-        StrFormat("metrics fetch: cannot connect to %s:%d", host.c_str(),
-                  port));
+  const Result<int> connected = ConnectNonBlocking(host, port);
+  if (!connected.ok()) {
+    return Status::IOError("metrics fetch: " + connected.status().ToString());
   }
+  const int fd = connected.value();
   std::string outbuf = "metrics\n";
   size_t out_off = 0;
   std::string in;

@@ -1,9 +1,6 @@
 #include "net/repl_client.h"
 
-#include <arpa/inet.h>
 #include <errno.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -11,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/socket.h"
 #include "util/string_util.h"
 
 namespace gvex {
@@ -28,30 +26,9 @@ void TcpReplicationEndpoint::Close() {
 
 Status TcpReplicationEndpoint::Send(const std::string& request) {
   if (fd_ < 0) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-      return Status::IOError(StrFormat("socket: %s", strerror(errno)));
-    }
-    struct sockaddr_in addr;
-    ::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port_));
-    if (::inet_pton(AF_INET, host_.c_str(), &addr.sin_addr) != 1) {
-      ::close(fd);
-      return Status::InvalidArgument(
-          StrFormat("bad replication host '%s' (numeric IPv4 expected)",
-                    host_.c_str()));
-    }
-    if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                  sizeof(addr)) != 0) {
-      const Status err = Status::IOError(StrFormat(
-          "connect %s:%d: %s", host_.c_str(), port_, strerror(errno)));
-      ::close(fd);
-      return err;
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    fd_ = fd;
+    Result<int> fd = ConnectTcp(host_, port_);
+    if (!fd.ok()) return fd.status();
+    fd_ = fd.value();
     buffer_.clear();
   }
   const char* data = request.data();

@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <errno.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <string.h>
@@ -11,6 +10,7 @@
 
 #include <algorithm>
 
+#include "net/socket.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/rate_limiter.h"
@@ -20,15 +20,6 @@
 namespace gvex {
 
 namespace {
-
-Status SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Status::Internal(std::string("fcntl O_NONBLOCK: ") +
-                            ::strerror(errno));
-  }
-  return Status::OK();
-}
 
 int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -107,7 +98,11 @@ Status TcpServer::Start(ViewService* service, const GraphDatabase* db,
     return Status::Internal(std::string("socket: ") + ::strerror(errno));
   }
   const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  if (::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
+                   sizeof(one)) != 0) {
+    return Status::Internal(std::string("setsockopt SO_REUSEADDR: ") +
+                            ::strerror(errno));
+  }
 
   struct sockaddr_in addr;
   ::memset(&addr, 0, sizeof(addr));
@@ -216,12 +211,14 @@ void TcpServer::WatchdogLoop() {
           now - w->heartbeat_ms.load(std::memory_order_relaxed);
       if (lag >= stall_ms) {
         if (!w->stalled.exchange(true)) {
-          w->stalls.fetch_add(1, std::memory_order_relaxed);
-          ServerObs().watchdog_stalls->Add(1);
+          // The flight event lands before the counters move, so whoever
+          // sees a stall counted also finds its event.
           obs::RecordFlight(
               obs::FlightKind::kWatchdog,
               "worker %zu event loop stalled (%lld ms since heartbeat)", i,
               static_cast<long long>(lag));
+          w->stalls.fetch_add(1, std::memory_order_release);
+          ServerObs().watchdog_stalls->Add(1);
           if (warn_limiter.Allow()) {
             GVEX_LOG(kWarning)
                 << "watchdog: worker " << i << " event loop stalled ("
@@ -308,7 +305,7 @@ TcpServerStats TcpServer::stats() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   TcpServerStats out = stats_;
   for (const auto& w : workers_) {
-    out.watchdog_stalls += w->stalls.load(std::memory_order_relaxed);
+    out.watchdog_stalls += w->stalls.load(std::memory_order_acquire);
   }
   return out;
 }
@@ -345,8 +342,10 @@ void TcpServer::AcceptLoop() {
         ::close(fd);
         continue;
       }
+      // Unchecked: without TCP_NODELAY the session is still correct, only
+      // subject to Nagle delays, so a failure is no reason to drop it.
       const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       live_sessions_.fetch_add(1);
       ServerObs().live->Set(live_sessions_.load());
       ServerObs().accepted->Add(1);

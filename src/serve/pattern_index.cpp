@@ -54,7 +54,7 @@ ViewMapPtr ShareViews(std::map<int, ExplanationView> views) {
 }
 
 // Every fallback containment check funnels through here: the candidate-
-// filtered matcher (bit-identical answers to the legacy blind scan), with
+// filtered matcher (bit-identical answers to the blind scan), with
 // the filter's fast-reject rate surfaced in stats().
 bool PatternIndex::SubgraphContains(const Graph& subgraph,
                                     const Pattern& p) const {
@@ -271,7 +271,7 @@ std::vector<int> PatternIndex::GraphsWithPattern(int label,
     stats_->fallback_scans.fetch_add(1, std::memory_order_relaxed);
   }
   // Non-exact pattern (or inconsistent posting): filtered containment scan,
-  // bit-identical to the legacy store's answer.
+  // bit-identical to the scan reference's answer.
   for (const auto& s : subgraphs) {
     if (SubgraphContains(s.subgraph, p)) {
       out.push_back(s.graph_index);

@@ -1,8 +1,9 @@
 // Inverted pattern index over a set of explanation views — the read path of
-// the serving subsystem. The legacy ViewStore answered every pattern query
-// with a linear scan running one subgraph-isomorphism check per
-// (pattern, graph) pair; the index pays that cross-product ONCE at build
-// time and turns the queries themselves into hash lookups + bitset walks:
+// the serving subsystem. A linear scan answers every pattern query with one
+// subgraph-isomorphism check per (pattern, graph) pair (the test-only
+// oracle tests/serve/scan_reference.h); the index pays that cross-product
+// ONCE at build time and turns the queries themselves into hash lookups +
+// bitset walks:
 //
 //   * postings keyed by Pattern::canonical_code(): which labels carry the
 //     code in their view tier (and at which tier position), and which
@@ -19,7 +20,7 @@
 // code is not in the index (non-exact containment queries) — those still
 // scan, but through the candidate-filtered matcher
 // (pattern/matcher.h) rather than blind backtracking; the filtered
-// matcher's answers are bit-identical to the legacy ContainsPattern scan
+// matcher's answers are bit-identical to the blind ContainsPattern scan
 // (pinned by the oracle parity suites). Fallback scans and inconsistent
 // postings (a known code missing its per-label bitset — possible only with
 // a logically corrupt snapshot) are counted in stats() and the latter is
@@ -112,8 +113,8 @@ struct IndexStats {
 class PatternIndex {
  public:
   struct BuildOptions {
-    /// Match semantics for containment checks; must equal the legacy
-    /// store's options for bit-identical answers (induced by default).
+    /// Match semantics for containment checks; the scan reference uses
+    /// induced semantics, the default here.
     MatchOptions match;
     /// Precompute db_graphs postings (full-database pattern queries become
     /// lookups at the cost of |codes| x |db| matches at build time).
@@ -168,8 +169,8 @@ class PatternIndex {
                                  bool database_indexed,
                                  const std::vector<StoredPostings>& postings);
 
-  // --- Queries. Each is bit-identical to the legacy ViewStore scan (see
-  // serve/view_store.h and the oracle parity test). ---
+  // --- Queries. Each is bit-identical to the linear scan of
+  // tests/serve/scan_reference.h (see the oracle parity test). ---
 
   /// Labels that have a registered view, ascending.
   std::vector<int> Labels() const;

@@ -12,7 +12,6 @@
 #include "store/recovery.h"
 #include "util/logging.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace gvex {
 
@@ -150,14 +149,6 @@ ViewService::ViewService(const GraphDatabase* db, ViewServiceOptions options)
   snap->views = EmptyViews();
   snap->index = PatternIndex::Build(snap->views, db_, options_.index);
   snapshot_ = std::shared_ptr<const Snapshot>(std::move(snap));
-  const int shards = std::max(1, options_.cache_shards);
-  cache_.reserve(static_cast<size_t>(shards));
-  for (int i = 0; i < shards; ++i) {
-    cache_.push_back(std::make_unique<CacheShard>());
-  }
-  if (options_.batch_workers > 0) {
-    batch_pool_ = std::make_unique<ThreadPool>(options_.batch_workers);
-  }
   RegisterHealthChecks();
 }
 
@@ -423,8 +414,7 @@ ViewQueryResult ViewService::ExecuteCached(const Snapshot& snap,
     return Execute(snap, q);
   }
   const std::string key = CacheKey(snap.epoch, q);
-  CacheShard& shard =
-      *cache_[std::hash<std::string>()(key) % cache_.size()];
+  CacheShard& shard = cache_[std::hash<std::string>()(key) % kCacheShards];
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(key);
@@ -517,26 +507,13 @@ std::vector<Pattern> ViewService::DiscriminativePatterns(int label) const {
 }
 
 std::vector<ViewQueryResult> ViewService::ExecuteBatch(
-    const std::vector<ViewQuery>& queries, int num_threads) const {
+    const std::vector<ViewQuery>& queries) const {
   // One snapshot for the whole batch: every answer shares an epoch, and the
   // batch is immune to concurrent admissions.
   std::shared_ptr<const Snapshot> snap = Load();
-  std::vector<ViewQueryResult> results(queries.size());
-  const int n = static_cast<int>(queries.size());
-  const auto run_shard = [&](const Shard& shard) {
-    for (int i = shard.begin; i < shard.end; ++i) {
-      results[static_cast<size_t>(i)] =
-          ExecuteCached(*snap, queries[static_cast<size_t>(i)]);
-    }
-  };
-  // Results are slot-indexed, so the output is identical whichever pool
-  // (persistent or transient) runs the shards, and for any worker count.
-  if (batch_pool_ != nullptr) {
-    batch_pool_->RunSharded(batch_pool_->num_threads() * 4, n, run_shard);
-  } else {
-    const int threads = std::max(1, num_threads);
-    ThreadPool::ParallelForShards(threads, threads * 4, n, run_shard);
-  }
+  std::vector<ViewQueryResult> results;
+  results.reserve(queries.size());
+  for (const ViewQuery& q : queries) results.push_back(ExecuteCached(*snap, q));
   return results;
 }
 
@@ -1038,10 +1015,10 @@ ViewServiceStats ViewService::stats() const {
   // exactly one shard's lock, so a sequential sum can never split an
   // individual query's counters — and stats() never pauses the whole
   // cache.
-  for (const auto& shard : cache_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    out.cache_hits += shard->hits;
-    out.cache_misses += shard->misses;
+  for (const CacheShard& shard : cache_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    out.cache_hits += shard.hits;
+    out.cache_misses += shard.misses;
   }
   DurableStore* store = store_ptr_.load(std::memory_order_acquire);
   if (store != nullptr) {

@@ -1,8 +1,10 @@
-// ViewService: the concurrent, indexed view-serving front end. Wraps a
-// PatternIndex in an epoch/RCU-style snapshot so explanation views can be
-// admitted live (e.g. published mid-stream from StreamGvex) without ever
-// blocking readers, adds a sharded LRU result cache, and executes query
-// batches across the shared ThreadPool.
+// ViewService: the view-query front end (§1, Table 1). Every query of the
+// CLI, the examples, the stdin and TCP protocols, the store and the replica
+// goes through it. It wraps a PatternIndex in an epoch/RCU-style snapshot
+// so explanation views can be admitted live (e.g. published mid-stream
+// from StreamGvex) without ever blocking readers, and adds a sharded LRU
+// result cache. An in-memory service is the one-shot form: construct it,
+// make one AdmitViews call, then query.
 //
 // Snapshot discipline: the service holds one `shared_ptr<const Snapshot>`
 // (views + index + epoch). Readers atomically load the pointer once per
@@ -19,8 +21,8 @@
 // drops the shared_ptr (that is the RCU grace period).
 //
 // Result cache: an LRU keyed by (epoch, query kind, label, canonical
-// code), striped into `cache_shards` independently locked shards to keep
-// reader contention low. Epochs in the key make invalidation free —
+// code), striped into independently locked shards to keep reader
+// contention low. Epochs in the key make invalidation free —
 // entries from superseded epochs simply age out.
 //
 // Thread-safety: ALL public methods are safe to call concurrently from any
@@ -55,10 +57,9 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
-
-#include <thread>
 
 #include "explain/explanation.h"
 #include "graph/graph_database.h"
@@ -71,7 +72,6 @@
 #include "store/wal.h"
 #include "util/file_io.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace gvex {
 
@@ -105,16 +105,6 @@ struct ViewServiceOptions {
   PatternIndex::BuildOptions index;
   /// LRU entries per cache shard (0 disables the result cache).
   size_t cache_capacity = 256;
-  /// Independently locked cache stripes.
-  int cache_shards = 8;
-  /// Workers of a PERSISTENT batch-execution pool created at construction.
-  /// 0 (default) spins up a transient pool per ExecuteBatch call instead —
-  /// fine for occasional large batches, wasteful for many small ones.
-  /// Answers are identical either way. Note: the pool's completion barrier
-  /// is pool-global, so concurrent ExecuteBatch callers sharing the
-  /// persistent pool may wait out each other's shards (throughput
-  /// coupling, not a correctness issue).
-  int batch_workers = 0;
   /// Durability knobs for Open-created services.
   DurableStoreOptions store;
   /// The `admit_queue` health check reports FAIL when one combining-queue
@@ -127,7 +117,7 @@ struct ViewServiceOptions {
   std::function<void()> admit_test_hook;
 };
 
-/// The query kinds the service answers (mirrors the legacy ViewStore API).
+/// The query kinds of a batch, one per single-query method.
 enum class QueryKind {
   kLabels,                    // no arguments
   kPatternsForLabel,          // label
@@ -339,7 +329,8 @@ class ViewService {
   Result<uint64_t> AdmitViews(std::vector<ExplanationView> views);
 
   // --- Single queries (each runs on one atomically loaded snapshot and is
-  // bit-identical to the legacy ViewStore scan; see the oracle test). ---
+  // bit-identical to the linear scan of tests/serve/scan_reference.h; see
+  // the oracle parity suite). ---
   std::vector<int> Labels() const;
   std::vector<Pattern> PatternsForLabel(int label) const;
   std::vector<int> GraphsWithPattern(int label, const Pattern& p) const;
@@ -360,13 +351,10 @@ class ViewService {
                                              int label = -1) const;
   std::vector<Pattern> DiscriminativePatterns(int label) const;
 
-  /// Executes a batch across workers: the persistent pool when
-  /// `batch_workers` > 0 (num_threads is then ignored), else a transient
-  /// pool of `num_threads`. The whole batch runs against ONE snapshot, so
-  /// every result carries the same epoch; results land in request order
-  /// regardless of worker count.
+  /// Runs a batch in order on ONE loaded snapshot, so every result carries
+  /// the same epoch even while admissions race it.
   std::vector<ViewQueryResult> ExecuteBatch(
-      const std::vector<ViewQuery>& queries, int num_threads = 1) const;
+      const std::vector<ViewQuery>& queries) const;
 
   /// Epoch of the currently published snapshot (0 = empty initial epoch).
   uint64_t epoch() const;
@@ -394,7 +382,8 @@ class ViewService {
   };
 
   /// One LRU stripe: list front = most recent; map values point into it.
-  struct CacheShard {
+  /// Cache-line aligned so neighbouring stripes' locks do not share a line.
+  struct alignas(64) CacheShard {
     struct Entry {
       std::string key;
       ViewQueryResult result;
@@ -505,9 +494,9 @@ class ViewService {
   /// Unregistered (front of ~ViewService) before any state they read dies.
   std::vector<obs::HealthCheckHandle> health_handles_;
 
-  mutable std::vector<std::unique_ptr<CacheShard>> cache_;
-  /// Persistent batch pool (null when options_.batch_workers == 0).
-  std::unique_ptr<ThreadPool> batch_pool_;
+  /// Independently locked LRU stripes.
+  static constexpr int kCacheShards = 8;
+  mutable CacheShard cache_[kCacheShards];
   /// Null for purely in-memory services. Owner; unlocked readers (stats,
   /// MaybeScheduleCompact, the durable() guards) go through store_ptr_,
   /// which Promote() publishes with release ordering on a LIVE service —

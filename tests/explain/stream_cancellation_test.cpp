@@ -10,8 +10,8 @@
 
 #include "explain/stream_gvex.h"
 #include "pattern/coverage.h"
+#include "serve/scan_reference.h"
 #include "serve/view_service.h"
-#include "serve/view_store.h"
 #include "test_util.h"
 #include "util/timer.h"
 
@@ -103,9 +103,7 @@ TEST(StreamCancellationTest, DeadlineInterruptedPrefixIsValidAndServable) {
                 labels.end());
   }
   // Indexed answers over the prefix view match the legacy scan oracle.
-  ViewStoreOptions legacy_opts;
-  legacy_opts.use_index = false;
-  ViewStore legacy(&fx.db, legacy_opts);
+  testing::ScanReference legacy(&fx.db);
   legacy.AddView(view);
   for (const Pattern& p : view.patterns) {
     EXPECT_EQ(legacy.GraphsWithPattern(label, p),

@@ -91,7 +91,7 @@ TEST(StreamInterleaveTest, QueriesNeverObserveATornAdmission) {
         batch[0].label = labels[0];
         batch[1].kind = QueryKind::kPatternsForLabel;
         batch[1].label = labels[1];
-        const auto results = service.ExecuteBatch(batch, 1);
+        const auto results = service.ExecuteBatch(batch);
         if (results[0].epoch < last_epoch) ++torn;  // monotone epochs
         last_epoch = results[0].epoch;
         const auto codes0 = Codes(results[0].patterns);

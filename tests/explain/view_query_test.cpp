@@ -1,9 +1,12 @@
-#include "explain/view_query.h"
+// The Table 1 queries of §1 ("which toxicophores occur in mutagens?"),
+// answered by the view store — a ViewService holding views generated on the
+// trained fixture.
 
 #include <gtest/gtest.h>
 
 #include "data/motifs.h"
 #include "explain/approx_gvex.h"
+#include "serve/view_service.h"
 #include "test_util.h"
 
 namespace gvex {
@@ -30,15 +33,17 @@ class ViewStoreTest : public ::testing::Test {
     c.default_bound = {2, 8};
     c.miner.max_pattern_nodes = 3;
     ApproxGvex algo(&fx.model, c);
-    store_ = std::make_unique<ViewStore>(&fx.db);
+    store_ = std::make_unique<ViewService>(&fx.db);
+    std::vector<ExplanationView> views;
     for (int label : {0, 1}) {
       auto view = algo.GenerateView(fx.db, label);
       ASSERT_TRUE(view.ok());
-      store_->AddView(std::move(view).value());
+      views.push_back(std::move(view).value());
     }
+    ASSERT_TRUE(store_->AdmitViews(std::move(views)).ok());
   }
 
-  std::unique_ptr<ViewStore> store_;
+  std::unique_ptr<ViewService> store_;
 };
 
 TEST_F(ViewStoreTest, LabelsRegistered) {
@@ -72,7 +77,7 @@ TEST_F(ViewStoreTest, GraphsWithPatternReturnsGroupMembers) {
 }
 
 TEST_F(ViewStoreTest, LabelsOfPatternFindsOwnPatterns) {
-  const auto& patterns = store_->PatternsForLabel(1);
+  const auto patterns = store_->PatternsForLabel(1);
   ASSERT_FALSE(patterns.empty());
   auto labels = store_->LabelsOfPattern(patterns[0]);
   EXPECT_NE(std::find(labels.begin(), labels.end(), 1), labels.end());
@@ -88,7 +93,7 @@ TEST_F(ViewStoreTest, DiscriminativePatternsExcludeSharedStructures) {
 
 TEST(ViewStoreStandaloneTest, EmptyStoreBehaves) {
   GraphDatabase db;
-  ViewStore store(&db);
+  ViewService store(&db);
   EXPECT_TRUE(store.Labels().empty());
   EXPECT_TRUE(store.LabelsOfPattern(NitroPattern()).empty());
   EXPECT_TRUE(store.DatabaseGraphsWithPattern(NitroPattern()).empty());

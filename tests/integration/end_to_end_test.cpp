@@ -10,9 +10,9 @@
 #include "explain/metrics.h"
 #include "explain/stream_gvex.h"
 #include "explain/verify.h"
-#include "explain/view_query.h"
 #include "gnn/model_io.h"
 #include "gnn/trainer.h"
+#include "serve/view_service.h"
 #include "test_util.h"
 
 namespace gvex {
@@ -55,11 +55,11 @@ TEST(EndToEndTest, FullPipelineOnMutagenicity) {
   EXPECT_GT(sg_fid, 0.0);
 
   // 3. Views are queryable.
-  ViewStore store(&fx.db);
-  for (auto& view : ag_views.value()) store.AddView(view);
-  EXPECT_EQ(store.Labels().size(), 2u);
-  for (int label : store.Labels()) {
-    EXPECT_FALSE(store.PatternsForLabel(label).empty());
+  ViewService service(&fx.db);
+  ASSERT_TRUE(service.AdmitViews(ag_views.value()).ok());
+  EXPECT_EQ(service.Labels().size(), 2u);
+  for (int label : service.Labels()) {
+    EXPECT_FALSE(service.PatternsForLabel(label).empty());
   }
 }
 

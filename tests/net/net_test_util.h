@@ -19,6 +19,7 @@
 #include <string>
 
 #include "net/server.h"
+#include "net/socket.h"
 #include "serve/synthetic_store.h"
 #include "serve/view_service.h"
 
@@ -80,21 +81,8 @@ class TestServer {
 class BlockingClient {
  public:
   explicit BlockingClient(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return;
-    struct sockaddr_in addr;
-    ::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (::connect(fd_, reinterpret_cast<struct sockaddr*>(&addr),
-                  sizeof(addr)) != 0) {
-      ::close(fd_);
-      fd_ = -1;
-      return;
-    }
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    Result<int> fd = ConnectTcp("127.0.0.1", port);
+    if (fd.ok()) fd_ = fd.value();
   }
   ~BlockingClient() {
     if (fd_ >= 0) ::close(fd_);

@@ -12,6 +12,7 @@
 #include "explain/view_io.h"
 #include "net/loadgen.h"
 #include "net/net_test_util.h"
+#include "net/socket.h"
 #include "net/workload.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -301,6 +302,38 @@ TEST_F(TcpServerTest, ScrapeCrossCheckMatchesClientCounts) {
     client_total += count;
   }
   EXPECT_EQ(client_total, report.value().requests);
+}
+
+// A port that is bound but not listening refuses connections; holding the
+// bound socket keeps another process from taking the port meanwhile.
+TEST(ConnectTcpTest, NoListenerIsAnError) {
+  const int bound = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(bound, 0);
+  struct sockaddr_in addr;
+  ::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::bind(bound, reinterpret_cast<struct sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(bound, reinterpret_cast<struct sockaddr*>(&addr),
+                          &len),
+            0);
+  const int port = ntohs(addr.sin_port);
+
+  const Result<int> fd = ConnectTcp("127.0.0.1", port);
+  EXPECT_FALSE(fd.ok());
+  EXPECT_EQ(fd.status().code(), StatusCode::kIOError);
+  if (fd.ok()) ::close(fd.value());
+  ::close(bound);
+}
+
+TEST(ConnectTcpTest, NonNumericHostIsInvalid) {
+  const Result<int> fd = ConnectTcp("localhost", 1);
+  EXPECT_FALSE(fd.ok());
+  EXPECT_EQ(fd.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -12,8 +12,8 @@
 
 #include "obs/metrics.h"
 #include "serve/synthetic_store.h"
+#include "serve/scan_reference.h"
 #include "serve/view_service.h"
-#include "serve/view_store.h"
 
 namespace gvex {
 namespace {
@@ -25,25 +25,21 @@ std::vector<std::string> Codes(const std::vector<Pattern>& patterns) {
   return out;
 }
 
-// The oracle: a legacy scan-mode store and an indexed store built over the
-// same randomized view set must answer every query bit-identically.
+// The oracle: the linear scan of serve/scan_reference.h and a ViewService
+// built over the same randomized view set must answer every query
+// bit-identically.
 class OracleParityTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   void SetUp() override {
     store_ = synthetic::MakeSyntheticStore(GetParam());
-    ViewStoreOptions legacy_opts;
-    legacy_opts.use_index = false;
-    legacy_ = std::make_unique<ViewStore>(&store_.db, legacy_opts);
-    ViewStoreOptions indexed_opts;
-    indexed_opts.use_index = true;
+    legacy_ = std::make_unique<testing::ScanReference>(&store_.db);
+    ViewServiceOptions indexed_opts;
     // Exercise the sharded build on some seeds; results must not depend on
     // the worker count.
-    indexed_opts.build_threads = GetParam() % 2 == 0 ? 4 : 1;
-    indexed_ = std::make_unique<ViewStore>(&store_.db, indexed_opts);
-    for (const ExplanationView& v : store_.views) {
-      legacy_->AddView(v);
-      indexed_->AddView(v);
-    }
+    indexed_opts.index.num_threads = GetParam() % 2 == 0 ? 4 : 1;
+    indexed_ = std::make_unique<ViewService>(&store_.db, indexed_opts);
+    for (const ExplanationView& v : store_.views) legacy_->AddView(v);
+    ASSERT_TRUE(indexed_->AdmitViews(store_.views).ok());
     // Query workload: every tier pattern, plus patterns the index has never
     // seen (exercises the isomorphism fallback), plus single-node probes.
     Rng rng(GetParam() + 1000);
@@ -60,8 +56,8 @@ class OracleParityTest : public ::testing::TestWithParam<uint64_t> {
   }
 
   synthetic::SyntheticStore store_;
-  std::unique_ptr<ViewStore> legacy_;
-  std::unique_ptr<ViewStore> indexed_;
+  std::unique_ptr<testing::ScanReference> legacy_;
+  std::unique_ptr<ViewService> indexed_;
   std::vector<Pattern> queries_;
 };
 
@@ -97,6 +93,9 @@ TEST_P(OracleParityTest, EveryQueryMatchesLegacyScan) {
   }
 }
 
+// The fixture's service indexes every label in one admission; this one
+// admits a label per epoch, so each index is PatternIndex::Apply over the
+// previous epoch's postings.
 TEST_P(OracleParityTest, ViewServiceMatchesLegacyScan) {
   ViewService service(&store_.db);
   for (const ExplanationView& v : store_.views) {

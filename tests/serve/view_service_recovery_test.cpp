@@ -77,8 +77,8 @@ void ExpectParity(ViewService* recovered, ViewService* reference,
     q.pattern = p;
     batch.push_back(q);
   }
-  const auto ra = recovered->ExecuteBatch(batch, 2);
-  const auto rb = reference->ExecuteBatch(batch, 2);
+  const auto ra = recovered->ExecuteBatch(batch);
+  const auto rb = reference->ExecuteBatch(batch);
   ASSERT_EQ(ra.size(), rb.size());
   for (size_t i = 0; i < ra.size(); ++i) {
     EXPECT_EQ(ra[i].ids, rb[i].ids) << "batch slot " << i;
@@ -239,6 +239,24 @@ TEST_F(RecoveryTest, ReAdmittedLabelRecoversToLastVersion) {
   auto recovered = OpenDurable();
   ASSERT_NE(recovered, nullptr);
   ExpectParity(recovered.get(), &reference, store_, 1005);
+}
+
+// One AdmitViews call holding two views of a label serves the later one;
+// WAL replay of that single record must recover the same answer.
+TEST_F(RecoveryTest, SameLabelInOneAdmissionRecoversTheLaterView) {
+  ExplanationView later = store_.views[1];
+  later.label = store_.views[0].label;
+  ViewService reference(&store_.db);
+  ASSERT_TRUE(reference.AdmitView(later).ok());
+  {
+    auto durable = OpenDurable();
+    ASSERT_NE(durable, nullptr);
+    ASSERT_TRUE(durable->AdmitViews({store_.views[0], later}).ok());
+    ExpectParity(durable.get(), &reference, store_, 1009);
+  }
+  auto recovered = OpenDurable();
+  ASSERT_NE(recovered, nullptr);
+  ExpectParity(recovered.get(), &reference, store_, 1010);
 }
 
 TEST_F(RecoveryTest, TornWalTailRecoversThePrefix) {

@@ -6,8 +6,8 @@
 #include <thread>
 #include <vector>
 
+#include "serve/scan_reference.h"
 #include "serve/synthetic_store.h"
-#include "serve/view_store.h"
 
 namespace gvex {
 namespace {
@@ -79,6 +79,36 @@ TEST(ViewServiceTest, AdmitViewsPublishesOneEpoch) {
   EXPECT_EQ(service.Labels(), (std::vector<int>{0, 1, 2}));
 }
 
+// One AdmitViews call applies its views in order, so of two views of a
+// label the later is served — what registering them one by one in the
+// scan reference gives. gvex_cli query admits a whole views file this way.
+TEST(ViewServiceTest, OneAdmissionServesTheLaterViewOfALabel) {
+  auto store = synthetic::MakeSyntheticStore(21, /*num_labels=*/2);
+  ExplanationView later = store.views[1];
+  later.label = store.views[0].label;
+  ViewService service(&store.db);
+  ASSERT_TRUE(service.AdmitViews({store.views[0], later}).ok());
+  testing::ScanReference scan(&store.db);
+  scan.AddView(store.views[0]);
+  scan.AddView(later);
+
+  EXPECT_EQ(service.epoch(), 1u);
+  ASSERT_EQ(service.Labels(), scan.Labels());
+  const int label = later.label;
+  const std::vector<Pattern> served = service.PatternsForLabel(label);
+  ASSERT_EQ(served.size(), later.patterns.size());
+  for (size_t i = 0; i < served.size(); ++i) {
+    EXPECT_EQ(served[i].canonical_code(), later.patterns[i].canonical_code());
+  }
+  for (const ExplanationView& v : store.views) {
+    for (const Pattern& p : v.patterns) {
+      EXPECT_EQ(service.GraphsWithPattern(label, p),
+                scan.GraphsWithPattern(label, p));
+      EXPECT_EQ(service.LabelsOfPattern(p), scan.LabelsOfPattern(p));
+    }
+  }
+}
+
 TEST(ViewServiceTest, CacheHitsAndEpochInvalidation) {
   auto store = synthetic::MakeSyntheticStore(9, /*num_labels=*/2);
   ViewService service(&store.db);
@@ -99,7 +129,9 @@ TEST(ViewServiceTest, CacheHitsAndEpochInvalidation) {
   EXPECT_EQ(stats.cache_misses, 2u);
 }
 
-TEST(ViewServiceTest, BatchMatchesSingleQueriesForEveryWorkerCount) {
+// A batch runs in order on one snapshot, so with no admission racing it
+// each answer equals the single query's.
+TEST(ViewServiceTest, BatchMatchesSingleQueries) {
   auto store = synthetic::MakeSyntheticStore(13);
   ViewService service(&store.db);
   ASSERT_TRUE(service.AdmitViews(store.views).ok());
@@ -119,54 +151,51 @@ TEST(ViewServiceTest, BatchMatchesSingleQueriesForEveryWorkerCount) {
       batch.push_back(q);
       q.kind = QueryKind::kLabelsOfPattern;
       batch.push_back(q);
+      q.kind = QueryKind::kDatabaseGraphsWithPattern;
+      batch.push_back(q);
     }
     ViewQuery q;
-    q.kind = QueryKind::kDiscriminativePatterns;
+    q.kind = QueryKind::kPatternsForLabel;
     q.label = v.label;
+    batch.push_back(q);
+    q.kind = QueryKind::kDiscriminativePatterns;
     batch.push_back(q);
   }
 
-  const std::vector<ViewQueryResult> base = service.ExecuteBatch(batch, 1);
-  ASSERT_EQ(base.size(), batch.size());
-  for (const ViewQueryResult& r : base) EXPECT_EQ(r.epoch, 1u);
-  for (int workers : {2, 8}) {
-    const std::vector<ViewQueryResult> got =
-        service.ExecuteBatch(batch, workers);
-    ASSERT_EQ(got.size(), base.size());
-    for (size_t i = 0; i < base.size(); ++i) {
-      EXPECT_EQ(base[i].ids, got[i].ids) << "query " << i;
-      ASSERT_EQ(base[i].patterns.size(), got[i].patterns.size());
-      for (size_t j = 0; j < base[i].patterns.size(); ++j) {
-        EXPECT_EQ(base[i].patterns[j].canonical_code(),
-                  got[i].patterns[j].canonical_code());
-      }
+  const std::vector<ViewQueryResult> got = service.ExecuteBatch(batch);
+  ASSERT_EQ(got.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const ViewQuery& q = batch[i];
+    EXPECT_EQ(got[i].epoch, 1u) << "query " << i;
+    std::vector<int> ids;
+    std::vector<Pattern> patterns;
+    switch (q.kind) {
+      case QueryKind::kLabels:
+        ids = service.Labels();
+        break;
+      case QueryKind::kPatternsForLabel:
+        patterns = service.PatternsForLabel(q.label);
+        break;
+      case QueryKind::kGraphsWithPattern:
+        ids = service.GraphsWithPattern(q.label, q.pattern);
+        break;
+      case QueryKind::kLabelsOfPattern:
+        ids = service.LabelsOfPattern(q.pattern);
+        break;
+      case QueryKind::kDatabaseGraphsWithPattern:
+        ids = service.DatabaseGraphsWithPattern(q.pattern, q.label);
+        break;
+      case QueryKind::kDiscriminativePatterns:
+        patterns = service.DiscriminativePatterns(q.label);
+        break;
+    }
+    EXPECT_EQ(got[i].ids, ids) << "query " << i;
+    ASSERT_EQ(got[i].patterns.size(), patterns.size()) << "query " << i;
+    for (size_t j = 0; j < patterns.size(); ++j) {
+      EXPECT_EQ(got[i].patterns[j].canonical_code(),
+                patterns[j].canonical_code());
     }
   }
-}
-
-TEST(ViewServiceTest, PersistentBatchPoolMatchesTransient) {
-  auto store = synthetic::MakeSyntheticStore(17);
-  ViewService transient(&store.db);
-  ViewServiceOptions pooled_opts;
-  pooled_opts.batch_workers = 4;
-  ViewService pooled(&store.db, pooled_opts);
-  ASSERT_TRUE(transient.AdmitViews(store.views).ok());
-  ASSERT_TRUE(pooled.AdmitViews(store.views).ok());
-
-  std::vector<ViewQuery> batch;
-  for (const ExplanationView& v : store.views) {
-    for (const Pattern& p : v.patterns) {
-      ViewQuery q;
-      q.kind = QueryKind::kGraphsWithPattern;
-      q.label = v.label;
-      q.pattern = p;
-      batch.push_back(q);
-    }
-  }
-  const auto a = transient.ExecuteBatch(batch, 2);
-  const auto b = pooled.ExecuteBatch(batch);  // num_threads ignored
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].ids, b[i].ids);
 }
 
 // The acceptance-criterion stress: concurrent readers during live view
@@ -193,7 +222,7 @@ void RunAdmissionStress(int num_readers) {
         batch[1].label = 0;
         batch[1].pattern = probe;
         batch[2].kind = QueryKind::kLabels;
-        const auto results = service.ExecuteBatch(batch, 1);
+        const auto results = service.ExecuteBatch(batch);
         const uint64_t epoch = results[0].epoch;
         // Epochs advance monotonically per reader.
         if (epoch < last_epoch) ++failures;

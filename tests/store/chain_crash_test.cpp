@@ -590,7 +590,7 @@ TEST_F(ChainCrashTest, SeededRandomInterleaverRecoversBitIdentical) {
           batch[0].kind = QueryKind::kPatternsForLabel;
           batch[0].label = label;
           batch[1].kind = QueryKind::kLabels;
-          const auto results = durable->ExecuteBatch(batch, 1);
+          const auto results = durable->ExecuteBatch(batch);
           if (results[0].epoch < last_epoch) ++torn;  // monotone epochs
           last_epoch = results[0].epoch;
           if (results[0].patterns.empty()) continue;  // not admitted yet

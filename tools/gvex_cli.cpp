@@ -25,7 +25,7 @@
 #include "gnn/model_io.h"
 #include "gnn/trainer.h"
 #include "graph/graph_io.h"
-#include "serve/view_store.h"
+#include "serve/view_service.h"
 #include "tool_args.h"
 #include "util/string_util.h"
 
@@ -162,25 +162,29 @@ int CmdQuery(const Args& args) {
     have_db = true;
   }
 
-  // All queries route through the indexed store (serve/view_store.h); the
-  // views themselves are only used for the human-readable summaries.
-  ViewStore store(have_db ? &db : nullptr);
-  for (const auto& view : views.value()) store.AddView(view);
+  // All queries route through the indexed service; the views themselves
+  // are only used for the human-readable summaries. One admission: when the
+  // file holds two views of a label, the later one is served.
+  ViewService service(have_db ? &db : nullptr);
+  if (!views.value().empty()) {
+    auto admitted = service.AdmitViews(views.value());
+    if (!admitted.ok()) return Fail(admitted.status().ToString());
+  }
 
   const int want = args.GetInt("label", -1);
   for (const auto& view : views.value()) {
     if (want >= 0 && view.label != want) continue;
     std::printf("%s\n", view.Summary().c_str());
-    const auto& patterns = store.PatternsForLabel(view.label);
+    const auto patterns = service.PatternsForLabel(view.label);
     for (size_t i = 0; i < patterns.size(); ++i) {
       std::printf("  pattern %zu: %s", i, patterns[i].ToString().c_str());
       if (have_db) {
         std::printf("  [in %zu db graphs]",
-                    store.DatabaseGraphsWithPattern(patterns[i]).size());
+                    service.DatabaseGraphsWithPattern(patterns[i]).size());
       }
       std::printf("\n");
     }
-    const auto disc = store.DiscriminativePatterns(view.label);
+    const auto disc = service.DiscriminativePatterns(view.label);
     for (size_t i = 0; i < disc.size(); ++i) {
       std::printf("  discriminative %zu: %s\n", i,
                   disc[i].ToString().c_str());

@@ -14,9 +14,7 @@
 // is the shape scripts and the smoke test use. Exit status is non-zero
 // when the server cannot be reached or answers garbage.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
+#include <errno.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -30,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "net/socket.h"
 #include "tool_args.h"
 #include "util/string_util.h"
 
@@ -65,28 +64,12 @@ int Usage() {
 // One TCP round trip: connect, send the request text, read to EOF.
 bool Exchange(const std::string& host, int port, const std::string& request,
               std::string* response, std::string* error) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    *error = std::string("socket: ") + ::strerror(errno);
+  const Result<int> connected = ConnectTcp(host, port);
+  if (!connected.ok()) {
+    *error = connected.status().ToString();
     return false;
   }
-  struct sockaddr_in addr;
-  ::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    *error = "bad host: " + host;
-    return false;
-  }
-  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    *error = std::string("connect: ") + ::strerror(errno);
-    ::close(fd);
-    return false;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  const int fd = connected.value();
   size_t off = 0;
   while (off < request.size()) {
     const ssize_t n =

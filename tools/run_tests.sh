@@ -100,6 +100,29 @@ trap 'rm -rf "${store_scratch}"' EXIT
 "${build_dir}/tools/gvex_store" selftest "${store_scratch}"
 "${build_dir}/tools/gvex_store" verify "${store_scratch}"
 
+# CLI pipeline smoke: generate -> train -> explain -> query on the MUT
+# stand-in, in a scratch directory (the CLI reads and writes graphs.txt,
+# model.txt and views.txt in its working directory). The query must list
+# the view's patterns with their database counts, and a views file whose
+# header carries no label (`view -1`) must make query fail.
+cli="$(cd "${build_dir}" && pwd)/tools/gvex_cli"
+mkdir -p "${store_scratch}/cli"
+(
+  cd "${store_scratch}/cli"
+  "${cli}" generate --dataset MUT --num 60 > /dev/null
+  "${cli}" train --epochs 40 > /dev/null
+  "${cli}" explain --label 1 > /dev/null
+  query_out="$("${cli}" query --graphs graphs.txt)"
+  grep -q 'pattern 0:' <<< "${query_out}"
+  grep -Eq '\[in [0-9]+ db graphs\]' <<< "${query_out}"
+  sed '1s/^view [0-9-]*/view -1/' views.txt > unlabeled.txt
+  if "${cli}" query --views unlabeled.txt > /dev/null 2>&1; then
+    echo "cli smoke: query served a view with no label" >&2
+    exit 1
+  fi
+)
+echo "cli pipeline smoke: ok"
+
 # Health smoke over stdin: the durable store the selftest just built must
 # answer the `health` verb with per-check rows and an overall ok.
 health_out="$("${build_dir}/tools/gvex_serve" --store "${store_scratch}" \
