@@ -3,9 +3,11 @@
 // total edge-miss weight  w(P) = 1 - |P_ES| / |E_S|  via greedy weighted set
 // cover (H_{u_l}-approximation, Lemma 4.3).
 //
-// Complexity: with c mined candidates and k subgraphs, PGen matches each
-// candidate against each subgraph once (O(c·k·m), m the cost of one capped
-// pattern match) and records the union of the matches it found per
+// Complexity: with c mined candidates, PGen builds each candidate's matches
+// from its parent's, and only in the subgraphs the parent occurs in: O(e·d)
+// per such subgraph, e the parent's match count there and d the degree of
+// the anchor's image. It runs the matcher only where a match cap binds or
+// on a directed subgraph. It records the union of the matches per
 // subgraph. The set-cover table is read from those occurrence lists; only
 // an occurrence whose match list hit a cap is matched again. The greedy
 // cover then costs O(|P^l|·c·coverage-size).

@@ -18,18 +18,20 @@ bool CoverageMask::AllNodes() const {
 }
 
 CoverageMask MatchCoverage(const Graph& pattern, const Graph& g,
-                           const std::vector<Match>& matches) {
+                           const std::vector<NodeId>& matches) {
   CoverageMask mask;
   mask.nodes.assign(static_cast<size_t>(g.num_nodes()), false);
   mask.edges.assign(static_cast<size_t>(g.num_edges()), false);
-  for (const Match& m : matches) {
-    for (NodeId v : m) mask.nodes[static_cast<size_t>(v)] = true;
+  const size_t k = static_cast<size_t>(pattern.num_nodes());
+  for (size_t at = 0; at < matches.size(); at += k) {
+    const NodeId* m = &matches[at];
+    for (size_t i = 0; i < k; ++i) mask.nodes[static_cast<size_t>(m[i])] = true;
     // Find each matched edge by a linear scan of g.edges(). The first edge
     // joining the pair wins, so a directed pair stored in both orientations
     // counts once.
     for (const Edge& pe : pattern.edges()) {
-      NodeId a = m[static_cast<size_t>(pe.u)];
-      NodeId b = m[static_cast<size_t>(pe.v)];
+      NodeId a = m[pe.u];
+      NodeId b = m[pe.v];
       for (size_t ei = 0; ei < g.edges().size(); ++ei) {
         const Edge& ge = g.edges()[ei];
         if ((ge.u == a && ge.v == b) || (ge.u == b && ge.v == a)) {
@@ -44,8 +46,11 @@ CoverageMask MatchCoverage(const Graph& pattern, const Graph& g,
 
 CoverageMask ComputeCoverage(const Pattern& pattern, const Graph& g,
                              const MatchOptions& options) {
-  return MatchCoverage(pattern.graph(), g,
-                       FindMatches(pattern.graph(), g, options));
+  std::vector<NodeId> flat;
+  for (const Match& m : FindMatches(pattern.graph(), g, options)) {
+    flat.insert(flat.end(), m.begin(), m.end());
+  }
+  return MatchCoverage(pattern.graph(), g, flat);
 }
 
 CoverageMask ComputeCoverage(const std::vector<Pattern>& patterns,

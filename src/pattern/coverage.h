@@ -24,10 +24,11 @@ struct CoverageMask {
   bool AllNodes() const;
 };
 
-/// Coverage of `g` by the given matches of `pattern` (their union). Both
-/// ComputeCoverage and the miner's occurrence lists are built by it.
+/// Coverage of `g` by the given matches of `pattern` (their union), stored
+/// flat: pattern.num_nodes() node ids per match. Both ComputeCoverage and
+/// the miner's occurrence lists are built by it.
 CoverageMask MatchCoverage(const Graph& pattern, const Graph& g,
-                           const std::vector<Match>& matches);
+                           const std::vector<NodeId>& matches);
 
 /// Coverage of `g` by one pattern (union over all matches).
 CoverageMask ComputeCoverage(const Pattern& pattern, const Graph& g,

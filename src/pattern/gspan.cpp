@@ -2,6 +2,7 @@
 
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "pattern/canonical.h"
 #include "pattern/isomorphism.h"
@@ -11,24 +12,29 @@ namespace gvex {
 
 namespace {
 
-// Support under non-induced semantics, which is anti-monotone and so safe
-// to prune growth with (induced matching can gain matches as patterns grow).
-// Stops early once `min_needed` is out of reach.
-int NonInducedSupport(const Graph& pattern,
-                      const std::vector<const Graph*>& graphs,
-                      int min_needed) {
+// The graphs `pattern` occurs in under non-induced semantics, ascending.
+// That support is anti-monotone and so safe to prune growth with (induced
+// matching can gain matches as patterns grow). Stops early, returning a
+// partial list, once `min_needed` graphs are out of reach.
+std::vector<int> NonInducedSupport(const Graph& pattern,
+                                   const std::vector<const Graph*>& graphs,
+                                   int min_needed) {
   MatchOptions opt;
   opt.semantics = MatchSemantics::kNonInduced;
   opt.max_matches = 1;
-  int support = 0;
+  std::vector<int> found;
   const int remaining_possible = static_cast<int>(graphs.size());
   for (size_t gi = 0; gi < graphs.size(); ++gi) {
-    if (support + (remaining_possible - static_cast<int>(gi)) < min_needed) {
-      return support;  // cannot reach min_support anymore
+    if (static_cast<int>(found.size()) +
+            (remaining_possible - static_cast<int>(gi)) <
+        min_needed) {
+      return found;  // cannot reach min_support anymore
     }
-    if (ContainsPattern(*graphs[gi], pattern, opt)) ++support;
+    if (ContainsPattern(*graphs[gi], pattern, opt)) {
+      found.push_back(static_cast<int>(gi));
+    }
   }
-  return support;
+  return found;
 }
 
 }  // namespace
@@ -46,18 +52,24 @@ void GrowGspan(const std::vector<const Graph*>& graphs,
   auto accept = [&](Graph candidate) {
     std::string code = CanonicalCode(candidate);
     if (seen_codes.count(code)) return;
-    if (NonInducedSupport(candidate, graphs, options.min_support) <
-        options.min_support) {
-      return;
-    }
+    const std::vector<int> found =
+        NonInducedSupport(candidate, graphs, options.min_support);
+    if (static_cast<int>(found.size()) < options.min_support) return;
     seen_codes.insert(std::move(code));
     auto pattern = Pattern::Create(std::move(candidate));
     if (!pattern.ok()) return;
     // A pattern frequent non-induced but infrequent induced is still
     // extended (its children may be induced-frequent), just not reported.
     frontier.push_back(pattern.value().graph());
+    // An induced match is also a non-induced one, so occurrences are
+    // counted only in the graphs found above.
+    std::vector<const Graph*> hosts;
+    for (int gi : found) hosts.push_back(graphs[static_cast<size_t>(gi)]);
     MinedPattern mp =
-        CountOccurrences(std::move(pattern).value(), graphs, options);
+        CountOccurrences(std::move(pattern).value(), hosts, options);
+    for (Occurrence& occ : mp.occurrences) {
+      occ.graph = found[static_cast<size_t>(occ.graph)];
+    }
     if (mp.support >= options.min_support) results->push_back(std::move(mp));
   };
 

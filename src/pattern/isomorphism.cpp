@@ -110,10 +110,11 @@ class Matcher {
       std::vector<NodeId> cands;
       for (const Neighbor& nb : g_.neighbors(ga)) cands.push_back(nb.node);
       if (g_.directed()) {
-        // In-neighbors too: scan pattern anchor orientation via full check in
-        // Feasible; here gather loosely.
+        // Pure in-neighbors too (Feasible checks the orientation). A
+        // neighbor joined in both orientations is already listed, and
+        // listing it twice would emit each of its matches twice.
         for (NodeId v = 0; v < g_.num_nodes(); ++v) {
-          if (g_.HasEdge(v, ga)) cands.push_back(v);
+          if (g_.HasEdge(v, ga) && !g_.HasEdge(ga, v)) cands.push_back(v);
         }
       }
       for (NodeId gv : cands) {

@@ -420,8 +420,7 @@ class FilteredMatcher {
       }
       if (g_.directed()) {
         // Pure in-neighbors only: a both-orientation neighbor was already
-        // tried above, and trying it again would emit duplicate matches
-        // (the blind matcher does — we do not).
+        // tried above, and trying it again would emit duplicate matches.
         for (NodeId gv = 0; gv < g_.num_nodes(); ++gv) {
           if (GHas(gv, ga) && !GHas(ga, gv) &&
               !TryCandidate(pv, gv, depth)) {

@@ -75,10 +75,8 @@ struct MatcherStats {
 bool BuildCandidateSets(const Graph& pattern, const Graph& target,
                         std::vector<std::vector<NodeId>>* candidates);
 
-/// Drop-in replacement for FindMatches: same match SET (order may differ,
-/// and unlike FindMatches — which can emit a mapping twice on directed
-/// graphs when a pair is connected in both orientations — each match is
-/// returned exactly once).
+/// Drop-in replacement for FindMatches: same match SET (order may differ),
+/// each match returned exactly once.
 std::vector<Match> FilteredFindMatches(const Graph& pattern,
                                        const Graph& target,
                                        const MatchOptions& options = {},

@@ -2,6 +2,10 @@
 // level-wise miner over a set of (small) explanation subgraphs: single-node
 // patterns are grown one node at a time along edges present in the data,
 // deduplicated by canonical code, and pruned by support (anti-monotone).
+// Growth runs on embeddings, gSpan's projected database: a child occurs
+// only where its parent does, and its matches there are the parent's
+// matches extended by one neighbour. The subgraph-isomorphism matcher runs
+// only where a match cap binds or on a directed graph.
 // MDL flavour: candidates are scored by how many data edges they describe,
 // which Psum consumes as the weighted-set-cover weight. Each candidate keeps
 // its per-graph occurrence list (the union of the matches found there), so
@@ -52,7 +56,9 @@ struct Occurrence {
   /// True when the match list stayed shorter than both
   /// MinerOptions::max_matches_per_graph and MatchOptions{}.max_matches, so
   /// no cap cut it: `mask` then equals ComputeCoverage(pattern, graph) under
-  /// the mining semantics and either cap.
+  /// the mining semantics and either cap. The list is the one FindMatches
+  /// returns under the mining cap, whether growth extended the parent's
+  /// matches (exact while no cap binds) or, once one does, ran the matcher.
   bool complete = false;
 };
 
@@ -70,7 +76,8 @@ struct MinedPattern {
 
 /// Matches `pattern` against every graph under `options.semantics`, capped
 /// at `options.max_matches_per_graph` matches per graph, and returns its
-/// occurrence list and statistics. Both mining engines count support here.
+/// occurrence list and statistics. gSpan counts support here, over the
+/// graphs its non-induced check found the pattern in.
 MinedPattern CountOccurrences(Pattern pattern,
                               const std::vector<const Graph*>& graphs,
                               const MinerOptions& options);

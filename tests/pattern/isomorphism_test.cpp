@@ -112,6 +112,22 @@ TEST(IsomorphismTest, MatchMapsPreserveAdjacency) {
   }
 }
 
+TEST(IsomorphismTest, ReciprocalDirectedPairMatchesOnce) {
+  // 0->1 and 1->0: the anchored search lists node 1 as an out- and as an
+  // in-neighbour of node 0, and must still emit each mapping once.
+  Graph g(/*directed=*/true);
+  g.AddNode(0);
+  g.AddNode(0);
+  ASSERT_TRUE(g.AddEdge(0, 1).ok());
+  ASSERT_TRUE(g.AddEdge(1, 0).ok());
+  const std::vector<Match> want{{0, 1}, {1, 0}};
+  EXPECT_EQ(FindMatches(Path(2), g), want);
+  // A cap of 2 therefore holds both distinct mappings.
+  MatchOptions opt;
+  opt.max_matches = 2;
+  EXPECT_EQ(FindMatches(Path(2), g, opt), want);
+}
+
 TEST(GraphsIsomorphicTest, DetectsIsomorphismAndRejectsNonIso) {
   Graph a = Path(4);
   // Same path with relabeled node order.

@@ -66,12 +66,11 @@ Graph RandomInducedSubgraph(Rng* rng, const Graph& g, int k) {
   return sub;
 }
 
-// Sorted + deduped: the blind matcher can emit a mapping twice on directed
-// graphs (its anchored search retries a both-orientation neighbor), so the
-// comparison is over match SETS — which is the filtered matcher's contract.
+// Sorted, not deduped: both matchers emit each mapping once, also on a
+// directed pair joined in both orientations, so a duplicate shows up here
+// as a mismatch.
 std::vector<Match> Sorted(std::vector<Match> matches) {
   std::sort(matches.begin(), matches.end());
-  matches.erase(std::unique(matches.begin(), matches.end()), matches.end());
   return matches;
 }
 

@@ -5,7 +5,9 @@
 #include <set>
 
 #include "pattern/coverage.h"
+#include "pattern/miner_reference.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace gvex {
 namespace {
@@ -211,6 +213,129 @@ TEST_P(MinerOccurrenceTest, IncompleteExactlyWhenCapReached) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, MinerOccurrenceTest,
+    ::testing::Values(MinerEngine::kLevelWise, MinerEngine::kGspan),
+    [](const ::testing::TestParamInfo<MinerEngine>& info) {
+      return info.param == MinerEngine::kGspan ? "Gspan" : "LevelWise";
+    });
+
+// Whole-output oracle: MinePatterns must return exactly what the full-scan
+// reference miner (tests/pattern/miner_reference.h) returns, field by
+// field, so a child that growth silently misses fails here even though
+// every pattern it does return has correct occurrences.
+class MinerOracleTest : public ::testing::TestWithParam<MinerEngine> {};
+
+Graph RandomTypedGraph(Rng* rng, bool directed, int num_types,
+                       int num_edge_types) {
+  Graph g(directed);
+  const int n = static_cast<int>(rng->NextInt(4, 9));
+  for (int i = 0; i < n; ++i) {
+    g.AddNode(static_cast<int>(
+        rng->NextUint(static_cast<uint64_t>(num_types))));
+  }
+  for (int u = 0; u < n; ++u) {
+    for (int v = directed ? 0 : u + 1; v < n; ++v) {
+      if (u == v || !rng->NextBool(0.3)) continue;
+      (void)g.AddEdge(u, v,
+                      static_cast<int>(rng->NextUint(
+                          static_cast<uint64_t>(num_edge_types))));
+    }
+  }
+  return g;
+}
+
+void ExpectSameMined(const std::vector<MinedPattern>& got,
+                     const std::vector<MinedPattern>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    const MinedPattern& a = got[i];
+    const MinedPattern& b = want[i];
+    SCOPED_TRACE(b.pattern.canonical_code());
+    ASSERT_EQ(a.pattern.canonical_code(), b.pattern.canonical_code());
+    EXPECT_EQ(a.support, b.support);
+    EXPECT_EQ(a.total_matches, b.total_matches);
+    EXPECT_EQ(a.covered_nodes, b.covered_nodes);
+    EXPECT_EQ(a.covered_edges, b.covered_edges);
+    ASSERT_EQ(a.occurrences.size(), b.occurrences.size());
+    for (size_t j = 0; j < a.occurrences.size(); ++j) {
+      const Occurrence& x = a.occurrences[j];
+      const Occurrence& y = b.occurrences[j];
+      EXPECT_EQ(x.graph, y.graph);
+      EXPECT_EQ(x.matches, y.matches);
+      EXPECT_EQ(x.complete, y.complete);
+      EXPECT_EQ(x.mask.nodes, y.mask.nodes);
+      EXPECT_EQ(x.mask.edges, y.mask.edges);
+    }
+  }
+}
+
+TEST_P(MinerOracleTest, MinePatternsEqualsFullScanReference) {
+  Rng rng(20240611);
+  // gSpan's backward extensions make 5-node runs costly under sanitizers.
+  const int deepest = GetParam() == MinerEngine::kGspan ? 4 : 5;
+  int incomplete = 0;  // capped occurrences seen: the fallbacks ran
+  int largest = 0;     // largest pattern seen: growth went deep
+  for (bool directed : {false, true}) {
+    for (int trial = 0; trial < 2; ++trial) {
+      const int num_types = 2 + trial;
+      const int num_edge_types = 3 - trial;
+      std::vector<Graph> owned;
+      const int num_graphs = static_cast<int>(rng.NextInt(3, 5));
+      for (int i = 0; i < num_graphs; ++i) {
+        owned.push_back(
+            RandomTypedGraph(&rng, directed, num_types, num_edge_types));
+      }
+      // A type-0 hub with four type-1 leaves: the hub-leaf edge grows from
+      // the hub's single match into four, so under a cap of 2 the child's
+      // list reaches the cap while its parent's did not.
+      Graph star(directed);
+      star.AddNode(0);
+      for (int leaf = 1; leaf <= 4; ++leaf) {
+        star.AddNode(1);
+        (void)star.AddEdge(0, leaf);
+      }
+      owned.push_back(std::move(star));
+      std::vector<const Graph*> graphs;
+      for (const Graph& g : owned) graphs.push_back(&g);
+      for (MatchSemantics sem :
+           {MatchSemantics::kInduced, MatchSemantics::kNonInduced}) {
+        for (int cap : {2, 256}) {
+          for (int min_support : {1, 2}) {
+            for (int max_nodes : {3, deepest}) {
+              MinerOptions opt;
+              opt.engine = GetParam();
+              opt.semantics = sem;
+              opt.max_matches_per_graph = cap;
+              opt.min_support = min_support;
+              opt.max_pattern_nodes = max_nodes;
+              // Every other configuration cuts the ranked list short.
+              opt.max_patterns = (cap + min_support + max_nodes) % 2 ? 64 : 7;
+              SCOPED_TRACE(::testing::Message()
+                           << "directed=" << directed << " trial=" << trial
+                           << " induced="
+                           << (sem == MatchSemantics::kInduced)
+                           << " cap=" << cap << " min_support="
+                           << min_support << " max_nodes=" << max_nodes);
+              const auto want = testing::ReferenceMinePatterns(graphs, opt);
+              const auto got = MinePatterns(graphs, opt);
+              ExpectSameMined(got, want);
+              for (const MinedPattern& mp : want) {
+                largest = std::max(largest, mp.pattern.num_nodes());
+                for (const Occurrence& occ : mp.occurrences) {
+                  incomplete += occ.complete ? 0 : 1;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(incomplete, 0);
+  EXPECT_EQ(largest, deepest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, MinerOracleTest,
     ::testing::Values(MinerEngine::kLevelWise, MinerEngine::kGspan),
     [](const ::testing::TestParamInfo<MinerEngine>& info) {
       return info.param == MinerEngine::kGspan ? "Gspan" : "LevelWise";
