@@ -9,7 +9,7 @@
 #include "gnn/gcn_model.h"
 #include "la/matrix_ops.h"
 #include "pattern/canonical.h"
-#include "pattern/isomorphism.h"
+#include "pattern/matcher.h"
 #include "pattern/miner.h"
 #include "util/rng.h"
 

@@ -8,11 +8,11 @@
 //
 // A second, fallback-heavy workload times queries whose canonical code is
 // NOT indexed — the path every non-exact containment query takes. Both
-// front ends scan there; the scan reference uses the blind backtracking
-// matcher, the index with the candidate-filtered matcher (pattern/
-// matcher.h), and the hardware-independent ratio `fallback_speedup` (blind
-// scan time / filtered scan time, same machine, same queries) records the
-// filtering win.
+// front ends scan there; the scan reference with the blind backtracking
+// oracle (tests/pattern/blind_matcher.h), the index with the production
+// candidate-filtered matcher (pattern/matcher.h), and the
+// hardware-independent ratio `fallback_speedup` (blind scan time / filtered
+// scan time, same machine, same queries) records the filtering win.
 //
 // The run merge-writes a "serving" section into BENCH_serving.json
 // (override with GVEX_BENCH_OUT); tools/check_bench.py gates

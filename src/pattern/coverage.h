@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "pattern/isomorphism.h"
+#include "pattern/matcher.h"
 #include "pattern/pattern.h"
 
 namespace gvex {

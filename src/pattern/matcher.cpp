@@ -14,10 +14,9 @@ namespace {
 using Signature = std::map<std::pair<int, int>, int>;
 
 // Distinct incident neighbors per node — BOTH orientations for directed
-// graphs. The blind matcher (the semantics we must reproduce exactly)
-// accepts a target edge of either orientation for a directed pattern edge,
-// so every structural filter here must look at the symmetric closure or it
-// over-prunes candidates the blind matcher accepts.
+// graphs. A directed pattern edge may map onto a target edge of either
+// orientation, so every structural filter here must look at the symmetric
+// closure or it over-prunes candidates that appear in matches.
 std::vector<std::vector<NodeId>> IncidentNeighbors(const Graph& g) {
   std::vector<std::vector<NodeId>> nbrs(
       static_cast<size_t>(g.num_nodes()));
@@ -37,14 +36,16 @@ std::vector<std::vector<NodeId>> IncidentNeighbors(const Graph& g) {
   return nbrs;
 }
 
-// Undirected graphs key on (neighbor type, edge type). Directed graphs key
-// on neighbor type only: the blind matcher resolves a directed pair's
-// effective edge type orientation- (and placement-order-) dependently, so
-// edge type cannot soundly constrain a directed signature.
+// Keys on (neighbor type, edge type) when pattern and target are both
+// undirected, else (`type_only`) on neighbor type alone: Feasible resolves
+// a directed pair's effective edge type orientation- (and BlindRank-)
+// dependently, so edge type cannot soundly constrain the signature once
+// either side is directed. Pattern and target must use the same keys.
 Signature NeighborSignature(const Graph& g, NodeId v,
-                            const std::vector<std::vector<NodeId>>& nbrs) {
+                            const std::vector<std::vector<NodeId>>& nbrs,
+                            bool type_only) {
   Signature sig;
-  if (g.directed()) {
+  if (type_only) {
     for (NodeId u : nbrs[static_cast<size_t>(v)]) {
       ++sig[{g.node_type(u), 0}];
     }
@@ -65,13 +66,13 @@ bool SignatureCovers(const Signature& have, const Signature& need) {
   return true;
 }
 
-// Placement ranks of the blind matcher (isomorphism.cpp BuildOrder:
-// highest-degree start, then most placed out-neighbors, degree tie-break).
-// The blind accept predicate resolves a pair's effective edge type from the
-// EARLIER-placed node's perspective, which matters when a pair is connected
-// in both orientations with different types — so to reproduce its match set
-// exactly while searching in a different order, Feasible below assigns pair
-// roles by these ranks, not by our own placement order.
+// Placement ranks of the blind test oracle (tests/pattern/blind_matcher.h
+// BuildOrder: highest-degree start, then most placed out-neighbors, degree
+// tie-break). A pair's effective edge type is resolved from the
+// EARLIER-ranked node's perspective, which matters when a pair is connected
+// in both orientations with different types — so the match set does not
+// depend on the search order, Feasible below assigns pair roles by these
+// ranks, not by our own placement order.
 std::vector<int> BlindRank(const Graph& p) {
   const int np = p.num_nodes();
   std::vector<int> rank(static_cast<size_t>(np), 0);
@@ -126,19 +127,20 @@ class FilteredMatcher {
 
     p_nbrs_ = IncidentNeighbors(p_);
     const std::vector<std::vector<NodeId>> g_nbrs = IncidentNeighbors(g_);
+    const bool type_only = p_.directed() || g_.directed();
     std::vector<Signature> target_sig;
     target_sig.reserve(static_cast<size_t>(nt));
     for (NodeId v = 0; v < nt; ++v) {
-      target_sig.push_back(NeighborSignature(g_, v, g_nbrs));
+      target_sig.push_back(NeighborSignature(g_, v, g_nbrs, type_only));
     }
     bool any_empty = false;
     for (int pv = 0; pv < np; ++pv) {
-      const Signature psig = NeighborSignature(p_, pv, p_nbrs_);
+      const Signature psig = NeighborSignature(p_, pv, p_nbrs_, type_only);
       bool empty = true;
       for (NodeId gv = 0; gv < nt; ++gv) {
         if (p_.node_type(pv) != g_.node_type(gv)) continue;
-        // The blind matcher enforces out-degree(pv) <= out-degree(gv) at
-        // every placement; reproduce it so no extra matches appear.
+        // Out-degree(pv) <= out-degree(gv) is part of the match
+        // definition (the oracle enforces it at every placement).
         if (p_.degree(pv) > g_.degree(gv)) continue;
         // Distinct pattern neighbors also map injectively to distinct
         // target neighbors (incident count — both orientations, see
@@ -340,9 +342,9 @@ class FilteredMatcher {
 
   bool Feasible(int pv, NodeId gv, int depth) {
     // Type/degree/signature already vetted by the candidate set; only the
-    // consistency against mapped neighbors remains. Pair roles follow the
-    // BLIND matcher's placement ranks (see BlindRank) so the effective
-    // edge type of a both-orientation pair resolves identically.
+    // consistency against mapped neighbors remains. Pair roles follow
+    // BlindRank so the effective edge type of a both-orientation pair does
+    // not depend on the search order.
     for (int i = 0; i < depth; ++i) {
       int pa = order_[static_cast<size_t>(i)];
       int pb = pv;
@@ -467,9 +469,8 @@ class FilteredMatcher {
   bool budget_exhausted_ = false;
 };
 
-// Shared driver: filter, then search. `verdict_mode` controls whether an
-// exhausted budget reports kUnknown (true) or degrades to "no match"
-// (false, the ContainsPattern-compatible behavior).
+// Shared driver: filter, then search. An exhausted budget reports kUnknown;
+// ContainsPattern turns that into "no match".
 MatchVerdict RunFiltered(const Graph& pattern, const Graph& target,
                          const MatchOptions& options, bool stop_at_first,
                          MatcherStats* stats, std::vector<Match>* matches) {
@@ -499,10 +500,9 @@ bool BuildCandidateSets(const Graph& pattern, const Graph& target,
   return feasible;
 }
 
-std::vector<Match> FilteredFindMatches(const Graph& pattern,
-                                       const Graph& target,
-                                       const MatchOptions& options,
-                                       MatcherStats* stats) {
+std::vector<Match> FindMatches(const Graph& pattern, const Graph& target,
+                               const MatchOptions& options,
+                               MatcherStats* stats) {
   if (pattern.num_nodes() == 0) return {};
   std::vector<Match> matches;
   (void)RunFiltered(pattern, target, options, /*stop_at_first=*/false,
@@ -510,18 +510,17 @@ std::vector<Match> FilteredFindMatches(const Graph& pattern,
   return matches;
 }
 
-bool FilteredContainsPattern(const Graph& target, const Graph& pattern,
-                             const MatchOptions& options,
-                             MatcherStats* stats) {
+bool ContainsPattern(const Graph& target, const Graph& pattern,
+                     const MatchOptions& options, MatcherStats* stats) {
   if (pattern.num_nodes() == 0) return true;
   return RunFiltered(pattern, target, options, /*stop_at_first=*/true,
                      stats, nullptr) == MatchVerdict::kMatch;
 }
 
-MatchVerdict FilteredContainsPatternBudgeted(const Graph& target,
-                                             const Graph& pattern,
-                                             const MatchOptions& options,
-                                             MatcherStats* stats) {
+MatchVerdict ContainsPatternBudgeted(const Graph& target,
+                                     const Graph& pattern,
+                                     const MatchOptions& options,
+                                     MatcherStats* stats) {
   if (pattern.num_nodes() == 0) return MatchVerdict::kMatch;
   return RunFiltered(pattern, target, options, /*stop_at_first=*/true,
                      stats, nullptr);

@@ -1,32 +1,33 @@
-// Candidate-filtered subgraph matching — the fast replacement for blind
-// backtracking on the serving fallback path.
+// Subgraph isomorphism — the PMatch primitive of §4, and the one matcher
+// PGen, Psum, the graph-view check, the view metrics, Stream-GVEX and the
+// serving fallback all run. Supports both induced semantics (non-edges of
+// the pattern must map to non-edges — the paper's stated "node-induced
+// subgraph isomorphism") and standard subgraph semantics.
 //
-// FindMatches/ContainsPattern (isomorphism.h) start backtracking with every
-// target node a candidate for every pattern node; type and degree are only
-// checked when a node is tried. The filtered matcher instead computes an
-// Ullmann-style per-node CANDIDATE SET first — target nodes matching the
-// pattern node's type, degree lower bound, and neighborhood signature
-// (per (neighbor type, edge type) counts; directed graphs use the
-// symmetric closure and neighbor types only, because the blind matcher
-// accepts either orientation for a directed edge) — and refines the sets
-// to a
-// fixpoint: a candidate survives only if every pattern neighbor still has a
-// candidate among its target neighbors. Most non-matching queries die right
-// there (some pattern node ends up with no candidates) without a single
-// backtracking step; matching queries backtrack over the surviving
-// candidates only, in a most-constrained-first order. Candidate sets are
-// bitsets over target nodes, so refinement and membership run on the
-// word-level kernels of util/bitops.h.
+// The matcher first computes an Ullmann-style per-node CANDIDATE SET —
+// target nodes matching the pattern node's type, degree lower bound, and
+// neighborhood signature (per (neighbor type, edge type) counts; once
+// either graph is directed, the symmetric closure and neighbor types only,
+// because a directed pattern edge may map onto a target edge of either
+// orientation) — and refines the sets to a fixpoint: a candidate survives
+// only if every pattern neighbor still has a candidate among its target
+// neighbors. Most non-matching queries die right there (some pattern node
+// ends up with no candidates) without a single backtracking step; matching
+// queries backtrack over the surviving candidates only, in a
+// most-constrained-first order. Candidate sets are bitsets over target
+// nodes, so refinement and membership run on the word-level kernels of
+// util/bitops.h.
 //
 // The filters are SOUND overapproximations for both induced and
 // non-induced semantics: any target node that appears in some match always
-// survives filtering, so the match set is exactly FindMatches' match set
-// (pinned by the randomized parity suite in tests/pattern/matcher_test.cpp;
-// enumeration ORDER may differ). ContainsPattern-compatible entry points
-// mirror the legacy budget behavior (exhausting MatchOptions::max_steps
-// returns "no match"); the *Budgeted entry point reports budget exhaustion
-// as an explicit kUnknown instead — a sound "don't know", never a wrong
-// yes or no.
+// survives filtering. The randomized parity suite
+// (tests/pattern/matcher_test.cpp) pins the match set, containment and
+// coverage to the blind VF2-style backtracker kept as a test oracle
+// (tests/pattern/blind_matcher.h); enumeration order differs from it, so
+// under a binding max_matches cap the list is "this matcher's first N".
+// ContainsPattern answers "no match" when MatchOptions::max_steps runs
+// out; ContainsPatternBudgeted reports budget exhaustion as an explicit
+// kUnknown instead — a sound "don't know", never a wrong yes or no.
 //
 // MaxCommonSubgraph is a McSplit-style branch-and-bound search for the
 // maximum common node-induced subgraph of two graphs (label classes +
@@ -46,9 +47,26 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "pattern/isomorphism.h"
 
 namespace gvex {
+
+/// Matching semantics for pattern edges.
+enum class MatchSemantics {
+  kInduced,     // edge in P <=> edge in G between mapped nodes
+  kNonInduced,  // edge in P  => edge in G
+};
+
+/// Options bounding a matching run.
+struct MatchOptions {
+  MatchSemantics semantics = MatchSemantics::kInduced;
+  /// Stop after this many matches (0 = unlimited).
+  int max_matches = 4096;
+  /// Backtracking-step budget; guards worst cases (0 = unlimited).
+  int64_t max_steps = 10'000'000;
+};
+
+/// One match: match[i] is the data-graph node that pattern node i maps to.
+using Match = std::vector<NodeId>;
 
 /// Tri-state answer for budgeted containment.
 enum class MatchVerdict {
@@ -75,25 +93,24 @@ struct MatcherStats {
 bool BuildCandidateSets(const Graph& pattern, const Graph& target,
                         std::vector<std::vector<NodeId>>* candidates);
 
-/// Drop-in replacement for FindMatches: same match SET (order may differ),
-/// each match returned exactly once.
-std::vector<Match> FilteredFindMatches(const Graph& pattern,
-                                       const Graph& target,
-                                       const MatchOptions& options = {},
-                                       MatcherStats* stats = nullptr);
+/// Enumerates the matches of `pattern` into `target`, each exactly once,
+/// stopping after options.max_matches. An empty pattern has none.
+std::vector<Match> FindMatches(const Graph& pattern, const Graph& target,
+                               const MatchOptions& options = {},
+                               MatcherStats* stats = nullptr);
 
-/// Drop-in replacement for ContainsPattern (early-exit, budget exhaustion
-/// answers false exactly like the legacy matcher).
-bool FilteredContainsPattern(const Graph& target, const Graph& pattern,
-                             const MatchOptions& options = {},
-                             MatcherStats* stats = nullptr);
+/// True iff at least one match exists (early-exit search). An empty
+/// pattern is contained; an exhausted step budget answers false.
+bool ContainsPattern(const Graph& target, const Graph& pattern,
+                     const MatchOptions& options = {},
+                     MatcherStats* stats = nullptr);
 
 /// Budget-honest containment: kUnknown when MatchOptions::max_steps ran
 /// out before a match was found or the space was exhausted.
-MatchVerdict FilteredContainsPatternBudgeted(const Graph& target,
-                                             const Graph& pattern,
-                                             const MatchOptions& options = {},
-                                             MatcherStats* stats = nullptr);
+MatchVerdict ContainsPatternBudgeted(const Graph& target,
+                                     const Graph& pattern,
+                                     const MatchOptions& options = {},
+                                     MatcherStats* stats = nullptr);
 
 /// Budget for MaxCommonSubgraph.
 struct McsOptions {

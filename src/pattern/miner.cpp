@@ -139,8 +139,9 @@ bool ExtendMatches(const Graph& g, const FlatMatches& parent, size_t k,
 // Level-wise growth: every pattern of the frontier gains one pendant node
 // along each applicable rule. A child occurs only where its generating
 // parent does, and its matches there extend the parent's; FindMatches runs
-// only when a cap binds or on a directed graph, where the blind matcher
-// resolves a reciprocal pair's edge type by placement order. Only one level
+// only when a cap binds or on a directed graph, where the matcher resolves
+// a reciprocal pair's edge type by the pattern's placement order
+// (BlindRank), which a child need not share with its parent. Only one level
 // of match lists is alive at a time, and the last level keeps none.
 void GrowLevelWise(const std::vector<const Graph*>& graphs,
                    const std::vector<ExtensionRule>& rules,

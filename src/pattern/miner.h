@@ -4,8 +4,11 @@
 // deduplicated by canonical code, and pruned by support (anti-monotone).
 // Growth runs on embeddings, gSpan's projected database: a child occurs
 // only where its parent does, and its matches there are the parent's
-// matches extended by one neighbour. The subgraph-isomorphism matcher runs
-// only where a match cap binds or on a directed graph.
+// matches extended by one neighbour. The subgraph-isomorphism matcher
+// (FindMatches, pattern/matcher.h) runs only where a match cap binds or on
+// a directed graph. The gSpan engine (pattern/gspan.h) checks a child's
+// support with the same matcher, and on undirected data only in the graphs
+// its parent occurs in.
 // MDL flavour: candidates are scored by how many data edges they describe,
 // which Psum consumes as the weighted-set-cover weight. Each candidate keeps
 // its per-graph occurrence list (the union of the matches found there), so
@@ -18,7 +21,7 @@
 
 #include "graph/graph.h"
 #include "pattern/coverage.h"
-#include "pattern/isomorphism.h"
+#include "pattern/matcher.h"
 #include "pattern/pattern.h"
 
 namespace gvex {
@@ -57,8 +60,9 @@ struct Occurrence {
   /// MinerOptions::max_matches_per_graph and MatchOptions{}.max_matches, so
   /// no cap cut it: `mask` then equals ComputeCoverage(pattern, graph) under
   /// the mining semantics and either cap. The list is the one FindMatches
-  /// returns under the mining cap, whether growth extended the parent's
-  /// matches (exact while no cap binds) or, once one does, ran the matcher.
+  /// returns under the mining cap — under a binding cap, the matcher's first
+  /// N matches — whether growth extended the parent's matches (exact while
+  /// no cap binds) or, once one does, ran the matcher.
   bool complete = false;
 };
 

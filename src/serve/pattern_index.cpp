@@ -34,8 +34,7 @@ CoverageWords Coverage(const ExplanationView& view, const Pattern& p,
                        const MatchOptions& match) {
   std::vector<uint64_t> bits(bitops::WordsForBits(view.subgraphs.size()), 0);
   for (size_t i = 0; i < view.subgraphs.size(); ++i) {
-    if (FilteredContainsPattern(view.subgraphs[i].subgraph, p.graph(),
-                                match)) {
+    if (ContainsPattern(view.subgraphs[i].subgraph, p.graph(), match)) {
       bitops::SetBit(bits.data(), i);
     }
   }
@@ -53,14 +52,13 @@ ViewMapPtr ShareViews(std::map<int, ExplanationView> views) {
   return shared;
 }
 
-// Every fallback containment check funnels through here: the candidate-
-// filtered matcher (bit-identical answers to the blind scan), with
-// the filter's fast-reject rate surfaced in stats().
+// Every fallback containment check funnels through here, with the
+// matcher's fast-reject rate (MatcherStats::filtered_out) surfaced in
+// stats().
 bool PatternIndex::SubgraphContains(const Graph& subgraph,
                                     const Pattern& p) const {
   MatcherStats mstats;
-  const bool contains =
-      FilteredContainsPattern(subgraph, p.graph(), match_, &mstats);
+  const bool contains = ContainsPattern(subgraph, p.graph(), match_, &mstats);
   if (mstats.filtered_out) {
     stats_->filtered_rejects.fetch_add(1, std::memory_order_relaxed);
   }
@@ -161,8 +159,8 @@ PatternIndex PatternIndex::Apply(const PatternIndex& prev,
             post.db_graphs = slot.prev->db_graphs;
           } else if (index.database_indexed_) {
             for (int i = 0; i < index.db_->size(); ++i) {
-              if (FilteredContainsPattern(index.db_->graph(i), p.graph(),
-                                          index.match_)) {
+              if (ContainsPattern(index.db_->graph(i), p.graph(),
+                                  index.match_)) {
                 post.db_graphs.push_back(i);
               }
             }

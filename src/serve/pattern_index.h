@@ -18,13 +18,13 @@
 //
 // Matching is kept only as a fallback for query patterns whose canonical
 // code is not in the index (non-exact containment queries) — those still
-// scan, but through the candidate-filtered matcher
-// (pattern/matcher.h) rather than blind backtracking; the filtered
-// matcher's answers are bit-identical to the blind ContainsPattern scan
-// (pinned by the oracle parity suites). Fallback scans and inconsistent
-// postings (a known code missing its per-label bitset — possible only with
-// a logically corrupt snapshot) are counted in stats() and the latter is
-// logged loudly; both still return the correct answer via the scan.
+// scan with ContainsPattern (pattern/matcher.h), whose candidate filter
+// refutes most non-containing graphs before any backtracking; the answers
+// are bit-identical to the scan reference's (pinned by the oracle parity
+// suites). Fallback scans and inconsistent postings (a known code missing
+// its per-label bitset — possible only with a logically corrupt snapshot)
+// are counted in stats() and the latter is logged loudly; both still
+// return the correct answer via the scan.
 //
 // Complexity: Build is O(codes x (total subgraphs + database size)) pattern
 // matches. Apply — the admission path — derives the next epoch's index
@@ -59,7 +59,7 @@
 
 #include "explain/explanation.h"
 #include "graph/graph_database.h"
-#include "pattern/isomorphism.h"
+#include "pattern/matcher.h"
 #include "pattern/pattern.h"
 #include "store/snapshot.h"
 

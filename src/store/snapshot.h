@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "explain/explanation.h"
-#include "pattern/isomorphism.h"
+#include "pattern/matcher.h"
 #include "util/status.h"
 
 namespace gvex {

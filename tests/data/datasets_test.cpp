@@ -4,7 +4,7 @@
 
 #include "data/motifs.h"
 #include "graph/connectivity.h"
-#include "pattern/isomorphism.h"
+#include "pattern/matcher.h"
 
 namespace gvex {
 namespace {

@@ -5,7 +5,7 @@
 #include <set>
 #include <vector>
 
-#include "pattern/isomorphism.h"
+#include "pattern/matcher.h"
 
 namespace gvex {
 namespace {

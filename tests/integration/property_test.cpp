@@ -9,7 +9,7 @@
 
 #include "la/matrix_ops.h"
 #include "la/sparse.h"
-#include "pattern/isomorphism.h"
+#include "pattern/matcher.h"
 #include "util/rng.h"
 
 namespace gvex {

@@ -1,18 +1,36 @@
-#include "pattern/isomorphism.h"
+// Test- and bench-only oracle for subgraph isomorphism (the PMatch
+// primitive of §4): VF2-style blind backtracking with node-type, edge-type
+// and degree pruning, and every target node a candidate for every pattern
+// node until it is tried. Supports both induced semantics (non-edges of the
+// pattern must map to non-edges — the paper's stated "node-induced subgraph
+// isomorphism") and standard subgraph semantics.
+//
+// Production matching is the candidate-filtered kernel (pattern/matcher.h).
+// MatcherParityTest pins its match set, its containment answers and the
+// coverage built from them to this backtracker; enumeration order may
+// differ. The kernel's directed-pair edge-type rule (BlindRank in
+// matcher.cpp) reproduces this matcher's placement order.
 
-#include <algorithm>
+#ifndef GVEX_TESTS_PATTERN_BLIND_MATCHER_H_
+#define GVEX_TESTS_PATTERN_BLIND_MATCHER_H_
+
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "graph/graph.h"
+#include "pattern/matcher.h"
 
 namespace gvex {
-
-namespace {
+namespace testing {
 
 // Backtracking matcher state. Pattern nodes are matched in a connectivity-
 // aware static order (each next node is adjacent to an already-ordered node
 // when possible) to keep the frontier connected.
-class Matcher {
+class BlindMatcher {
  public:
-  Matcher(const Graph& pattern, const Graph& target,
-          const MatchOptions& options)
+  BlindMatcher(const Graph& pattern, const Graph& target,
+               const MatchOptions& options)
       : p_(pattern), g_(target), opt_(options) {
     BuildOrder();
     mapping_.assign(static_cast<size_t>(p_.num_nodes()), -1);
@@ -153,30 +171,35 @@ class Matcher {
   bool stop_at_first_ = false;
 };
 
-}  // namespace
-
-std::vector<Match> FindMatches(const Graph& pattern, const Graph& target,
-                               const MatchOptions& options) {
+/// Enumerates matches of `pattern` into `target` by blind backtracking.
+inline std::vector<Match> BlindFindMatches(const Graph& pattern,
+                                           const Graph& target,
+                                           const MatchOptions& options = {}) {
   if (pattern.num_nodes() == 0) return {};
-  Matcher m(pattern, target, options);
+  BlindMatcher m(pattern, target, options);
   return m.Run(/*stop_at_first=*/false);
 }
 
-bool ContainsPattern(const Graph& target, const Graph& pattern,
-                     const MatchOptions& options) {
+/// True iff at least one match exists (early-exit search).
+inline bool BlindContainsPattern(const Graph& target, const Graph& pattern,
+                                 const MatchOptions& options = {}) {
   if (pattern.num_nodes() == 0) return true;
-  Matcher m(pattern, target, options);
+  BlindMatcher m(pattern, target, options);
   return !m.Run(/*stop_at_first=*/true).empty();
 }
 
-bool GraphsIsomorphic(const Graph& a, const Graph& b) {
+/// Full graph isomorphism test (same node count + induced matching).
+inline bool GraphsIsomorphic(const Graph& a, const Graph& b) {
   if (a.num_nodes() != b.num_nodes() || a.num_edges() != b.num_edges()) {
     return false;
   }
   MatchOptions opt;
   opt.semantics = MatchSemantics::kInduced;
   opt.max_matches = 1;
-  return ContainsPattern(b, a, opt);
+  return BlindContainsPattern(b, a, opt);
 }
 
+}  // namespace testing
 }  // namespace gvex
+
+#endif  // GVEX_TESTS_PATTERN_BLIND_MATCHER_H_

@@ -1,9 +1,10 @@
 // Randomized oracle-parity suite for the candidate-filtered matcher
-// (pattern/matcher.h) against the blind backtracking matcher
-// (pattern/isomorphism.h): same match SET on every probe, across induced /
-// non-induced semantics, label-less nodes, directed graphs, and
-// disconnected patterns; plus the budget path returning a sound "don't
-// know" and the McSplit maximum-common-subgraph search.
+// (pattern/matcher.h) against the blind backtracking oracle
+// (tests/pattern/blind_matcher.h): same match SET, containment answer and
+// coverage on every probe, across induced / non-induced semantics,
+// label-less nodes, directed graphs, and disconnected patterns; plus the
+// budget path returning a sound "don't know" and the McSplit
+// maximum-common-subgraph search.
 
 #include "pattern/matcher.h"
 
@@ -12,7 +13,8 @@
 #include <algorithm>
 #include <vector>
 
-#include "pattern/isomorphism.h"
+#include "pattern/blind_matcher.h"
+#include "pattern/coverage.h"
 #include "util/rng.h"
 
 namespace gvex {
@@ -66,6 +68,17 @@ Graph RandomInducedSubgraph(Rng* rng, const Graph& g, int k) {
   return sub;
 }
 
+// `g` with the other directedness: each stored edge once, in its stored
+// orientation (a reciprocal pair collapses to its first edge). The miner
+// matches undirected patterns into directed graphs, so the sweep probes
+// mixed directedness too.
+Graph Redirected(const Graph& g) {
+  Graph out(!g.directed());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) out.AddNode(g.node_type(v));
+  for (const Edge& e : g.edges()) (void)out.AddEdge(e.u, e.v, e.edge_type);
+  return out;
+}
+
 // Sorted, not deduped: both matchers emit each mapping once, also on a
 // directed pair joined in both orientations, so a duplicate shows up here
 // as a mismatch.
@@ -76,15 +89,27 @@ std::vector<Match> Sorted(std::vector<Match> matches) {
 
 // One probe: both matchers, both entry points, must agree. The blind
 // matcher's enumeration order differs from the filtered one's, so match
-// LISTS are compared as sorted sets.
+// LISTS are compared as sorted sets. ComputeCoverage, which runs the
+// filtered matcher, must equal the union of the blind matches.
 void ExpectParity(const Graph& pattern, const Graph& target,
                   const MatchOptions& options) {
-  const auto blind = Sorted(FindMatches(pattern, target, options));
-  const auto filtered =
-      Sorted(FilteredFindMatches(pattern, target, options));
+  const auto blind_matches =
+      testing::BlindFindMatches(pattern, target, options);
+  const auto blind = Sorted(blind_matches);
+  const auto filtered = Sorted(FindMatches(pattern, target, options));
   EXPECT_EQ(blind, filtered);
-  EXPECT_EQ(ContainsPattern(target, pattern, options),
-            FilteredContainsPattern(target, pattern, options));
+  EXPECT_EQ(testing::BlindContainsPattern(target, pattern, options),
+            ContainsPattern(target, pattern, options));
+  auto p = Pattern::Create(pattern);
+  if (!p.ok()) return;  // disconnected: ComputeCoverage takes patterns only
+  std::vector<NodeId> flat;
+  for (const Match& m : blind_matches) {
+    flat.insert(flat.end(), m.begin(), m.end());
+  }
+  const CoverageMask want = MatchCoverage(pattern, target, flat);
+  const CoverageMask got = ComputeCoverage(p.value(), target, options);
+  EXPECT_EQ(got.nodes, want.nodes);
+  EXPECT_EQ(got.edges, want.edges);
 }
 
 class MatcherParityTest : public ::testing::TestWithParam<uint64_t> {};
@@ -126,8 +151,10 @@ TEST_P(MatcherParityTest, RandomProbesMatchBlindMatcher) {
            {MatchSemantics::kInduced, MatchSemantics::kNonInduced}) {
         MatchOptions options;
         options.semantics = semantics;
-        ExpectParity(planted, target, options);
-        ExpectParity(random_probe, target, options);
+        for (const Graph* probe : {&planted, &random_probe}) {
+          ExpectParity(*probe, target, options);
+          ExpectParity(Redirected(*probe), target, options);
+        }
       }
     }
   }
@@ -144,16 +171,14 @@ TEST(FilteredMatcherTest, EmptyAndOversizedPatternsMirrorLegacy) {
   two.AddNode(0);
   two.AddNode(0);
   // Empty pattern: no matches, but containment is trivially true (the
-  // legacy convention).
-  EXPECT_TRUE(FilteredFindMatches(empty, one).empty());
-  EXPECT_TRUE(FilteredContainsPattern(one, empty));
-  EXPECT_EQ(FilteredContainsPatternBudgeted(one, empty),
-            MatchVerdict::kMatch);
+  // oracle's convention).
+  EXPECT_TRUE(FindMatches(empty, one).empty());
+  EXPECT_TRUE(ContainsPattern(one, empty));
+  EXPECT_EQ(ContainsPatternBudgeted(one, empty), MatchVerdict::kMatch);
   // Pattern larger than the target can never match.
-  EXPECT_TRUE(FilteredFindMatches(two, one).empty());
-  EXPECT_FALSE(FilteredContainsPattern(one, two));
-  EXPECT_EQ(FilteredContainsPatternBudgeted(one, two),
-            MatchVerdict::kNoMatch);
+  EXPECT_TRUE(FindMatches(two, one).empty());
+  EXPECT_FALSE(ContainsPattern(one, two));
+  EXPECT_EQ(ContainsPatternBudgeted(one, two), MatchVerdict::kNoMatch);
 }
 
 TEST(FilteredMatcherTest, CandidateSetsAreSoundOverapproximations) {
@@ -169,7 +194,8 @@ TEST(FilteredMatcherTest, CandidateSetsAreSoundOverapproximations) {
          {MatchSemantics::kInduced, MatchSemantics::kNonInduced}) {
       MatchOptions options;
       options.semantics = semantics;
-      for (const Match& m : FindMatches(pattern, target, options)) {
+      for (const Match& m :
+           testing::BlindFindMatches(pattern, target, options)) {
         for (size_t pv = 0; pv < m.size(); ++pv) {
           EXPECT_TRUE(std::find(candidates[pv].begin(),
                                 candidates[pv].end(),
@@ -192,15 +218,15 @@ TEST(FilteredMatcherTest, TypeMismatchRefutesWithoutBacktracking) {
   std::vector<std::vector<NodeId>> candidates;
   EXPECT_FALSE(BuildCandidateSets(pattern, target, &candidates));
   MatcherStats stats;
-  EXPECT_FALSE(FilteredContainsPattern(target, pattern, {}, &stats));
+  EXPECT_FALSE(ContainsPattern(target, pattern, {}, &stats));
   EXPECT_TRUE(stats.filtered_out);
   EXPECT_EQ(stats.steps, 0u);
 }
 
 // The budget path: a tiny step budget cannot prove anything about a hard
 // instance — the budgeted entry point must say kUnknown (sound "don't
-// know"), while the ContainsPattern-compatible entry point mirrors the
-// legacy convention (exhaustion answers false).
+// know"), while ContainsPattern keeps the oracle's convention (exhaustion
+// answers false).
 TEST(FilteredMatcherTest, BudgetExhaustionIsASoundDontKnow) {
   // C6 vs K8, all one type: non-induced contains it, induced does not,
   // and either proof needs more than a couple of backtracking steps.
@@ -218,20 +244,18 @@ TEST(FilteredMatcherTest, BudgetExhaustionIsASoundDontKnow) {
     MatchOptions tiny;
     tiny.semantics = semantics;
     tiny.max_steps = 3;
-    EXPECT_EQ(FilteredContainsPatternBudgeted(k8, c6, tiny),
-              MatchVerdict::kUnknown);
-    // Drop-in variant: exhaustion degrades to "false", like the legacy
-    // matcher.
-    EXPECT_FALSE(FilteredContainsPattern(k8, c6, tiny));
+    EXPECT_EQ(ContainsPatternBudgeted(k8, c6, tiny), MatchVerdict::kUnknown);
+    // Plain containment: exhaustion degrades to "false".
+    EXPECT_FALSE(ContainsPattern(k8, c6, tiny));
   }
   // With no budget the definite answers come back.
   MatchOptions unlimited;
   unlimited.max_steps = 0;
   unlimited.semantics = MatchSemantics::kNonInduced;
-  EXPECT_EQ(FilteredContainsPatternBudgeted(k8, c6, unlimited),
+  EXPECT_EQ(ContainsPatternBudgeted(k8, c6, unlimited),
             MatchVerdict::kMatch);
   unlimited.semantics = MatchSemantics::kInduced;
-  EXPECT_EQ(FilteredContainsPatternBudgeted(k8, c6, unlimited),
+  EXPECT_EQ(ContainsPatternBudgeted(k8, c6, unlimited),
             MatchVerdict::kNoMatch);
 }
 
@@ -250,12 +274,13 @@ TEST(FilteredMatcherTest, BudgetedVerdictsAreNeverWrong) {
                               : RandomGraph(&rng, probe_shape);
     MatchOptions unlimited;
     unlimited.max_steps = 0;
-    const bool truth = ContainsPattern(target, pattern, unlimited);
+    const bool truth =
+        testing::BlindContainsPattern(target, pattern, unlimited);
     for (int64_t budget : {1, 3, 10, 100, 0}) {
       MatchOptions options;
       options.max_steps = budget;
       const MatchVerdict v =
-          FilteredContainsPatternBudgeted(target, pattern, options);
+          ContainsPatternBudgeted(target, pattern, options);
       if (v == MatchVerdict::kMatch) {
         EXPECT_TRUE(truth);
       }

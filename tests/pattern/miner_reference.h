@@ -1,12 +1,18 @@
 // Test-only oracle for PGen (MinePatterns): both mining engines as they ran
 // before level-wise growth extended its parents' embeddings. Every
-// candidate, seeds included, is counted by a full scan: one blind
-// FindMatches per graph under the mining semantics and match cap, whose
-// matches give the occurrence (MatchCoverage), and gSpan counts induced
-// occurrences in every graph rather than only where its non-induced check
-// found the candidate. Seeding, growth order, deduplication, ranking and the
-// max_patterns cut are the production ones, so the returned list is the
+// candidate, seeds included, is counted by a full scan: one FindMatches per
+// graph under the mining semantics and match cap, whose matches give the
+// occurrence (MatchCoverage). gSpan checks a candidate's non-induced
+// support in every graph rather than only in its parent's, and counts
+// induced occurrences in every graph rather than only where that check
+// found the candidate. Seeding, growth order, deduplication, ranking and
+// the max_patterns cut are the production ones, so the returned list is the
 // specification MinePatterns must match field by field.
+//
+// The scan runs the production matcher (pattern/matcher.h), not the blind
+// oracle: under a binding cap a capped list is "the matcher's first N
+// matches", so the reference and MinePatterns must enumerate in the same
+// order. MatcherParityTest pins that matcher's match sets to the oracle.
 
 #ifndef GVEX_TESTS_PATTERN_MINER_REFERENCE_H_
 #define GVEX_TESTS_PATTERN_MINER_REFERENCE_H_
@@ -20,7 +26,7 @@
 
 #include "pattern/canonical.h"
 #include "pattern/coverage.h"
-#include "pattern/isomorphism.h"
+#include "pattern/matcher.h"
 #include "pattern/miner.h"
 
 namespace gvex {

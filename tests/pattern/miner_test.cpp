@@ -294,6 +294,30 @@ TEST_P(MinerOracleTest, MinePatternsEqualsFullScanReference) {
         (void)star.AddEdge(0, leaf);
       }
       owned.push_back(std::move(star));
+      if (directed) {
+        // A child can occur in a directed graph its parent misses. `pair`
+        // joins a(0) and b(1) both ways with type 2; `twisted` holds a->b
+        // of type 1 and b->a of type 2. The matcher reads a reciprocal
+        // pair's edge type from the endpoint placed first (BlindRank): in
+        // the type-2 edge pattern x(0)-y(1) that is x, which sees type 1
+        // in `twisted` and misses, but once y gains a type-1 neighbour it
+        // is y, which sees type 2.
+        Graph pair(/*directed=*/true);
+        pair.AddNode(0);
+        pair.AddNode(1);
+        (void)pair.AddEdge(0, 1, 2);
+        (void)pair.AddEdge(1, 0, 2);
+        owned.push_back(std::move(pair));
+        Graph twisted(/*directed=*/true);
+        twisted.AddNode(0);
+        twisted.AddNode(1);
+        twisted.AddNode(1);
+        (void)twisted.AddEdge(0, 1, 1);
+        (void)twisted.AddEdge(1, 0, 2);
+        (void)twisted.AddEdge(1, 2, 1);
+        (void)twisted.AddEdge(2, 1, 1);
+        owned.push_back(std::move(twisted));
+      }
       std::vector<const Graph*> graphs;
       for (const Graph& g : owned) graphs.push_back(&g);
       for (MatchSemantics sem :

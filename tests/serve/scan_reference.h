@@ -1,7 +1,8 @@
 // Test- and bench-only oracle for the view queries of §1 / Table 1: every
 // query answered by a linear scan, one blind subgraph-isomorphism check
-// (ContainsPattern, induced semantics) per (pattern, graph) pair, and tier
-// membership by Pattern::IsomorphicTo. It has no index and no cache.
+// (BlindContainsPattern from tests/pattern/blind_matcher.h, induced
+// semantics) per (pattern, graph) pair, and tier membership by
+// Pattern::IsomorphicTo. It has no index and no cache.
 //
 // ViewService answers the same queries through the inverted PatternIndex;
 // the oracle parity suite (tests/serve/pattern_index_test.cpp) pins those
@@ -20,7 +21,7 @@
 
 #include "explain/explanation.h"
 #include "graph/graph_database.h"
-#include "pattern/isomorphism.h"
+#include "pattern/blind_matcher.h"
 #include "pattern/pattern.h"
 
 namespace gvex {
@@ -53,7 +54,7 @@ class ScanReference {
     auto it = views_.find(label);
     if (it == views_.end()) return out;
     for (const auto& s : it->second.subgraphs) {
-      if (ContainsPattern(s.subgraph, p.graph(), match_options_)) {
+      if (BlindContainsPattern(s.subgraph, p.graph(), match_options_)) {
         out.push_back(s.graph_index);
       }
     }
@@ -83,7 +84,7 @@ class ScanReference {
                                              : db_->true_label(i);
         if (l != label) continue;
       }
-      if (ContainsPattern(db_->graph(i), p.graph(), match_options_)) {
+      if (BlindContainsPattern(db_->graph(i), p.graph(), match_options_)) {
         out.push_back(i);
       }
     }
@@ -99,7 +100,7 @@ class ScanReference {
       for (const auto& [other_label, other_view] : views_) {
         if (other_label == label) continue;
         for (const auto& s : other_view.subgraphs) {
-          if (ContainsPattern(s.subgraph, p.graph(), match_options_)) {
+          if (BlindContainsPattern(s.subgraph, p.graph(), match_options_)) {
             found_elsewhere = true;
             break;
           }

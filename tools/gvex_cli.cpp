@@ -8,7 +8,8 @@
 //   gvex_cli train    --graphs graphs.txt [--hidden 32] [--epochs 100]
 //                     [--out model.txt]
 //   gvex_cli explain  --graphs graphs.txt --model model.txt --label 1
-//                     [--algo ag|sg] [--ul 10] [--theta 0.08] [--r 0.25]
+//                     [--algo ag|sg] [--engine levelwise|gspan]
+//                     [--ul 10] [--theta 0.08] [--r 0.25]
 //                     [--out views.txt]
 //   gvex_cli query    --views views.txt [--label 1] [--graphs graphs.txt]
 
@@ -117,12 +118,19 @@ int CmdExplain(const Args& args) {
   config.gamma = args.GetFloat("gamma", 0.5f);
   config.default_bound = {args.GetInt("bl", 0), args.GetInt("ul", 10)};
   config.miner.max_pattern_nodes = args.GetInt("pattern-nodes", 3);
-  if (args.Get("engine", "levelwise") == "gspan") {
+  const std::string engine = args.Get("engine", "levelwise");
+  if (engine == "gspan") {
     config.miner.engine = MinerEngine::kGspan;
+  } else if (engine != "levelwise") {
+    return Fail("unknown --engine '" + engine +
+                "' (accepted: levelwise, gspan)");
+  }
+  const std::string algo = args.Get("algo", "ag");
+  if (algo != "ag" && algo != "sg") {
+    return Fail("unknown --algo '" + algo + "' (accepted: ag, sg)");
   }
 
   const int label = args.GetInt("label", 1);
-  const std::string algo = args.Get("algo", "ag");
   Result<ExplanationView> view = Status::Internal("unset");
   if (algo == "sg") {
     StreamGvex sg(&model.value(), config);

@@ -103,8 +103,9 @@ trap 'rm -rf "${store_scratch}"' EXIT
 # CLI pipeline smoke: generate -> train -> explain -> query on the MUT
 # stand-in, in a scratch directory (the CLI reads and writes graphs.txt,
 # model.txt and views.txt in its working directory). The query must list
-# the view's patterns with their database counts, and a views file whose
-# header carries no label (`view -1`) must make query fail.
+# the view's patterns with their database counts, a views file whose
+# header carries no label (`view -1`) must make query fail, and explain
+# must refuse a misspelled --engine or --algo, naming the accepted values.
 cli="$(cd "${build_dir}" && pwd)/tools/gvex_cli"
 mkdir -p "${store_scratch}/cli"
 (
@@ -120,6 +121,14 @@ mkdir -p "${store_scratch}/cli"
     echo "cli smoke: query served a view with no label" >&2
     exit 1
   fi
+  for bad in "--engine gSpan" "--algo apx"; do
+    # ${bad} is left unquoted: it splits into a flag and its value.
+    if explain_err="$("${cli}" explain --label 1 ${bad} 2>&1 >/dev/null)"; then
+      echo "cli smoke: explain accepted ${bad}" >&2
+      exit 1
+    fi
+    grep -q 'accepted: ' <<< "${explain_err}"
+  done
 )
 echo "cli pipeline smoke: ok"
 
