@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "util/bitops.h"
 
@@ -9,59 +10,108 @@ namespace gvex {
 
 namespace {
 
-// (neighbor node type, edge type) -> count. Small graphs, few distinct
-// keys: an ordered map keeps the comparison loop trivial.
-using Signature = std::map<std::pair<int, int>, int>;
-
-// Distinct incident neighbors per node — BOTH orientations for directed
-// graphs. A directed pattern edge may map onto a target edge of either
+// Distinct incident neighbors per node, flat: node v's list is
+// nodes[begin[v] .. begin[v + 1]). BOTH orientations for directed graphs:
+// a directed pattern edge may map onto a target edge of either
 // orientation, so every structural filter here must look at the symmetric
 // closure or it over-prunes candidates that appear in matches.
-std::vector<std::vector<NodeId>> IncidentNeighbors(const Graph& g) {
-  std::vector<std::vector<NodeId>> nbrs(
-      static_cast<size_t>(g.num_nodes()));
+struct IncidentLists {
+  std::vector<NodeId> nodes;
+  std::vector<size_t> begin;
+
+  size_t size(NodeId v) const {
+    return begin[static_cast<size_t>(v) + 1] - begin[static_cast<size_t>(v)];
+  }
+};
+
+// Fills `out`, reusing its storage; `pairs` is scratch.
+void IncidentNeighbors(const Graph& g,
+                       std::vector<std::pair<NodeId, NodeId>>* pairs,
+                       IncidentLists* out) {
+  pairs->clear();
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     for (const Neighbor& nb : g.neighbors(v)) {
-      nbrs[static_cast<size_t>(v)].push_back(nb.node);
-      if (g.directed()) nbrs[static_cast<size_t>(nb.node)].push_back(v);
+      pairs->emplace_back(v, nb.node);
+      if (g.directed()) pairs->emplace_back(nb.node, v);
     }
   }
   if (g.directed()) {
     // Dedupe pairs connected in both orientations.
-    for (auto& list : nbrs) {
-      std::sort(list.begin(), list.end());
-      list.erase(std::unique(list.begin(), list.end()), list.end());
-    }
+    std::sort(pairs->begin(), pairs->end());
+    pairs->erase(std::unique(pairs->begin(), pairs->end()), pairs->end());
   }
-  return nbrs;
+  out->begin.assign(static_cast<size_t>(g.num_nodes()) + 1, 0);
+  out->nodes.clear();
+  for (const auto& [v, u] : *pairs) {
+    ++out->begin[static_cast<size_t>(v) + 1];
+    out->nodes.push_back(u);
+  }
+  for (size_t v = 1; v < out->begin.size(); ++v) {
+    out->begin[v] += out->begin[v - 1];
+  }
 }
 
-// Keys on (neighbor type, edge type) when pattern and target are both
-// undirected, else (`type_only`) on neighbor type alone: Feasible resolves
+// Every node's neighborhood signature, flat: node v's (key, count) runs,
+// ascending by key, are runs[begin[v] .. begin[v + 1]). A key packs
+// (neighbor node type, edge type) when pattern and target are both
+// undirected, else (`type_only`) the neighbor type alone: Feasible resolves
 // a directed pair's effective edge type orientation- (and BlindRank-)
 // dependently, so edge type cannot soundly constrain the signature once
 // either side is directed. Pattern and target must use the same keys.
-Signature NeighborSignature(const Graph& g, NodeId v,
-                            const std::vector<std::vector<NodeId>>& nbrs,
-                            bool type_only) {
-  Signature sig;
-  if (type_only) {
-    for (NodeId u : nbrs[static_cast<size_t>(v)]) {
-      ++sig[{g.node_type(u), 0}];
-    }
-  } else {
-    for (const Neighbor& nb : g.neighbors(v)) {
-      ++sig[{g.node_type(nb.node), nb.edge_type}];
-    }
-  }
-  return sig;
+struct Signatures {
+  std::vector<std::pair<uint64_t, int>> runs;
+  std::vector<size_t> begin;
+};
+
+uint64_t SignatureKey(int node_type, int edge_type) {
+  return (uint64_t{static_cast<uint32_t>(node_type)} << 32) |
+         static_cast<uint32_t>(edge_type);
 }
 
-// Every key of `need` present in `have` with at least the needed count.
-bool SignatureCovers(const Signature& have, const Signature& need) {
-  for (const auto& [key, count] : need) {
-    auto it = have.find(key);
-    if (it == have.end() || it->second < count) return false;
+// Fills `out`, reusing its storage; `keys` is scratch.
+void NeighborSignatures(const Graph& g, const IncidentLists& nbrs,
+                        bool type_only, std::vector<uint64_t>* keys,
+                        Signatures* out) {
+  out->runs.clear();
+  out->begin.assign(1, 0);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    keys->clear();
+    if (type_only) {
+      for (size_t i = nbrs.begin[static_cast<size_t>(v)];
+           i < nbrs.begin[static_cast<size_t>(v) + 1]; ++i) {
+        keys->push_back(SignatureKey(g.node_type(nbrs.nodes[i]), 0));
+      }
+    } else {
+      for (const Neighbor& nb : g.neighbors(v)) {
+        keys->push_back(SignatureKey(g.node_type(nb.node), nb.edge_type));
+      }
+    }
+    std::sort(keys->begin(), keys->end());
+    for (size_t i = 0; i < keys->size(); ++i) {
+      if (i > 0 && (*keys)[i] == (*keys)[i - 1]) {
+        ++out->runs.back().second;
+      } else {
+        out->runs.emplace_back((*keys)[i], 1);
+      }
+    }
+    out->begin.push_back(out->runs.size());
+  }
+}
+
+// Every key of `need`'s node `nv` present in `have`'s node `hv` with at
+// least the needed count (a merge walk over the two sorted runs).
+bool SignatureCovers(const Signatures& have, NodeId hv,
+                     const Signatures& need, NodeId nv) {
+  size_t h = have.begin[static_cast<size_t>(hv)];
+  const size_t h_end = have.begin[static_cast<size_t>(hv) + 1];
+  for (size_t n = need.begin[static_cast<size_t>(nv)];
+       n < need.begin[static_cast<size_t>(nv) + 1]; ++n) {
+    const auto& [key, count] = need.runs[n];
+    while (h < h_end && have.runs[h].first < key) ++h;
+    if (h == h_end || have.runs[h].first != key ||
+        have.runs[h].second < count) {
+      return false;
+    }
   }
   return true;
 }
@@ -107,6 +157,32 @@ std::vector<int> BlindRank(const Graph& p) {
   return rank;
 }
 
+// The buffers a thread's matcher runs reuse, so that a run on a small
+// target allocates little beyond its results. Runs never nest, so one set
+// per thread suffices.
+struct MatcherBuffers {
+  std::vector<uint64_t> cand;  // words per pattern node
+  std::vector<uint64_t> adj;   // words per target node
+  IncidentLists p_nbrs;        // incident, both orientations
+  IncidentLists g_nbrs;
+  Signatures p_sigs;
+  Signatures g_sigs;
+  std::vector<std::pair<NodeId, NodeId>> pairs;  // IncidentNeighbors scratch
+  std::vector<uint64_t> keys;  // NeighborSignatures scratch
+  std::vector<uint8_t> p_has;  // dense n*n edge existence (see PHas)
+  std::vector<int32_t> p_et;   // dense n*n edge types, -1 = none
+  std::vector<uint8_t> g_has;
+  std::vector<int32_t> g_et;
+  std::vector<int> order;
+  Match mapping;
+  std::vector<bool> used;
+};
+
+MatcherBuffers& ThreadBuffers() {
+  thread_local MatcherBuffers buffers;
+  return buffers;
+}
+
 // Shared state for one filtered run: candidate bitsets over target nodes,
 // target adjacency bitsets, and the backtracking machinery.
 class FilteredMatcher {
@@ -121,21 +197,19 @@ class FilteredMatcher {
     const int np = p_.num_nodes();
     const int nt = g_.num_nodes();
     words_ = bitops::WordsForBits(static_cast<size_t>(nt));
-    cand_.assign(static_cast<size_t>(np),
-                 std::vector<uint64_t>(words_, 0));
+    cand_.assign(static_cast<size_t>(np) * words_, 0);
     if (np > nt) return false;
 
-    p_nbrs_ = IncidentNeighbors(p_);
-    const std::vector<std::vector<NodeId>> g_nbrs = IncidentNeighbors(g_);
+    IncidentNeighbors(p_, &buf_.pairs, &p_nbrs_);
+    IncidentNeighbors(g_, &buf_.pairs, &buf_.g_nbrs);
+    const IncidentLists& g_nbrs = buf_.g_nbrs;
     const bool type_only = p_.directed() || g_.directed();
-    std::vector<Signature> target_sig;
-    target_sig.reserve(static_cast<size_t>(nt));
-    for (NodeId v = 0; v < nt; ++v) {
-      target_sig.push_back(NeighborSignature(g_, v, g_nbrs, type_only));
-    }
+    NeighborSignatures(p_, p_nbrs_, type_only, &buf_.keys, &buf_.p_sigs);
+    NeighborSignatures(g_, g_nbrs, type_only, &buf_.keys, &buf_.g_sigs);
+    const Signatures& p_sigs = buf_.p_sigs;
+    const Signatures& g_sigs = buf_.g_sigs;
     bool any_empty = false;
     for (int pv = 0; pv < np; ++pv) {
-      const Signature psig = NeighborSignature(p_, pv, p_nbrs_, type_only);
       bool empty = true;
       for (NodeId gv = 0; gv < nt; ++gv) {
         if (p_.node_type(pv) != g_.node_type(gv)) continue;
@@ -145,15 +219,9 @@ class FilteredMatcher {
         // Distinct pattern neighbors also map injectively to distinct
         // target neighbors (incident count — both orientations, see
         // IncidentNeighbors).
-        if (p_nbrs_[static_cast<size_t>(pv)].size() >
-            g_nbrs[static_cast<size_t>(gv)].size()) {
-          continue;
-        }
-        if (!SignatureCovers(target_sig[static_cast<size_t>(gv)], psig)) {
-          continue;
-        }
-        bitops::SetBit(cand_[static_cast<size_t>(pv)].data(),
-                       static_cast<size_t>(gv));
+        if (p_nbrs_.size(pv) > g_nbrs.size(gv)) continue;
+        if (!SignatureCovers(g_sigs, gv, p_sigs, pv)) continue;
+        bitops::SetBit(Cand(pv), static_cast<size_t>(gv));
         empty = false;
       }
       any_empty = any_empty || empty;
@@ -162,13 +230,12 @@ class FilteredMatcher {
 
     // Target adjacency as bitsets — symmetric closure, since a directed
     // pattern edge may map onto a target edge of either orientation.
-    adj_.assign(static_cast<size_t>(nt), std::vector<uint64_t>(words_, 0));
+    adj_.assign(static_cast<size_t>(nt) * words_, 0);
     for (NodeId v = 0; v < nt; ++v) {
-      for (const Neighbor& nb : g_.neighbors(v)) {
-        bitops::SetBit(adj_[static_cast<size_t>(v)].data(),
-                       static_cast<size_t>(nb.node));
-        bitops::SetBit(adj_[static_cast<size_t>(nb.node)].data(),
-                       static_cast<size_t>(v));
+      for (size_t i = g_nbrs.begin[static_cast<size_t>(v)];
+           i < g_nbrs.begin[static_cast<size_t>(v) + 1]; ++i) {
+        bitops::SetBit(&adj_[static_cast<size_t>(v) * words_],
+                       static_cast<size_t>(g_nbrs.nodes[i]));
       }
     }
 
@@ -180,7 +247,7 @@ class FilteredMatcher {
     while (changed) {
       changed = false;
       for (int pv = 0; pv < np; ++pv) {
-        std::vector<uint64_t>& cands = cand_[static_cast<size_t>(pv)];
+        uint64_t* cands = Cand(pv);
         bool empty = true;
         for (size_t wi = 0; wi < words_; ++wi) {
           uint64_t w = cands[wi];
@@ -190,9 +257,10 @@ class FilteredMatcher {
                 static_cast<size_t>(__builtin_ctzll(w));
             w &= w - 1;
             bool ok = true;
-            for (NodeId pu : p_nbrs_[static_cast<size_t>(pv)]) {
-              if (!bitops::Intersects(cand_[static_cast<size_t>(pu)],
-                                      adj_[gv])) {
+            for (size_t i = p_nbrs_.begin[static_cast<size_t>(pv)];
+                 i < p_nbrs_.begin[static_cast<size_t>(pv) + 1]; ++i) {
+              if (!bitops::Intersects(Cand(p_nbrs_.nodes[i]),
+                                      &adj_[gv * words_], words_)) {
                 ok = false;
                 break;
               }
@@ -209,9 +277,7 @@ class FilteredMatcher {
     }
 
     if (stats_ != nullptr) {
-      for (const auto& bits : cand_) {
-        stats_->candidates += bitops::Popcount(bits);
-      }
+      stats_->candidates += bitops::Popcount(cand_.data(), cand_.size());
     }
     return true;
   }
@@ -226,12 +292,8 @@ class FilteredMatcher {
     // backtracking inner loop issues several per placed pair. Replace them
     // with dense O(1) row-major tables (exact mirrors of the adjacency
     // lists) while the quadratic footprint stays small.
-    if (p_.num_nodes() <= kDenseLookupMaxNodes) {
-      BuildEdgeTables(p_, &p_has_, &p_et_);
-    }
-    if (g_.num_nodes() <= kDenseLookupMaxNodes) {
-      BuildEdgeTables(g_, &g_has_, &g_et_);
-    }
+    BuildEdgeTables(p_, &p_has_, &p_et_);
+    BuildEdgeTables(g_, &g_has_, &g_et_);
     mapping_.assign(static_cast<size_t>(p_.num_nodes()), -1);
     used_.assign(static_cast<size_t>(g_.num_nodes()), false);
     const bool completed = Backtrack(0);
@@ -244,18 +306,27 @@ class FilteredMatcher {
 
   std::vector<Match> TakeResults() { return std::move(results_); }
   bool budget_exhausted() const { return budget_exhausted_; }
-  const std::vector<std::vector<uint64_t>>& candidate_bits() const {
-    return cand_;
+  // Pattern node pv's candidate bitset (words() words).
+  const uint64_t* Cand(int pv) const {
+    return cand_.data() + static_cast<size_t>(pv) * words_;
   }
+  size_t words() const { return words_; }
 
  private:
   // Past this many nodes the n*n tables stop being worth their footprint;
   // the helpers below fall back to the (identical) adjacency-list scans.
   static constexpr int kDenseLookupMaxNodes = 512;
 
+  // Leaves the tables empty past kDenseLookupMaxNodes (the buffers are
+  // reused, so they must not keep an earlier run's tables).
   static void BuildEdgeTables(const Graph& g, std::vector<uint8_t>* has,
                               std::vector<int32_t>* et) {
     const size_t n = static_cast<size_t>(g.num_nodes());
+    if (g.num_nodes() > kDenseLookupMaxNodes) {
+      has->clear();
+      et->clear();
+      return;
+    }
     has->assign(n * n, 0);
     et->assign(n * n, -1);
     for (NodeId u = 0; u < static_cast<NodeId>(n); ++u) {
@@ -293,8 +364,12 @@ class FilteredMatcher {
                  static_cast<size_t>(v)];
   }
 
+  uint64_t* Cand(int pv) {
+    return cand_.data() + static_cast<size_t>(pv) * words_;
+  }
+
   size_t CandCount(int pv) const {
-    return bitops::Popcount(cand_[static_cast<size_t>(pv)]);
+    return bitops::Popcount(Cand(pv), words_);
   }
 
   // Static order: start at the node with the fewest candidates; extend
@@ -358,8 +433,8 @@ class FilteredMatcher {
       const bool p_edge = PHas(pa, pb) || PHas(pb, pa);
       // adj_ is the symmetric closure of target edge existence, so one bit
       // test replaces HasEdge(ga, gb) || HasEdge(gb, ga).
-      const bool g_edge = bitops::TestBit(adj_[static_cast<size_t>(ga)].data(),
-                                          static_cast<size_t>(gb));
+      const bool g_edge = bitops::TestBit(
+          &adj_[static_cast<size_t>(ga) * words_], static_cast<size_t>(gb));
       if (p_edge) {
         if (!g_edge) return false;
         int pt = PEt(pa, pb);
@@ -376,10 +451,7 @@ class FilteredMatcher {
 
   bool TryCandidate(int pv, NodeId gv, int depth) {
     if (used_[static_cast<size_t>(gv)]) return true;
-    if (!bitops::TestBit(cand_[static_cast<size_t>(pv)].data(),
-                         static_cast<size_t>(gv))) {
-      return true;
-    }
+    if (!bitops::TestBit(Cand(pv), static_cast<size_t>(gv))) return true;
     if (!Feasible(pv, gv, depth)) return true;
     mapping_[static_cast<size_t>(pv)] = gv;
     used_[static_cast<size_t>(gv)] = true;
@@ -433,7 +505,7 @@ class FilteredMatcher {
     } else {
       // Unanchored (first node, or a disconnected pattern component):
       // iterate the candidate set itself, one ctz per candidate.
-      const std::vector<uint64_t>& cands = cand_[static_cast<size_t>(pv)];
+      const uint64_t* cands = Cand(pv);
       for (size_t wi = 0; wi < words_; ++wi) {
         uint64_t w = cands[wi];
         while (w != 0) {
@@ -452,17 +524,18 @@ class FilteredMatcher {
   MatchOptions opt_;
   MatcherStats* stats_;
   size_t words_ = 0;
-  std::vector<std::vector<uint64_t>> cand_;  // per pattern node
-  std::vector<std::vector<uint64_t>> adj_;   // per target node
-  std::vector<std::vector<NodeId>> p_nbrs_;  // incident, both orientations
-  std::vector<uint8_t> p_has_;   // dense n*n edge existence (see PHas)
-  std::vector<int32_t> p_et_;    // dense n*n edge types, -1 = none
-  std::vector<uint8_t> g_has_;
-  std::vector<int32_t> g_et_;
-  std::vector<int> order_;
+  MatcherBuffers& buf_ = ThreadBuffers();
+  std::vector<uint64_t>& cand_ = buf_.cand;
+  std::vector<uint64_t>& adj_ = buf_.adj;
+  IncidentLists& p_nbrs_ = buf_.p_nbrs;
+  std::vector<uint8_t>& p_has_ = buf_.p_has;
+  std::vector<int32_t>& p_et_ = buf_.p_et;
+  std::vector<uint8_t>& g_has_ = buf_.g_has;
+  std::vector<int32_t>& g_et_ = buf_.g_et;
+  std::vector<int>& order_ = buf_.order;
   std::vector<int> blind_rank_;
-  Match mapping_;
-  std::vector<bool> used_;
+  Match& mapping_ = buf_.mapping;
+  std::vector<bool>& used_ = buf_.used;
   std::vector<Match> results_;
   int64_t steps_ = 0;
   bool stop_at_first_ = false;
@@ -491,10 +564,12 @@ bool BuildCandidateSets(const Graph& pattern, const Graph& target,
   MatchOptions options;
   FilteredMatcher m(pattern, target, options, nullptr);
   const bool feasible = m.Filter();
+  const FilteredMatcher& filtered = m;
   candidates->assign(static_cast<size_t>(pattern.num_nodes()), {});
-  for (size_t pv = 0; pv < m.candidate_bits().size(); ++pv) {
-    bitops::ForEachSetBit(m.candidate_bits()[pv], [&](size_t gv) {
-      (*candidates)[pv].push_back(static_cast<NodeId>(gv));
+  for (int pv = 0; pv < pattern.num_nodes(); ++pv) {
+    bitops::ForEachSetBit(filtered.Cand(pv), m.words(), [&](size_t gv) {
+      (*candidates)[static_cast<size_t>(pv)].push_back(
+          static_cast<NodeId>(gv));
     });
   }
   return feasible;

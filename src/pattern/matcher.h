@@ -36,8 +36,8 @@
 // found so far is returned with exact = false. It backs the `mcs` serve
 // verb (approximate pattern queries over the view store).
 //
-// Thread-safety: all functions are pure (no shared state); safe to call
-// concurrently.
+// Thread-safety: no state is shared between threads (each thread reuses
+// its own scratch buffers across calls); safe to call concurrently.
 
 #ifndef GVEX_PATTERN_MATCHER_H_
 #define GVEX_PATTERN_MATCHER_H_

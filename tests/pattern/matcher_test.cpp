@@ -223,6 +223,45 @@ TEST(FilteredMatcherTest, TypeMismatchRefutesWithoutBacktracking) {
   EXPECT_EQ(stats.steps, 0u);
 }
 
+// Each thread reuses the matcher's buffers across calls, among them dense
+// edge tables that exist only for targets of up to 512 nodes: a larger
+// target right after a small one must not read the small one's tables.
+TEST(FilteredMatcherTest, LargeTargetAfterSmallTargetMatchesOracle) {
+  Rng rng(41);
+  GraphShape small;
+  GraphShape large;
+  large.num_nodes = 600;
+  large.edge_prob = 0.01;
+  for (int rep = 0; rep < 3; ++rep) {
+    const Graph little = RandomGraph(&rng, small);
+    const Graph big = RandomGraph(&rng, large);
+    // A connected probe: some node of the big graph with two neighbours.
+    NodeId hub = 0;
+    while (big.degree(hub) < 2) ++hub;
+    std::vector<NodeId> nodes{hub, big.neighbors(hub)[0].node,
+                              big.neighbors(hub)[1].node};
+    std::sort(nodes.begin(), nodes.end());
+    Graph probe;
+    for (NodeId v : nodes) probe.AddNode(big.node_type(v));
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      for (size_t j = i + 1; j < nodes.size(); ++j) {
+        const int t = big.EdgeType(nodes[i], nodes[j]);
+        if (t >= 0) {
+          (void)probe.AddEdge(static_cast<NodeId>(i), static_cast<NodeId>(j),
+                              t);
+        }
+      }
+    }
+    for (MatchSemantics semantics :
+         {MatchSemantics::kInduced, MatchSemantics::kNonInduced}) {
+      MatchOptions options;
+      options.semantics = semantics;
+      ExpectParity(probe, little, options);
+      ExpectParity(probe, big, options);
+    }
+  }
+}
+
 // The budget path: a tiny step budget cannot prove anything about a hard
 // instance — the budgeted entry point must say kUnknown (sound "don't
 // know"), while ContainsPattern keeps the oracle's convention (exhaustion
