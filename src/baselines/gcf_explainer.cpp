@@ -1,6 +1,7 @@
 #include "baselines/gcf_explainer.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "graph/subgraph.h"
 #include "util/rng.h"
@@ -24,15 +25,19 @@ SearchResult GreedySearch(const GnnClassifier& model, const Graph& g, int label,
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     remaining[static_cast<size_t>(v)] = v;
   }
+  // Every trial deletes one node more than the pinned deletion set.
+  std::unique_ptr<RemainderPredictor> remainder =
+      model.MakeRemainderPredictor(g);
   for (int round = 0; round < budget; ++round) {
     double best_p = 2.0;
     size_t best_idx = 0;
+    remainder->Pin(result.deleted);
     for (size_t i = 0; i < remaining.size(); ++i) {
       std::vector<NodeId> del = result.deleted;
       del.push_back(remaining[i]);
-      auto rest = RemoveNodes(g, del);
+      auto rest = remainder->ProbaWithout(del);
       if (!rest.ok()) continue;
-      double p = model.ProbaOf(rest.value().graph, label);
+      double p = GnnClassifier::ProbaAt(rest.value(), label);
       if (noise > 0.0) p += noise * rng->NextDouble();
       if (p < best_p) {
         best_p = p;
@@ -41,10 +46,10 @@ SearchResult GreedySearch(const GnnClassifier& model, const Graph& g, int label,
     }
     result.deleted.push_back(remaining[best_idx]);
     remaining.erase(remaining.begin() + static_cast<std::ptrdiff_t>(best_idx));
-    auto rest = RemoveNodes(g, result.deleted);
+    auto rest = remainder->ProbaWithout(result.deleted);
     if (rest.ok()) {
-      result.remaining_p = model.ProbaOf(rest.value().graph, label);
-      if (model.Predict(rest.value().graph) != label) {
+      result.remaining_p = GnnClassifier::ProbaAt(rest.value(), label);
+      if (ArgMax(rest.value()) != label) {
         result.flipped = true;
         break;
       }

@@ -1,6 +1,5 @@
 #include "explain/metrics.h"
 
-#include "graph/subgraph.h"
 #include "pattern/coverage.h"
 
 namespace gvex {
@@ -14,9 +13,9 @@ double FidelityPlus(const GnnClassifier& model, const GraphDatabase& db,
     const Graph& g = db.graph(ex.graph_index);
     const int l = model.Predict(g);
     const double orig = model.ProbaOf(g, l);
-    auto rest = RemoveNodes(g, ex.nodes);
+    auto rest = model.MakeRemainderPredictor(g)->ProbaWithout(ex.nodes);
     if (!rest.ok()) continue;
-    const double masked = model.ProbaOf(rest.value().graph, l);
+    const double masked = GnnClassifier::ProbaAt(rest.value(), l);
     total += orig - masked;
     ++counted;
   }

@@ -1,26 +1,25 @@
 #include "explain/repair.h"
 
 #include <algorithm>
-
-#include "graph/subgraph.h"
+#include <memory>
 
 namespace gvex {
 
 namespace {
 
-// P(label | G \ nodes); 1.0 on extraction failure (treated as "not flipped").
-double RemainderProba(const GnnClassifier& model, const Graph& g,
+// P(label | G \ nodes); 1.0 on a bad id (treated as "not flipped").
+double RemainderProba(RemainderPredictor* rest,
                       const std::vector<NodeId>& nodes, int label) {
-  auto rest = RemoveNodes(g, nodes);
-  if (!rest.ok()) return 1.0;
-  return model.ProbaOf(rest.value().graph, label);
+  auto p = rest->ProbaWithout(nodes);
+  if (!p.ok()) return 1.0;
+  return GnnClassifier::ProbaAt(p.value(), label);
 }
 
-bool IsCounterfactual(const GnnClassifier& model, const Graph& g,
+bool IsCounterfactual(RemainderPredictor* rest,
                       const std::vector<NodeId>& nodes, int label) {
-  auto rest = RemoveNodes(g, nodes);
-  if (!rest.ok()) return false;
-  return model.Predict(rest.value().graph) != label;
+  auto p = rest->ProbaWithout(nodes);
+  if (!p.ok()) return false;
+  return ArgMax(p.value()) != label;
 }
 
 // Candidate unit: a node together with its unselected degree-1 neighbors.
@@ -43,12 +42,16 @@ std::vector<NodeId> GroupOf(const Graph& g, NodeId v,
 bool CounterfactualRepair(const GnnClassifier& model, const Graph& g, int label,
                           const CoverageBound& bound, int max_iters,
                           std::vector<NodeId>* vs) {
-  if (IsCounterfactual(model, g, *vs, label)) return true;
+  // One predictor per call: every probe below differs from the V_S pinned
+  // at the top of its iteration by one to a few nodes.
+  std::unique_ptr<RemainderPredictor> rest = model.MakeRemainderPredictor(g);
+  if (IsCounterfactual(rest.get(), *vs, label)) return true;
   std::vector<bool> selected(static_cast<size_t>(g.num_nodes()), false);
   for (NodeId v : *vs) selected[static_cast<size_t>(v)] = true;
 
   for (int iter = 0; iter < max_iters; ++iter) {
-    const double current_p = RemainderProba(model, g, *vs, label);
+    rest->Pin(*vs);
+    const double current_p = RemainderProba(rest.get(), *vs, label);
 
     // Precompute the eviction order once per iteration: residents sorted by
     // how little their membership matters for the flip — lower
@@ -59,7 +62,7 @@ bool CounterfactualRepair(const GnnClassifier& model, const Graph& g, int label,
       std::vector<NodeId> without = *vs;
       without.erase(without.begin() + static_cast<std::ptrdiff_t>(i));
       eviction_order.push_back(
-          {RemainderProba(model, g, without, label), i});
+          {RemainderProba(rest.get(), without, label), i});
     }
     std::sort(eviction_order.begin(), eviction_order.end());
 
@@ -84,7 +87,7 @@ bool CounterfactualRepair(const GnnClassifier& model, const Graph& g, int label,
         if (!evicted[i]) trial.push_back((*vs)[i]);
       }
       trial.insert(trial.end(), group.begin(), group.end());
-      const double p = RemainderProba(model, g, trial, label);
+      const double p = RemainderProba(rest.get(), trial, label);
       if (p < best_p) {
         best_p = p;
         best_vs = std::move(trial);
@@ -94,13 +97,13 @@ bool CounterfactualRepair(const GnnClassifier& model, const Graph& g, int label,
     std::fill(selected.begin(), selected.end(), false);
     *vs = std::move(best_vs);
     for (NodeId v : *vs) selected[static_cast<size_t>(v)] = true;
-    if (IsCounterfactual(model, g, *vs, label)) {
+    if (IsCounterfactual(rest.get(), *vs, label)) {
       std::sort(vs->begin(), vs->end());
       return true;
     }
   }
   std::sort(vs->begin(), vs->end());
-  return IsCounterfactual(model, g, *vs, label);
+  return IsCounterfactual(rest.get(), *vs, label);
 }
 
 }  // namespace gvex

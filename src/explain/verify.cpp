@@ -6,15 +6,35 @@
 
 namespace gvex {
 
-Result<EVerifyResult> EVerify(const GnnClassifier& model, const Graph& g,
-                              const std::vector<NodeId>& nodes, int label) {
+namespace {
+
+// M(G_s): the label of the subgraph induced by `nodes`.
+Result<int> SubgraphLabel(const GnnClassifier& model, const Graph& g,
+                          const std::vector<NodeId>& nodes) {
   auto sub = ExtractInducedSubgraph(g, nodes);
   if (!sub.ok()) return sub.status();
-  auto rest = RemoveNodes(g, nodes);
+  return model.Predict(sub.value().graph);
+}
+
+// M(G \ G_s), through the model's remainder predictor.
+Result<int> RemainderLabel(const GnnClassifier& model, const Graph& g,
+                           const std::vector<NodeId>& nodes) {
+  auto p = model.MakeRemainderPredictor(g)->ProbaWithout(nodes);
+  if (!p.ok()) return p.status();
+  return ArgMax(p.value());
+}
+
+}  // namespace
+
+Result<EVerifyResult> EVerify(const GnnClassifier& model, const Graph& g,
+                              const std::vector<NodeId>& nodes, int label) {
+  auto sub = SubgraphLabel(model, g, nodes);
+  if (!sub.ok()) return sub.status();
+  auto rest = RemainderLabel(model, g, nodes);
   if (!rest.ok()) return rest.status();
   EVerifyResult out;
-  out.subgraph_label = model.Predict(sub.value().graph);
-  out.remainder_label = model.Predict(rest.value().graph);
+  out.subgraph_label = sub.value();
+  out.remainder_label = rest.value();
   out.consistent = out.subgraph_label == label;
   out.counterfactual = out.remainder_label != label;
   return out;
@@ -28,19 +48,25 @@ bool VpExtend(const GnnClassifier& model, const Graph& g,
   if (static_cast<int>(vs.size()) + 1 > bound.upper) return false;
   if (config.verify_mode == VerifyMode::kRelaxed) return true;
 
+  // Each mode runs only the inferences it reads: G_t first, then G \ G_t
+  // (the graph's largest) only under kStrict and only for a consistent G_t.
   std::vector<NodeId> vt = vs;
   vt.push_back(v);
-  auto ev = EVerify(model, g, vt, label);
-  if (!ev.ok()) return false;
+  auto sub = SubgraphLabel(model, g, vt);
+  if (!sub.ok()) return false;
+  const bool consistent = sub.value() == label;
   switch (config.verify_mode) {
-    case VerifyMode::kStrict:
+    case VerifyMode::kStrict: {
       // Procedure 2 line 2, verbatim.
-      return ev.value().consistent && ev.value().counterfactual;
+      if (!consistent) return false;
+      auto rest = RemainderLabel(model, g, vt);
+      return rest.ok() && rest.value() != label;
+    }
     case VerifyMode::kConsistentOnly:
       // Require consistency once the subgraph is large enough for the GNN to
       // read anything meaningful; counterfactuality is reported at the end.
       if (static_cast<int>(vt.size()) < 2) return true;
-      return ev.value().consistent;
+      return consistent;
     case VerifyMode::kRelaxed:
       return true;
   }

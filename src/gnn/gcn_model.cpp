@@ -54,14 +54,6 @@ std::vector<float> GcnModel::PredictProba(const Graph& g) const {
   return Forward(g).probs;
 }
 
-int GcnModel::Predict(const Graph& g) const { return ArgMax(PredictProba(g)); }
-
-float GcnModel::ProbaOf(const Graph& g, int label) const {
-  auto p = PredictProba(g);
-  if (label < 0 || label >= static_cast<int>(p.size())) return 0.0f;
-  return p[static_cast<size_t>(label)];
-}
-
 Matrix GcnModel::NodeEmbeddings(const Graph& g) const {
   if (g.num_nodes() == 0) return Matrix(0, config_.hidden_dim);
   Trace t = Forward(g);

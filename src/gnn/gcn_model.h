@@ -9,6 +9,7 @@
 #ifndef GVEX_GNN_GCN_MODEL_H_
 #define GVEX_GNN_GCN_MODEL_H_
 
+#include <memory>
 #include <vector>
 
 #include "gnn/classifier.h"
@@ -51,15 +52,15 @@ class GcnModel : public GnnClassifier {
   /// Class probabilities for a graph. Empty graphs are legal (pooled zeros).
   std::vector<float> PredictProba(const Graph& g) const override;
 
-  /// argmax class label.
-  int Predict(const Graph& g) const override;
-
-  /// Probability assigned to `label`.
-  float ProbaOf(const Graph& g, int label) const override;
-
   /// Last-layer node embeddings X^k (n x hidden) — the paper's diversity
   /// measure reads these (outputs of the final layer, still black-box).
   Matrix NodeEmbeddings(const Graph& g) const override;
+
+  /// Incremental remainder predictor (gnn/gcn_remainder.cpp): no G \ R is
+  /// built, and a query re-runs only the rows near the nodes it toggles
+  /// against the pinned base. Bit-identical to the default.
+  std::unique_ptr<RemainderPredictor> MakeRemainderPredictor(
+      const Graph& g) const override;
 
   // ---- Training / gradient API (substrate-internal) ----
 

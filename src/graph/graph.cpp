@@ -27,12 +27,16 @@ Status Graph::AddEdge(NodeId u, NodeId v, int edge_type) {
   if (HasEdge(u, v)) {
     return Status::InvalidArgument(StrFormat("duplicate edge (%d,%d)", u, v));
   }
+  AddEdgeUnchecked(u, v, edge_type);
+  return Status::OK();
+}
+
+void Graph::AddEdgeUnchecked(NodeId u, NodeId v, int edge_type) {
   adj_[static_cast<size_t>(u)].push_back({v, edge_type});
   if (!directed_) adj_[static_cast<size_t>(v)].push_back({u, edge_type});
   Edge e{u, v, edge_type};
   if (!directed_ && e.u > e.v) std::swap(e.u, e.v);
   edges_.push_back(e);
-  return Status::OK();
 }
 
 bool Graph::HasEdge(NodeId u, NodeId v) const {

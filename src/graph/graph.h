@@ -46,6 +46,10 @@ class Graph {
   /// duplicate edges are rejected.
   Status AddEdge(NodeId u, NodeId v, int edge_type = 0);
 
+  /// AddEdge without its checks, for an edge copied from a valid graph
+  /// through an injective node map: in range, no self loop, no duplicate.
+  void AddEdgeUnchecked(NodeId u, NodeId v, int edge_type);
+
   /// True if the edge u—v (u→v when directed) exists.
   bool HasEdge(NodeId u, NodeId v) const;
 

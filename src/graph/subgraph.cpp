@@ -1,7 +1,7 @@
 #include "graph/subgraph.h"
 
+#include <algorithm>
 #include <queue>
-#include <unordered_set>
 
 #include "util/string_util.h"
 
@@ -23,19 +23,20 @@ Result<InducedSubgraph> ExtractInducedSubgraph(
         out.graph.AddNode(g.node_type(v));
     out.original_nodes.push_back(v);
   }
-  // Induced edges: iterate parent edges once.
+  // Induced edges: iterate parent edges once. The parent is a valid graph
+  // and to_sub is injective, so no edge can be a self loop or a duplicate.
   for (const Edge& e : g.edges()) {
     int su = to_sub[static_cast<size_t>(e.u)];
     int sv = to_sub[static_cast<size_t>(e.v)];
-    if (su >= 0 && sv >= 0) {
-      Status st = out.graph.AddEdge(su, sv, e.edge_type);
-      if (!st.ok()) return st;
-    }
+    if (su >= 0 && sv >= 0) out.graph.AddEdgeUnchecked(su, sv, e.edge_type);
   }
   if (g.has_features()) {
-    Matrix x(out.graph.num_nodes(), g.feature_dim());
+    const int d = g.feature_dim();
+    Matrix x(out.graph.num_nodes(), d);
     for (int i = 0; i < out.graph.num_nodes(); ++i) {
-      x.SetRow(i, g.features().RowVec(out.original_nodes[static_cast<size_t>(i)]));
+      const float* src =
+          g.features().row(out.original_nodes[static_cast<size_t>(i)]);
+      std::copy(src, src + d, x.row(i));
     }
     GVEX_RETURN_NOT_OK(out.graph.SetFeatures(std::move(x)));
   }
@@ -44,18 +45,19 @@ Result<InducedSubgraph> ExtractInducedSubgraph(
 
 Result<InducedSubgraph> RemoveNodes(const Graph& g,
                                     const std::vector<NodeId>& nodes) {
-  std::unordered_set<NodeId> removed(nodes.begin(), nodes.end());
-  for (NodeId v : removed) {
+  std::vector<bool> removed(static_cast<size_t>(g.num_nodes()), false);
+  for (NodeId v : nodes) {
     if (v < 0 || v >= g.num_nodes()) {
       return Status::InvalidArgument(
           StrFormat("node %d out of bounds (graph has %d nodes)", v,
                     g.num_nodes()));
     }
+    removed[static_cast<size_t>(v)] = true;
   }
   std::vector<NodeId> keep;
   keep.reserve(static_cast<size_t>(g.num_nodes()));
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (!removed.count(v)) keep.push_back(v);
+    if (!removed[static_cast<size_t>(v)]) keep.push_back(v);
   }
   return ExtractInducedSubgraph(g, keep);
 }

@@ -13,7 +13,7 @@
 #                                    # (GVEX_SANITIZE=address) and runs them
 #   tools/run_tests.sh --tsan        # ThreadSanitizer lane only: builds
 #                                    # the util + net + serve + obs + store
-#                                    # suites
+#                                    # + gnn + explain suites
 #                                    # in build-tsan
 #                                    # (GVEX_SANITIZE=thread) and runs the
 #                                    # concurrency-heavy binaries
@@ -68,8 +68,11 @@ fi
 
 # The TSan lane exercises the genuinely multi-threaded paths: worker event
 # loops + accept-thread handoff + concurrent AdmitView combining (net), the
-# query/admission races inside ViewService (serve), and the replication
-# interleaver racing admits/saves/compactions against WAL shipping (store).
+# query/admission races inside ViewService (serve), the replication
+# interleaver racing admits/saves/compactions against WAL shipping (store),
+# and view generation on a pool (gnn + explain: GenerateViews and
+# StreamGvex::GenerateView explain graphs concurrently, each with its own
+# remainder predictor and scoring state over the one shared model).
 # ASan and TSan can't share a build, so this is a third tree.
 if [[ "${tsan}" == 1 ]]; then
   tsan_dir="${TSAN_BUILD_DIR:-${repo_root}/build-tsan}"
@@ -78,12 +81,14 @@ if [[ "${tsan}" == 1 ]]; then
     -DGVEX_BUILD_BENCH=OFF -DGVEX_BUILD_EXAMPLES=OFF
   cmake --build "${tsan_dir}" -j "${jobs}" \
     --target gvex_util_test gvex_net_test gvex_serve_test gvex_obs_test \
-      gvex_store_test
+      gvex_store_test gvex_gnn_test gvex_explain_test
   "${tsan_dir}/tests/gvex_util_test"
   "${tsan_dir}/tests/gvex_net_test"
   "${tsan_dir}/tests/gvex_serve_test"
   "${tsan_dir}/tests/gvex_obs_test"
   "${tsan_dir}/tests/gvex_store_test"
+  "${tsan_dir}/tests/gvex_gnn_test"
+  "${tsan_dir}/tests/gvex_explain_test"
   exit 0
 fi
 
