@@ -43,7 +43,12 @@ Context MakeContext(DatasetId id, int num_graphs, int hidden_dim, int epochs,
   tc.batch_size = 16;
   auto report = TrainGcn(&ctx.model, ctx.db, all, tc);
   if (report.ok()) ctx.train_accuracy = report.value().train_accuracy;
-  (void)AssignPredictedLabels(ctx.model, &ctx.db);
+  const Status labelled = AssignPredictedLabels(ctx.model, &ctx.db);
+  if (!labelled.ok()) {
+    std::fprintf(stderr, "labelling %s failed: %s\n", ctx.spec.name.c_str(),
+                 labelled.ToString().c_str());
+    std::exit(1);
+  }
   return ctx;
 }
 

@@ -16,7 +16,6 @@
 
 #include "baselines/explainer.h"
 #include "data/datasets.h"
-#include "data/splits.h"
 #include "explain/approx_gvex.h"
 #include "explain/config.h"
 #include "explain/explanation.h"

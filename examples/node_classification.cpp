@@ -87,7 +87,12 @@ int main() {
   auto report = TrainGcn(&model, db, all, tc);
   std::printf("GCN (node-classifier surrogate) train accuracy: %.2f\n\n",
               report.ok() ? report.value().train_accuracy : 0.0f);
-  (void)AssignPredictedLabels(model, &db);
+  const Status labelled = AssignPredictedLabels(model, &db);
+  if (!labelled.ok()) {
+    std::fprintf(stderr, "labelling failed: %s\n",
+                 labelled.ToString().c_str());
+    return 1;
+  }
 
   Configuration config;
   config.theta = 0.05f;

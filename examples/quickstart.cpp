@@ -42,7 +42,12 @@ int main() {
     return 1;
   }
   std::printf("GCN trained: accuracy %.2f\n", report.value().train_accuracy);
-  (void)AssignPredictedLabels(model, &db);
+  const Status labelled = AssignPredictedLabels(model, &db);
+  if (!labelled.ok()) {
+    std::fprintf(stderr, "labelling failed: %s\n",
+                 labelled.ToString().c_str());
+    return 1;
+  }
 
   // 2. Explanation view for the mutagen class. ------------------------------
   Configuration config;

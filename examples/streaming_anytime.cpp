@@ -28,7 +28,12 @@ int main() {
   TrainConfig tc;
   tc.epochs = 100;
   (void)TrainGcn(&model, db, all, tc);
-  (void)AssignPredictedLabels(model, &db);
+  const Status labelled = AssignPredictedLabels(model, &db);
+  if (!labelled.ok()) {
+    std::fprintf(stderr, "labelling failed: %s\n",
+                 labelled.ToString().c_str());
+    return 1;
+  }
 
   Configuration config;
   config.theta = 0.08f;

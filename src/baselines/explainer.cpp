@@ -9,19 +9,6 @@
 
 namespace gvex {
 
-Result<std::vector<ExplanationSubgraph>> Explainer::ExplainGroup(
-    const GraphDatabase& db, int label, int max_nodes) {
-  std::vector<ExplanationSubgraph> out;
-  for (int i : db.LabelGroup(label)) {
-    auto ex = Explain(db.graph(i), i, label, max_nodes);
-    if (ex.ok()) out.push_back(std::move(ex).value());
-  }
-  if (out.empty()) {
-    return Status::FailedPrecondition("no explanations produced for group");
-  }
-  return out;
-}
-
 void AnnotateVerification(const GnnClassifier& model, const Graph& g,
                           ExplanationSubgraph* ex, int label) {
   auto ev = EVerify(model, g, ex->nodes, label);

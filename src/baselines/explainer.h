@@ -13,7 +13,6 @@
 
 #include "explain/explanation.h"
 #include "gnn/gcn_model.h"
-#include "graph/graph_database.h"
 #include "util/status.h"
 
 namespace gvex {
@@ -31,11 +30,6 @@ class Explainer {
   /// `label` on `g`.
   virtual Result<ExplanationSubgraph> Explain(const Graph& g, int graph_index,
                                               int label, int max_nodes) = 0;
-
-  /// Runs Explain over every graph of the (predicted) label group.
-  /// Infeasible graphs are skipped.
-  Result<std::vector<ExplanationSubgraph>> ExplainGroup(
-      const GraphDatabase& db, int label, int max_nodes);
 };
 
 /// Fills the consistency/counterfactual flags of `ex` via EVerify.

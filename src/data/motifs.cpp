@@ -41,16 +41,6 @@ std::vector<NodeId> AddNitroGroup(Graph* g, NodeId anchor) {
   return {n, o1, o2};
 }
 
-std::vector<NodeId> AddAmineGroup(Graph* g, NodeId anchor) {
-  NodeId n = g->AddNode(kNitrogen);
-  NodeId h1 = g->AddNode(kHydrogen);
-  NodeId h2 = g->AddNode(kHydrogen);
-  (void)g->AddEdge(anchor, n);
-  (void)g->AddEdge(n, h1);
-  (void)g->AddEdge(n, h2);
-  return {n, h1, h2};
-}
-
 std::vector<NodeId> AddHydroxylGroup(Graph* g, NodeId anchor) {
   NodeId o = g->AddNode(kOxygen);
   NodeId h = g->AddNode(kHydrogen);

@@ -51,9 +51,6 @@ std::vector<NodeId> AddPath(Graph* g, int size, int node_type,
 /// {n, o1, o2}.
 std::vector<NodeId> AddNitroGroup(Graph* g, NodeId anchor);
 
-/// Adds an amine group (N bonded to two H) attached to `anchor`.
-std::vector<NodeId> AddAmineGroup(Graph* g, NodeId anchor);
-
 /// Adds a hydroxyl group (single O with H) attached to `anchor`.
 std::vector<NodeId> AddHydroxylGroup(Graph* g, NodeId anchor);
 

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "gnn/adam.h"
-#include "gnn/appnp_model.h"
 #include "gnn/gcn_model.h"
 #include "gnn/gin_model.h"
 #include "gnn/loss.h"
@@ -52,13 +51,6 @@ inline GradientView GradientPtrs(SageModel::Gradients* g) {
 }
 
 inline GradientView GradientPtrs(RgcnModel::Gradients* g) {
-  GradientView view;
-  for (auto& m : g->mats) view.mats.push_back(&m);
-  view.bias = &g->fc_bias;
-  return view;
-}
-
-inline GradientView GradientPtrs(AppnpModel::Gradients* g) {
   GradientView view;
   for (auto& m : g->mats) view.mats.push_back(&m);
   view.bias = &g->fc_bias;

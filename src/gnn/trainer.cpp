@@ -1,12 +1,31 @@
 #include "gnn/trainer.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "gnn/loss.h"
 #include "la/matrix_ops.h"
 #include "util/logging.h"
 
 namespace gvex {
+
+namespace {
+
+// A graph with features must be exactly as wide as the model's input layer:
+// Forward multiplies them by an input_dim-row weight matrix. Featureless
+// graphs get a default input_dim-wide feature instead.
+Status CheckInputWidth(const GcnModel& model, const Graph& g) {
+  if (!g.has_features() || g.feature_dim() == model.config().input_dim) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      "graph feature width " + std::to_string(g.feature_dim()) +
+      " differs from the model's input_dim " +
+      std::to_string(model.config().input_dim));
+}
+
+}  // namespace
 
 Result<TrainReport> TrainGcn(GcnModel* model, const GraphDatabase& db,
                              const std::vector<int>& train_indices,
@@ -23,6 +42,7 @@ Result<TrainReport> TrainGcn(GcnModel* model, const GraphDatabase& db,
     if (l < 0 || l >= model->config().num_classes) {
       return Status::InvalidArgument("label outside model class range");
     }
+    GVEX_RETURN_NOT_OK(CheckInputWidth(*model, db.graph(i)));
   }
 
   Rng rng(config.shuffle_seed);
@@ -89,6 +109,7 @@ Status AssignPredictedLabels(const GcnModel& model, GraphDatabase* db) {
   std::vector<int> preds;
   preds.reserve(static_cast<size_t>(db->size()));
   for (int i = 0; i < db->size(); ++i) {
+    GVEX_RETURN_NOT_OK(CheckInputWidth(model, db->graph(i)));
     preds.push_back(model.Predict(db->graph(i)));
   }
   return db->SetPredictedLabels(std::move(preds));

@@ -31,7 +31,8 @@ struct TrainReport {
 };
 
 /// Trains `model` in place on the graphs at `train_indices` (ground-truth
-/// labels from the database).
+/// labels from the database). InvalidArgument when a training graph's
+/// feature width differs from the model's input_dim.
 Result<TrainReport> TrainGcn(GcnModel* model, const GraphDatabase& db,
                              const std::vector<int>& train_indices,
                              const TrainConfig& config);
@@ -41,6 +42,8 @@ float EvaluateAccuracy(const GcnModel& model, const GraphDatabase& db,
                        const std::vector<int>& indices);
 
 /// Runs the model on every graph and installs predicted labels in `db`.
+/// InvalidArgument when a graph's feature width differs from the model's
+/// input_dim.
 Status AssignPredictedLabels(const GcnModel& model, GraphDatabase* db);
 
 }  // namespace gvex

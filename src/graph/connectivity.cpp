@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <queue>
-#include <unordered_set>
 
 namespace gvex {
 
@@ -48,54 +47,6 @@ std::vector<std::vector<NodeId>> ConnectedComponents(const Graph& g) {
 bool IsConnected(const Graph& g) {
   if (g.num_nodes() == 0) return true;
   return ConnectedComponents(g).size() == 1;
-}
-
-std::vector<int> BfsDistances(const Graph& g, NodeId src) {
-  auto adj = UndirectedAdj(g);
-  std::vector<int> dist(static_cast<size_t>(g.num_nodes()), -1);
-  std::queue<NodeId> q;
-  dist[static_cast<size_t>(src)] = 0;
-  q.push(src);
-  while (!q.empty()) {
-    NodeId u = q.front();
-    q.pop();
-    for (NodeId v : adj[static_cast<size_t>(u)]) {
-      if (dist[static_cast<size_t>(v)] == -1) {
-        dist[static_cast<size_t>(v)] = dist[static_cast<size_t>(u)] + 1;
-        q.push(v);
-      }
-    }
-  }
-  return dist;
-}
-
-bool InducedSubsetConnected(const Graph& g, const std::vector<NodeId>& nodes) {
-  if (nodes.empty()) return true;
-  std::unordered_set<NodeId> in_set(nodes.begin(), nodes.end());
-  std::unordered_set<NodeId> seen;
-  std::queue<NodeId> q;
-  q.push(nodes[0]);
-  seen.insert(nodes[0]);
-  while (!q.empty()) {
-    NodeId u = q.front();
-    q.pop();
-    for (const Neighbor& nb : g.neighbors(u)) {
-      if (in_set.count(nb.node) && !seen.count(nb.node)) {
-        seen.insert(nb.node);
-        q.push(nb.node);
-      }
-    }
-    if (g.directed()) {
-      // Also traverse reverse edges for connectivity purposes.
-      for (NodeId w : in_set) {
-        if (!seen.count(w) && g.HasEdge(w, u)) {
-          seen.insert(w);
-          q.push(w);
-        }
-      }
-    }
-  }
-  return seen.size() == in_set.size();
 }
 
 }  // namespace gvex

@@ -1,6 +1,6 @@
-// Connectivity queries over attributed graphs: connected components, BFS
-// distances, and connectivity checks used by pattern mining (patterns must be
-// connected per §2.1) and by the explanation-subgraph bookkeeping.
+// Connectivity queries over attributed graphs: connected components and the
+// connectivity check used by pattern mining (patterns must be connected per
+// §2.1) and by the explanation-subgraph bookkeeping.
 
 #ifndef GVEX_GRAPH_CONNECTIVITY_H_
 #define GVEX_GRAPH_CONNECTIVITY_H_
@@ -18,12 +18,6 @@ std::vector<std::vector<NodeId>> ConnectedComponents(const Graph& g);
 
 /// True iff the graph is connected (the empty graph counts as connected).
 bool IsConnected(const Graph& g);
-
-/// BFS hop distances from `src` (-1 where unreachable), undirected traversal.
-std::vector<int> BfsDistances(const Graph& g, NodeId src);
-
-/// True iff the subgraph induced by `nodes` is connected in g.
-bool InducedSubsetConnected(const Graph& g, const std::vector<NodeId>& nodes);
 
 }  // namespace gvex
 

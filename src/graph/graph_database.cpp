@@ -40,12 +40,6 @@ std::vector<int> GraphDatabase::DistinctLabels() const {
   return std::vector<int>(s.begin(), s.end());
 }
 
-int GraphDatabase::TotalNodes(const std::vector<int>& indices) const {
-  int total = 0;
-  for (int i : indices) total += graph(i).num_nodes();
-  return total;
-}
-
 GraphDatabase::Stats GraphDatabase::ComputeStats() const {
   Stats s;
   s.num_graphs = size();

@@ -46,9 +46,6 @@ class GraphDatabase {
   /// ascending.
   std::vector<int> DistinctLabels() const;
 
-  /// Total node count across a set of graph indices (|V^l| of §3.1).
-  int TotalNodes(const std::vector<int>& indices) const;
-
   /// Aggregate statistics for reporting (Table 3 reproduction).
   struct Stats {
     int num_graphs = 0;

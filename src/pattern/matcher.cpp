@@ -283,8 +283,9 @@ class FilteredMatcher {
   }
 
   // Phase 2: backtracking over the surviving candidates,
-  // most-constrained-first. Returns the verdict; matches land in results().
-  MatchVerdict Search(bool stop_at_first) {
+  // most-constrained-first. Returns whether a match was found; matches
+  // land in results().
+  bool Search(bool stop_at_first) {
     stop_at_first_ = stop_at_first;
     BuildOrder();
     blind_rank_ = BlindRank(p_);
@@ -296,16 +297,12 @@ class FilteredMatcher {
     BuildEdgeTables(g_, &g_has_, &g_et_);
     mapping_.assign(static_cast<size_t>(p_.num_nodes()), -1);
     used_.assign(static_cast<size_t>(g_.num_nodes()), false);
-    const bool completed = Backtrack(0);
+    Backtrack(0);
     if (stats_ != nullptr) stats_->steps = steps_;
-    if (!results_.empty()) return MatchVerdict::kMatch;
-    // An aborted search that found nothing proves nothing — unless the
-    // abort reason was "enough matches", impossible with zero results.
-    return completed ? MatchVerdict::kNoMatch : MatchVerdict::kUnknown;
+    return !results_.empty();
   }
 
   std::vector<Match> TakeResults() { return std::move(results_); }
-  bool budget_exhausted() const { return budget_exhausted_; }
   // Pattern node pv's candidate bitset (words() words).
   const uint64_t* Cand(int pv) const {
     return cand_.data() + static_cast<size_t>(pv) * words_;
@@ -463,10 +460,7 @@ class FilteredMatcher {
 
   // Returns false when the search should stop (budget or enough matches).
   bool Backtrack(int depth) {
-    if (opt_.max_steps > 0 && ++steps_ > opt_.max_steps) {
-      budget_exhausted_ = true;
-      return false;
-    }
+    if (opt_.max_steps > 0 && ++steps_ > opt_.max_steps) return false;
     if (depth == p_.num_nodes()) {
       results_.push_back(mapping_);
       if (stop_at_first_) return false;
@@ -539,22 +533,21 @@ class FilteredMatcher {
   std::vector<Match> results_;
   int64_t steps_ = 0;
   bool stop_at_first_ = false;
-  bool budget_exhausted_ = false;
 };
 
-// Shared driver: filter, then search. An exhausted budget reports kUnknown;
-// ContainsPattern turns that into "no match".
-MatchVerdict RunFiltered(const Graph& pattern, const Graph& target,
-                         const MatchOptions& options, bool stop_at_first,
-                         MatcherStats* stats, std::vector<Match>* matches) {
+// Shared driver: filter, then search. Returns whether a match was found,
+// so an exhausted budget answers "no match".
+bool RunFiltered(const Graph& pattern, const Graph& target,
+                 const MatchOptions& options, bool stop_at_first,
+                 MatcherStats* stats, std::vector<Match>* matches) {
   FilteredMatcher m(pattern, target, options, stats);
   if (!m.Filter()) {
     if (stats != nullptr) stats->filtered_out = true;
-    return MatchVerdict::kNoMatch;
+    return false;
   }
-  const MatchVerdict verdict = m.Search(stop_at_first);
+  const bool found = m.Search(stop_at_first);
   if (matches != nullptr) *matches = m.TakeResults();
-  return verdict;
+  return found;
 }
 
 }  // namespace
@@ -588,15 +581,6 @@ std::vector<Match> FindMatches(const Graph& pattern, const Graph& target,
 bool ContainsPattern(const Graph& target, const Graph& pattern,
                      const MatchOptions& options, MatcherStats* stats) {
   if (pattern.num_nodes() == 0) return true;
-  return RunFiltered(pattern, target, options, /*stop_at_first=*/true,
-                     stats, nullptr) == MatchVerdict::kMatch;
-}
-
-MatchVerdict ContainsPatternBudgeted(const Graph& target,
-                                     const Graph& pattern,
-                                     const MatchOptions& options,
-                                     MatcherStats* stats) {
-  if (pattern.num_nodes() == 0) return MatchVerdict::kMatch;
   return RunFiltered(pattern, target, options, /*stop_at_first=*/true,
                      stats, nullptr);
 }

@@ -26,8 +26,8 @@
 // (tests/pattern/blind_matcher.h); enumeration order differs from it, so
 // under a binding max_matches cap the list is "this matcher's first N".
 // ContainsPattern answers "no match" when MatchOptions::max_steps runs
-// out; ContainsPatternBudgeted reports budget exhaustion as an explicit
-// kUnknown instead — a sound "don't know", never a wrong yes or no.
+// out, so under a binding budget a "yes" is always right and a "no" may
+// be a "don't know".
 //
 // MaxCommonSubgraph is a McSplit-style branch-and-bound search for the
 // maximum common node-induced subgraph of two graphs (label classes +
@@ -68,13 +68,6 @@ struct MatchOptions {
 /// One match: match[i] is the data-graph node that pattern node i maps to.
 using Match = std::vector<NodeId>;
 
-/// Tri-state answer for budgeted containment.
-enum class MatchVerdict {
-  kNoMatch,  ///< the full space was searched; no match exists
-  kMatch,    ///< a match was found
-  kUnknown,  ///< budget exhausted before either could be proven
-};
-
 /// Observability counters for one matcher run.
 struct MatcherStats {
   /// True when filtering alone refuted the query (no backtracking ran).
@@ -104,13 +97,6 @@ std::vector<Match> FindMatches(const Graph& pattern, const Graph& target,
 bool ContainsPattern(const Graph& target, const Graph& pattern,
                      const MatchOptions& options = {},
                      MatcherStats* stats = nullptr);
-
-/// Budget-honest containment: kUnknown when MatchOptions::max_steps ran
-/// out before a match was found or the space was exhausted.
-MatchVerdict ContainsPatternBudgeted(const Graph& target,
-                                     const Graph& pattern,
-                                     const MatchOptions& options = {},
-                                     MatcherStats* stats = nullptr);
 
 /// Budget for MaxCommonSubgraph.
 struct McsOptions {

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-
-#include "util/string_util.h"
+#include <utility>
 
 namespace gvex {
 
@@ -39,41 +37,6 @@ std::string Table::ToText() const {
   out += sep + "\n";
   for (const auto& row : rows_) out += render_row(row);
   return out;
-}
-
-namespace {
-std::string CsvEscape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (char ch : cell) {
-    if (ch == '"') out += "\"\"";
-    else out.push_back(ch);
-  }
-  out += "\"";
-  return out;
-}
-}  // namespace
-
-std::string Table::ToCsv() const {
-  std::string out;
-  std::vector<std::string> escaped;
-  escaped.reserve(headers_.size());
-  for (const auto& h : headers_) escaped.push_back(CsvEscape(h));
-  out += Join(escaped, ",") + "\n";
-  for (const auto& row : rows_) {
-    escaped.clear();
-    for (const auto& cell : row) escaped.push_back(CsvEscape(cell));
-    out += Join(escaped, ",") + "\n";
-  }
-  return out;
-}
-
-Status Table::WriteCsv(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f.good()) return Status::IOError("cannot open " + path);
-  f << ToCsv();
-  if (!f.good()) return Status::IOError("write failed for " + path);
-  return Status::OK();
 }
 
 std::string FmtDouble(double v, int prec) {

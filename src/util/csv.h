@@ -1,5 +1,5 @@
-// Table/CSV emitters used by the benchmark harness to print paper-style
-// rows and optionally persist them for plotting.
+// Aligned text tables used by the benchmark harness to print paper-style
+// rows.
 
 #ifndef GVEX_UTIL_CSV_H_
 #define GVEX_UTIL_CSV_H_
@@ -7,12 +7,10 @@
 #include <string>
 #include <vector>
 
-#include "util/status.h"
-
 namespace gvex {
 
-/// Accumulates rows of string cells and renders either an aligned text table
-/// (for terminal output, matching how the paper reports series) or CSV.
+/// Accumulates rows of string cells and renders an aligned text table (for
+/// terminal output, matching how the paper reports series).
 class Table {
  public:
   /// Creates a table with the given column headers.
@@ -26,12 +24,6 @@ class Table {
 
   /// Renders an aligned, pipe-separated text table.
   std::string ToText() const;
-
-  /// Renders RFC-4180-ish CSV (cells containing comma/quote get quoted).
-  std::string ToCsv() const;
-
-  /// Writes the CSV rendering to `path`.
-  Status WriteCsv(const std::string& path) const;
 
  private:
   std::vector<std::string> headers_;

@@ -79,20 +79,6 @@ void ThreadPool::RunSharded(int num_shards, int n,
   Wait();
 }
 
-void ThreadPool::ParallelFor(int num_threads, int n,
-                             const std::function<void(int)>& fn) {
-  if (n <= 0) return;
-  if (num_threads <= 1) {
-    for (int i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  ThreadPool pool(num_threads);
-  for (int i = 0; i < n; ++i) {
-    pool.Submit([&fn, i] { fn(i); });
-  }
-  pool.Wait();
-}
-
 void ThreadPool::ParallelForShards(int num_threads, int num_shards, int n,
                                    const std::function<void(const Shard&)>& fn) {
   if (n <= 0) return;

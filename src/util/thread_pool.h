@@ -63,11 +63,6 @@ class ThreadPool {
   void RunSharded(int num_shards, int n,
                   const std::function<void(const Shard&)>& fn);
 
-  /// Convenience: runs `fn(i)` for i in [0, n) across `num_threads` workers
-  /// and waits for completion.
-  static void ParallelFor(int num_threads, int n,
-                          const std::function<void(int)>& fn);
-
   /// Convenience wrapper over `RunSharded` that runs the shards inline (in
   /// shard order) when `num_threads` <= 1 and otherwise on a transient pool
   /// of `num_threads` workers. `num_shards` <= 0 defaults to one shard per

@@ -76,13 +76,6 @@ TEST(MotifsTest, FunctionalGroupsAttachTheirAtoms) {
   EXPECT_TRUE(HasEdge(g, nitro[0], nitro[1]));
   EXPECT_TRUE(HasEdge(g, nitro[0], nitro[2]));
 
-  const auto amine = AddAmineGroup(&g, anchor);
-  ASSERT_EQ(amine.size(), 3u);
-  EXPECT_EQ(g.node_type(amine[0]), kNitrogen);
-  EXPECT_EQ(g.node_type(amine[1]), kHydrogen);
-  EXPECT_EQ(g.node_type(amine[2]), kHydrogen);
-  EXPECT_TRUE(HasEdge(g, anchor, amine[0]));
-
   const auto hydroxyl = AddHydroxylGroup(&g, anchor);
   ASSERT_EQ(hydroxyl.size(), 2u);
   EXPECT_EQ(g.node_type(hydroxyl[0]), kOxygen);

@@ -79,7 +79,7 @@ TEST(TrainerTest, RejectsOutOfRangeIndex) {
 
 TEST(TrainerTest, RejectsLabelOutsideModelRange) {
   GraphDatabase db;
-  db.Add(testing::PathGraph(3, 0, 2), 5);  // label 5 but model has 2 classes
+  db.Add(testing::PathGraph(3), 5);  // label 5 but model has 2 classes
   GcnConfig cfg;
   cfg.input_dim = 1;
   cfg.hidden_dim = 4;
@@ -87,6 +87,24 @@ TEST(TrainerTest, RejectsLabelOutsideModelRange) {
   Rng rng(1);
   GcnModel model(cfg, &rng);
   EXPECT_TRUE(TrainGcn(&model, db, {0}, {}).status().IsInvalidArgument());
+}
+
+// A model must be as wide as the graphs it reads: a 4-wide GCN on the
+// 14-wide MUT graphs is refused before any forward pass reads past its
+// input weights.
+TEST(TrainerTest, RejectsModelOfWrongInputWidth) {
+  const auto& fixture = testing::GetTrainedFixture();
+  ASSERT_EQ(fixture.db.graph(0).feature_dim(), 14);
+  GcnConfig cfg;
+  cfg.input_dim = 4;
+  cfg.hidden_dim = 4;
+  cfg.num_classes = 2;
+  Rng rng(1);
+  GcnModel model(cfg, &rng);
+  EXPECT_TRUE(
+      TrainGcn(&model, fixture.db, {0, 1}, {}).status().IsInvalidArgument());
+  GraphDatabase db = fixture.db;
+  EXPECT_TRUE(AssignPredictedLabels(model, &db).IsInvalidArgument());
 }
 
 TEST(TrainerTest, AssignPredictedLabelsFillsDatabase) {

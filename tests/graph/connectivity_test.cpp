@@ -40,35 +40,5 @@ TEST(ConnectivityTest, DirectedEdgesTreatedAsUndirected) {
   EXPECT_TRUE(IsConnected(g));
 }
 
-TEST(BfsDistancesTest, PathDistances) {
-  Graph g = testing::PathGraph(5);
-  auto dist = BfsDistances(g, 0);
-  EXPECT_EQ(dist, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(BfsDistancesTest, UnreachableIsMinusOne) {
-  Graph g;
-  g.AddNode(0);
-  g.AddNode(0);
-  auto dist = BfsDistances(g, 0);
-  EXPECT_EQ(dist[1], -1);
-}
-
-TEST(InducedSubsetConnectedTest, ConnectedSubset) {
-  Graph g = testing::PathGraph(5);
-  EXPECT_TRUE(InducedSubsetConnected(g, {1, 2, 3}));
-}
-
-TEST(InducedSubsetConnectedTest, DisconnectedSubset) {
-  Graph g = testing::PathGraph(5);
-  EXPECT_FALSE(InducedSubsetConnected(g, {0, 4}));
-}
-
-TEST(InducedSubsetConnectedTest, EmptyAndSingleton) {
-  Graph g = testing::PathGraph(3);
-  EXPECT_TRUE(InducedSubsetConnected(g, {}));
-  EXPECT_TRUE(InducedSubsetConnected(g, {2}));
-}
-
 }  // namespace
 }  // namespace gvex

@@ -48,12 +48,6 @@ TEST(GraphDatabaseTest, DistinctLabelsSorted) {
   EXPECT_EQ(db.DistinctLabels(), (std::vector<int>{0, 1}));
 }
 
-TEST(GraphDatabaseTest, TotalNodes) {
-  GraphDatabase db = MakeDb();
-  EXPECT_EQ(db.TotalNodes({0, 2}), 8);
-  EXPECT_EQ(db.TotalNodes({}), 0);
-}
-
 TEST(GraphDatabaseTest, StatsComputeAverages) {
   GraphDatabase db = MakeDb();
   auto stats = db.ComputeStats();

@@ -174,11 +174,9 @@ TEST(FilteredMatcherTest, EmptyAndOversizedPatternsMirrorLegacy) {
   // oracle's convention).
   EXPECT_TRUE(FindMatches(empty, one).empty());
   EXPECT_TRUE(ContainsPattern(one, empty));
-  EXPECT_EQ(ContainsPatternBudgeted(one, empty), MatchVerdict::kMatch);
   // Pattern larger than the target can never match.
   EXPECT_TRUE(FindMatches(two, one).empty());
   EXPECT_FALSE(ContainsPattern(one, two));
-  EXPECT_EQ(ContainsPatternBudgeted(one, two), MatchVerdict::kNoMatch);
 }
 
 TEST(FilteredMatcherTest, CandidateSetsAreSoundOverapproximations) {
@@ -263,10 +261,9 @@ TEST(FilteredMatcherTest, LargeTargetAfterSmallTargetMatchesOracle) {
 }
 
 // The budget path: a tiny step budget cannot prove anything about a hard
-// instance — the budgeted entry point must say kUnknown (sound "don't
-// know"), while ContainsPattern keeps the oracle's convention (exhaustion
+// instance, and ContainsPattern keeps the oracle's convention (exhaustion
 // answers false).
-TEST(FilteredMatcherTest, BudgetExhaustionIsASoundDontKnow) {
+TEST(FilteredMatcherTest, BudgetExhaustionAnswersFalse) {
   // C6 vs K8, all one type: non-induced contains it, induced does not,
   // and either proof needs more than a couple of backtracking steps.
   Graph k8;
@@ -283,23 +280,20 @@ TEST(FilteredMatcherTest, BudgetExhaustionIsASoundDontKnow) {
     MatchOptions tiny;
     tiny.semantics = semantics;
     tiny.max_steps = 3;
-    EXPECT_EQ(ContainsPatternBudgeted(k8, c6, tiny), MatchVerdict::kUnknown);
-    // Plain containment: exhaustion degrades to "false".
     EXPECT_FALSE(ContainsPattern(k8, c6, tiny));
   }
   // With no budget the definite answers come back.
   MatchOptions unlimited;
   unlimited.max_steps = 0;
   unlimited.semantics = MatchSemantics::kNonInduced;
-  EXPECT_EQ(ContainsPatternBudgeted(k8, c6, unlimited),
-            MatchVerdict::kMatch);
+  EXPECT_TRUE(ContainsPattern(k8, c6, unlimited));
   unlimited.semantics = MatchSemantics::kInduced;
-  EXPECT_EQ(ContainsPatternBudgeted(k8, c6, unlimited),
-            MatchVerdict::kNoMatch);
+  EXPECT_FALSE(ContainsPattern(k8, c6, unlimited));
 }
 
-// Budgeted verdicts must never be WRONG, whatever the budget: kMatch and
-// kNoMatch always agree with the unlimited blind matcher.
+// Budgeted verdicts must never be WRONG, whatever the budget: a "yes"
+// always agrees with the unlimited blind matcher, and with no budget the
+// answer is exact.
 TEST(FilteredMatcherTest, BudgetedVerdictsAreNeverWrong) {
   Rng rng(123);
   GraphShape shape;
@@ -318,16 +312,12 @@ TEST(FilteredMatcherTest, BudgetedVerdictsAreNeverWrong) {
     for (int64_t budget : {1, 3, 10, 100, 0}) {
       MatchOptions options;
       options.max_steps = budget;
-      const MatchVerdict v =
-          ContainsPatternBudgeted(target, pattern, options);
-      if (v == MatchVerdict::kMatch) {
+      const bool found = ContainsPattern(target, pattern, options);
+      if (found) {
         EXPECT_TRUE(truth);
       }
-      if (v == MatchVerdict::kNoMatch) {
-        EXPECT_FALSE(truth);
-      }
       if (budget == 0) {
-        EXPECT_NE(v, MatchVerdict::kUnknown);
+        EXPECT_EQ(found, truth);
       }
     }
   }

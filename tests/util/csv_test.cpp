@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <string>
 
 namespace gvex {
 namespace {
@@ -22,32 +20,7 @@ TEST(TableTest, TextRenderingAlignsColumns) {
 TEST(TableTest, ShortRowsArePadded) {
   Table t({"a", "b", "c"});
   t.AddRow({"1"});
-  std::string csv = t.ToCsv();
-  EXPECT_NE(csv.find("1,,"), std::string::npos);
-}
-
-TEST(TableTest, CsvEscapesSpecials) {
-  Table t({"x"});
-  t.AddRow({"va\"l,ue"});
-  std::string csv = t.ToCsv();
-  EXPECT_NE(csv.find("\"va\"\"l,ue\""), std::string::npos);
-}
-
-TEST(TableTest, WriteCsvRoundTrips) {
-  Table t({"k", "v"});
-  t.AddRow({"alpha", "1"});
-  const std::string path = ::testing::TempDir() + "/gvex_csv_test.csv";
-  ASSERT_TRUE(t.WriteCsv(path).ok());
-  std::ifstream f(path);
-  std::stringstream ss;
-  ss << f.rdbuf();
-  EXPECT_EQ(ss.str(), "k,v\nalpha,1\n");
-  std::remove(path.c_str());
-}
-
-TEST(TableTest, WriteCsvBadPathFails) {
-  Table t({"k"});
-  EXPECT_TRUE(t.WriteCsv("/nonexistent_dir_xyz/file.csv").IsIOError());
+  EXPECT_NE(t.ToText().find("| 1 |   |   |"), std::string::npos);
 }
 
 TEST(FmtDoubleTest, Precision) {

@@ -80,49 +80,6 @@ TEST(ThreadPoolTest, DestructorRunsPendingTasks) {
   EXPECT_EQ(counter.load(), 40);
 }
 
-TEST(ParallelForTest, CoversAllIndices) {
-  std::vector<int> hits(200, 0);
-  ThreadPool::ParallelFor(4, 200, [&hits](int i) {
-    hits[static_cast<size_t>(i)] += 1;
-  });
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 200);
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ParallelForTest, SingleThreadFallback) {
-  std::vector<int> order;
-  ThreadPool::ParallelFor(1, 5, [&order](int i) { order.push_back(i); });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ParallelForTest, ZeroIterationsNoOp) {
-  ThreadPool::ParallelFor(4, 0, [](int) { FAIL(); });
-}
-
-TEST(ParallelForTest, ExactlyOnceUnderContention) {
-  // Oversubscribe the machine and make per-index work uneven so workers
-  // race on the queue; every index must still be visited exactly once.
-  const int n = 1000;
-  std::vector<std::atomic<int>> hits(n);
-  for (auto& h : hits) h.store(0);
-  ThreadPool::ParallelFor(16, n, [&hits](int i) {
-    volatile int sink = 0;
-    for (int k = 0; k < (i % 37) * 50; ++k) sink += k;
-    hits[static_cast<size_t>(i)].fetch_add(1);
-  });
-  for (int i = 0; i < n; ++i) {
-    ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ParallelForTest, MoreThreadsThanIterations) {
-  std::vector<int> hits(3, 0);
-  ThreadPool::ParallelFor(8, 3, [&hits](int i) {
-    hits[static_cast<size_t>(i)] += 1;
-  });
-  EXPECT_EQ(hits, (std::vector<int>{1, 1, 1}));
-}
-
 TEST(MakeShardsTest, PartitionsRangeExactly) {
   const auto shards = ThreadPool::MakeShards(4, 10);
   ASSERT_EQ(shards.size(), 4u);
@@ -232,24 +189,42 @@ TEST(RunShardedTest, PoolIsReusableAfterShardedRun) {
 }
 
 TEST(ParallelForShardsTest, SingleThreadRunsInlineInShardOrder) {
-  std::vector<int> order;
-  ThreadPool::ParallelForShards(1, 3, 9, [&order](const Shard& shard) {
-    order.push_back(shard.index);
-  });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  for (int threads : {1, 0}) {
+    std::vector<int> order;
+    std::vector<int> indices;
+    ThreadPool::ParallelForShards(
+        threads, 3, 9, [&order, &indices](const Shard& shard) {
+          order.push_back(shard.index);
+          for (int i = shard.begin; i < shard.end; ++i) indices.push_back(i);
+        });
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2})) << "threads=" << threads;
+    EXPECT_EQ(indices, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}))
+        << "threads=" << threads;
+  }
 }
 
 TEST(ParallelForShardsTest, MultiThreadCoversRange) {
-  const int n = 200;
-  std::vector<std::atomic<int>> hits(n);
-  for (auto& h : hits) h.store(0);
-  ThreadPool::ParallelForShards(4, 16, n, [&hits](const Shard& shard) {
-    for (int i = shard.begin; i < shard.end; ++i) {
-      hits[static_cast<size_t>(i)].fetch_add(1);
+  struct Case {
+    int threads, shards, n;
+  };
+  // Plain batching; one shard per index on an oversubscribed pool with
+  // uneven per-index work, so workers race on the queue; and more workers
+  // than indices.
+  for (const Case c : {Case{4, 16, 200}, Case{16, 1000, 1000}, Case{8, 0, 3}}) {
+    std::vector<std::atomic<int>> hits(static_cast<size_t>(c.n));
+    for (auto& h : hits) h.store(0);
+    ThreadPool::ParallelForShards(
+        c.threads, c.shards, c.n, [&hits](const Shard& shard) {
+          for (int i = shard.begin; i < shard.end; ++i) {
+            volatile int sink = 0;
+            for (int k = 0; k < (i % 37) * 50; ++k) sink += k;
+            hits[static_cast<size_t>(i)].fetch_add(1);
+          }
+        });
+    for (int i = 0; i < c.n; ++i) {
+      ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1)
+          << "threads=" << c.threads << " index " << i;
     }
-  });
-  for (int i = 0; i < n; ++i) {
-    ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "index " << i;
   }
 }
 
@@ -263,6 +238,8 @@ TEST(ParallelForShardsTest, DefaultShardCountIsPerWorker) {
 
 TEST(ParallelForShardsTest, ZeroIterationsNoOp) {
   ThreadPool::ParallelForShards(4, 8, 0, [](const Shard&) { FAIL(); });
+  ThreadPool::ParallelForShards(4, 8, -3, [](const Shard&) { FAIL(); });
+  ThreadPool::ParallelForShards(1, 8, 0, [](const Shard&) { FAIL(); });
 }
 
 }  // namespace

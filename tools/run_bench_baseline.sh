@@ -15,6 +15,9 @@
 #   BENCH_TOLERANCE        fractional slowdown allowed per timing
 #                          (default 0.35)
 #
+# Every gate runs even when an earlier one fails; the script then names
+# each failing section and exits non-zero.
+#
 # The ratio floors live in one table in tools/check_bench.py (FLOORS).
 set -euo pipefail
 
@@ -43,10 +46,11 @@ trap cleanup EXIT
 # gate <driver> <baseline file> <section>: runs the driver into a scratch
 # JSON and checks it, or (with --record) re-measures straight into the
 # committed baseline (merging, so sections from other drivers survive).
+# Called under `||`, so errexit is off inside: each step returns explicitly.
 gate() {
   local driver="$1" baseline="$2" section="$3"
   if [[ "${record}" == 1 ]]; then
-    GVEX_BENCH_OUT="${baseline}" "${build_dir}/bench/${driver}"
+    GVEX_BENCH_OUT="${baseline}" "${build_dir}/bench/${driver}" || return 1
     echo "recorded ${section} baseline into ${baseline}"
     return 0
   fi
@@ -60,9 +64,9 @@ gate() {
   # No .json suffix: trailing characters after the X's are a GNU extension
   # that BSD/macOS mktemp rejects. BenchReport doesn't care about extensions.
   local current
-  current="$(mktemp /tmp/gvex_bench.XXXXXX)"
+  current="$(mktemp /tmp/gvex_bench.XXXXXX)" || return 1
   scratch_files+=("${current}")
-  GVEX_BENCH_OUT="${current}" "${build_dir}/bench/${driver}"
+  GVEX_BENCH_OUT="${current}" "${build_dir}/bench/${driver}" || return 1
   python3 "${repo_root}/tools/check_bench.py" \
     --baseline "${baseline}" \
     --current "${current}" \
@@ -70,7 +74,18 @@ gate() {
     --section "${section}"
 }
 
-gate bench_fig9e_parallel "${repo_root}/BENCH_parallel.json" fig9e_parallel
-gate bench_serving_throughput "${repo_root}/BENCH_serving.json" serving
-gate bench_store_startup "${repo_root}/BENCH_store.json" store_startup
-gate bench_net_throughput "${repo_root}/BENCH_net.json" net
+failed=()
+gate bench_fig9e_parallel "${repo_root}/BENCH_parallel.json" fig9e_parallel \
+  || failed+=(fig9e_parallel)
+gate bench_serving_throughput "${repo_root}/BENCH_serving.json" serving \
+  || failed+=(serving)
+gate bench_store_startup "${repo_root}/BENCH_store.json" store_startup \
+  || failed+=(store_startup)
+gate bench_net_throughput "${repo_root}/BENCH_net.json" net || failed+=(net)
+
+if (( ${#failed[@]} > 0 )); then
+  for section in "${failed[@]}"; do
+    echo "run_bench_baseline: FAILED ${section}" >&2
+  done
+  exit 1
+fi
