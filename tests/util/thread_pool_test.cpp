@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <vector>
 
@@ -78,6 +79,53 @@ TEST(ThreadPoolTest, DestructorRunsPendingTasks) {
     // No Wait(): shutdown lets workers finish the queue before joining.
   }
   EXPECT_EQ(counter.load(), 40);
+}
+
+// Runs `fn(i)` for every i in [0, n), one shard per index: the per-index
+// parallel loop that ParallelForShards provides.
+void ParallelFor(int num_threads, int n, const std::function<void(int)>& fn) {
+  ThreadPool::ParallelForShards(num_threads, n, n, [&fn](const Shard& shard) {
+    for (int i = shard.begin; i < shard.end; ++i) fn(i);
+  });
+}
+
+TEST(ParallelForTest, CoversAllIndices) {
+  std::vector<int> hits(200, 0);
+  ParallelFor(4, 200, [&hits](int i) { hits[static_cast<size_t>(i)] += 1; });
+  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 200);
+  for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(ParallelForTest, SingleThreadFallback) {
+  std::vector<int> order;
+  ParallelFor(1, 5, [&order](int i) { order.push_back(i); });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(ParallelForTest, ZeroIterationsNoOp) {
+  ParallelFor(4, 0, [](int) { FAIL(); });
+}
+
+TEST(ParallelForTest, ExactlyOnceUnderContention) {
+  // Oversubscribe the machine and make per-index work uneven so workers
+  // race on the queue; every index must still be visited exactly once.
+  const int n = 1000;
+  std::vector<std::atomic<int>> hits(n);
+  for (auto& h : hits) h.store(0);
+  ParallelFor(16, n, [&hits](int i) {
+    volatile int sink = 0;
+    for (int k = 0; k < (i % 37) * 50; ++k) sink += k;
+    hits[static_cast<size_t>(i)].fetch_add(1);
+  });
+  for (int i = 0; i < n; ++i) {
+    ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ParallelForTest, MoreThreadsThanIterations) {
+  std::vector<int> hits(3, 0);
+  ParallelFor(8, 3, [&hits](int i) { hits[static_cast<size_t>(i)] += 1; });
+  EXPECT_EQ(hits, (std::vector<int>{1, 1, 1}));
 }
 
 TEST(MakeShardsTest, PartitionsRangeExactly) {
@@ -204,27 +252,16 @@ TEST(ParallelForShardsTest, SingleThreadRunsInlineInShardOrder) {
 }
 
 TEST(ParallelForShardsTest, MultiThreadCoversRange) {
-  struct Case {
-    int threads, shards, n;
-  };
-  // Plain batching; one shard per index on an oversubscribed pool with
-  // uneven per-index work, so workers race on the queue; and more workers
-  // than indices.
-  for (const Case c : {Case{4, 16, 200}, Case{16, 1000, 1000}, Case{8, 0, 3}}) {
-    std::vector<std::atomic<int>> hits(static_cast<size_t>(c.n));
-    for (auto& h : hits) h.store(0);
-    ThreadPool::ParallelForShards(
-        c.threads, c.shards, c.n, [&hits](const Shard& shard) {
-          for (int i = shard.begin; i < shard.end; ++i) {
-            volatile int sink = 0;
-            for (int k = 0; k < (i % 37) * 50; ++k) sink += k;
-            hits[static_cast<size_t>(i)].fetch_add(1);
-          }
-        });
-    for (int i = 0; i < c.n; ++i) {
-      ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1)
-          << "threads=" << c.threads << " index " << i;
+  const int n = 200;
+  std::vector<std::atomic<int>> hits(n);
+  for (auto& h : hits) h.store(0);
+  ThreadPool::ParallelForShards(4, 16, n, [&hits](const Shard& shard) {
+    for (int i = shard.begin; i < shard.end; ++i) {
+      hits[static_cast<size_t>(i)].fetch_add(1);
     }
+  });
+  for (int i = 0; i < n; ++i) {
+    ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "index " << i;
   }
 }
 
