@@ -9,7 +9,10 @@
 #include "data/mutagenicity.h"
 #include "explain/approx_gvex.h"
 #include "explain/metrics.h"
-#include "gnn/train_any.h"
+#include "gnn/gin_model.h"
+#include "gnn/rgcn_model.h"
+#include "gnn/sage_model.h"
+#include "gnn/trainer.h"
 #include "util/timer.h"
 
 using namespace gvex;
@@ -36,9 +39,7 @@ Row Evaluate(const std::string& arch, Model* model, GraphDatabase* db) {
   tc.batch_size = 16;
   auto report = TrainAnyModel(model, *db, all, tc);
   row.accuracy = report.ok() ? report.value().train_accuracy : 0.0f;
-  std::vector<int> preds;
-  for (int i = 0; i < db->size(); ++i) preds.push_back(model->Predict(db->graph(i)));
-  (void)db->SetPredictedLabels(std::move(preds));
+  (void)AssignPredictedLabels(*model, db);
 
   Configuration config;
   config.theta = 0.08f;

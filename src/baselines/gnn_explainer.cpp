@@ -26,8 +26,7 @@ Result<ExplanationSubgraph> GnnExplainer::Explain(const Graph& g,
   std::vector<float> logits_mask(static_cast<size_t>(m), 1.0f);
   std::vector<float> mask(static_cast<size_t>(m), 0.0f);
 
-  Matrix x = g.features();
-  if (x.empty()) x = Matrix(g.num_nodes(), model_->config().input_dim, 1.0f);
+  const Matrix x = InputFeatures(g, model_->config().input_dim);
 
   // Degree normalization constants of the unmasked graph: S entry for edge
   // (u,v) is  mask_e * base_uv, so dL/dmask_e = base_uv * (dL/dS_uv +
@@ -36,7 +35,7 @@ Result<ExplanationSubgraph> GnnExplainer::Explain(const Graph& g,
     for (size_t e = 0; e < mask.size(); ++e) {
       mask[e] = Sigmoid(logits_mask[e]);
     }
-    SparseMatrix s = BuildMaskedOperator(g, mask);
+    SparseMatrix s = g.NormalizedAdjacency(mask);
     GcnModel::Trace trace = model_->ForwardWithOperator(s, x);
     // Maximize log P(label): minimize CE.
     Matrix dlogits;

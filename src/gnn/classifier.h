@@ -1,8 +1,10 @@
 // The abstract black-box classifier interface the explainers program
 // against. GVEX is model-agnostic (Table 1): it only needs the outputs of a
 // trained GNN — class probabilities and last-layer node embeddings — never
-// its internals. Any message-passing architecture (GCN, GIN, GraphSAGE,
-// R-GCN, ...) plugs in by implementing this interface.
+// its internals. Any architecture plugs in by implementing this interface;
+// the in-tree GCN, GIN, GraphSAGE and R-GCN do so through the shared
+// substrate (gnn/substrate.h), which implements it on top of each model's
+// own Forward.
 
 #ifndef GVEX_GNN_CLASSIFIER_H_
 #define GVEX_GNN_CLASSIFIER_H_

@@ -1,21 +1,12 @@
 #include "gnn/gcn_layer.h"
 
-#include <cmath>
-
+#include "gnn/substrate.h"
 #include "la/matrix_ops.h"
 
 namespace gvex {
 
-GcnLayer::GcnLayer(int in_dim, int out_dim, Rng* rng) {
-  weight_ = Matrix(in_dim, out_dim);
-  const float limit =
-      std::sqrt(6.0f / static_cast<float>(in_dim + out_dim));
-  for (int i = 0; i < in_dim; ++i) {
-    for (int j = 0; j < out_dim; ++j) {
-      weight_.at(i, j) = rng->NextFloat(-limit, limit);
-    }
-  }
-}
+GcnLayer::GcnLayer(int in_dim, int out_dim, Rng* rng)
+    : weight_(GlorotMatrix(in_dim, out_dim, rng)) {}
 
 Matrix GcnLayer::Forward(const SparseMatrix& s, const Matrix& x, bool relu,
                          Cache* cache) const {
@@ -26,8 +17,7 @@ Matrix GcnLayer::Forward(const SparseMatrix& s, const Matrix& x, bool relu,
     cache->input = x;
     cache->xw = std::move(xw);
     cache->relu_mask = relu ? ReluMask(pre) : Matrix(pre.rows(), pre.cols(), 1.0f);
-    cache->pre = std::move(pre);
-    cache->output = out;
+    cache->out = out;
   }
   return out;
 }

@@ -29,9 +29,8 @@ class GcnLayer {
   struct Cache {
     Matrix input;      // X (n x in)
     Matrix xw;         // X Θ (n x out) — reused for d/dS in mask learning
-    Matrix pre;        // S X Θ before activation
-    Matrix relu_mask;  // 1[pre > 0]
-    Matrix output;     // ReLU(pre)
+    Matrix relu_mask;  // 1[S X Θ > 0]
+    Matrix out;        // ReLU(S X Θ)
   };
 
   /// H = relu ? ReLU(S X Θ) : S X Θ. Fills `cache` if non-null.

@@ -3,8 +3,9 @@
 // experiments use. The model is the *black box* the explainers query: they
 // only call Predict / PredictProba / NodeEmbeddings (last-layer outputs).
 //
-// Training support (Forward trace + Backward) lives on the same class so the
-// substrate is self-contained; explainers never touch it.
+// Training support (Forward trace + Backward) lives on the same class; the
+// head, inference and gradient layout come from gnn/substrate.h. Explainers
+// never touch it.
 
 #ifndef GVEX_GNN_GCN_MODEL_H_
 #define GVEX_GNN_GCN_MODEL_H_
@@ -12,15 +13,12 @@
 #include <memory>
 #include <vector>
 
-#include "gnn/classifier.h"
-#include "gnn/dense_layer.h"
 #include "gnn/gcn_layer.h"
-#include "gnn/readout.h"
+#include "gnn/substrate.h"
 #include "graph/graph.h"
 #include "la/matrix.h"
 #include "la/sparse.h"
 #include "util/rng.h"
-#include "util/status.h"
 
 namespace gvex {
 
@@ -34,27 +32,12 @@ struct GcnConfig {
 };
 
 /// k-layer GCN graph classifier.
-class GcnModel : public GnnClassifier {
+class GcnModel : public MessagePassingModel<GcnModel, GcnConfig> {
  public:
   GcnModel() = default;
 
   /// Random (Glorot) initialization from a config.
   GcnModel(const GcnConfig& config, Rng* rng);
-
-  const GcnConfig& config() const { return config_; }
-  int num_layers() const override {
-    return static_cast<int>(gcn_layers_.size());
-  }
-  int num_classes() const override { return config_.num_classes; }
-
-  // ---- Black-box inference API (what explainers are allowed to use) ----
-
-  /// Class probabilities for a graph. Empty graphs are legal (pooled zeros).
-  std::vector<float> PredictProba(const Graph& g) const override;
-
-  /// Last-layer node embeddings X^k (n x hidden) — the paper's diversity
-  /// measure reads these (outputs of the final layer, still black-box).
-  Matrix NodeEmbeddings(const Graph& g) const override;
 
   /// Incremental remainder predictor (gnn/gcn_remainder.cpp): no G \ R is
   /// built, and a query re-runs only the rows near the nodes it toggles
@@ -65,13 +48,9 @@ class GcnModel : public GnnClassifier {
   // ---- Training / gradient API (substrate-internal) ----
 
   /// Everything recorded during a forward pass.
-  struct Trace {
+  struct Trace : HeadTrace {
     SparseMatrix s;                       // propagation operator used
     std::vector<GcnLayer::Cache> caches;  // one per GCN layer
-    std::vector<int> pool_argmax;         // max-pool winners
-    Matrix pooled;                        // 1 x hidden
-    Matrix logits;                        // 1 x classes
-    std::vector<float> probs;
   };
 
   /// Forward over the graph's own normalized adjacency.
@@ -82,14 +61,6 @@ class GcnModel : public GnnClassifier {
   /// learned edge mask, features possibly masked).
   Trace ForwardWithOperator(const SparseMatrix& s, const Matrix& x) const;
 
-  /// Parameter gradients, same shapes as the parameters.
-  struct Gradients {
-    std::vector<Matrix> gcn_weights;
-    Matrix fc_weight;
-    std::vector<float> fc_bias;
-  };
-  Gradients ZeroGradients() const;
-
   /// Backprop from dL/dlogits (1 x classes). Accumulates into `grads`
   /// (required), and optionally produces dL/dX^0 (`grad_input`, n x in) and
   /// dL/dS as a dense matrix (`grad_s`, n x n) for mask learning.
@@ -97,27 +68,14 @@ class GcnModel : public GnnClassifier {
                 Gradients* grads, Matrix* grad_input = nullptr,
                 Matrix* grad_s = nullptr) const;
 
-  /// Flat views of all parameter tensors (for the optimizer and tests).
+  /// Parameter tensors: the layer weights, then the head weight.
   std::vector<Matrix*> MutableParams();
-  std::vector<const Matrix*> Params() const;
-  std::vector<float>* MutableFcBias() { return fc_.mutable_bias(); }
-  const std::vector<float>& FcBias() const { return fc_.bias(); }
 
   const std::vector<GcnLayer>& gcn_layers() const { return gcn_layers_; }
-  const DenseLayer& fc() const { return fc_; }
 
  private:
-  GcnConfig config_;
   std::vector<GcnLayer> gcn_layers_;
-  DenseLayer fc_;
 };
-
-/// Builds a propagation operator with per-edge weights in [0,1] applied to
-/// the off-diagonal entries of the graph's normalized adjacency; self loops
-/// keep weight 1 (degree normalization from the *unmasked* graph, the usual
-/// GNNExplainer simplification). `edge_weights` aligns with g.edges().
-SparseMatrix BuildMaskedOperator(const Graph& g,
-                                 const std::vector<float>& edge_weights);
 
 }  // namespace gvex
 

@@ -332,7 +332,7 @@ bool GcnRemainderPredictor::Evaluate() {
   if (kind == ReadoutKind::kMean && kept > 0) {
     for (size_t j = 0; j < hidden_; ++j) pool[j] /= static_cast<float>(kept);
   }
-  probs_ = Softmax(model_.fc().Forward(pooled).RowVec(0));
+  probs_ = model_.head().Proba(pooled);
   return true;
 }
 

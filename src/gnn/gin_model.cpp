@@ -1,41 +1,11 @@
 #include "gnn/gin_model.h"
 
-#include <cassert>
-#include <cmath>
-
 #include "la/matrix_ops.h"
 
 namespace gvex {
 
-namespace {
-
-Matrix GlorotMatrix(int rows, int cols, Rng* rng) {
-  Matrix m(rows, cols);
-  const float limit = std::sqrt(6.0f / static_cast<float>(rows + cols));
-  for (int i = 0; i < rows; ++i) {
-    for (int j = 0; j < cols; ++j) m.at(i, j) = rng->NextFloat(-limit, limit);
-  }
-  return m;
-}
-
-// Adds a row-broadcast bias (1 x d) to every row of x.
-void AddBias(const Matrix& bias, Matrix* x) {
-  for (int i = 0; i < x->rows(); ++i) {
-    for (int j = 0; j < x->cols(); ++j) x->at(i, j) += bias.at(0, j);
-  }
-}
-
-// Column sums of g accumulated into a 1 x d bias gradient.
-void AccumulateBiasGrad(const Matrix& g, Matrix* bias_grad) {
-  for (int i = 0; i < g.rows(); ++i) {
-    for (int j = 0; j < g.cols(); ++j) bias_grad->at(0, j) += g.at(i, j);
-  }
-}
-
-}  // namespace
-
-GinModel::GinModel(const GinConfig& config, Rng* rng) : config_(config) {
-  assert(config.input_dim > 0 && config.num_layers >= 1);
+GinModel::GinModel(const GinConfig& config, Rng* rng)
+    : MessagePassingModel(config) {
   int in = config.input_dim;
   layers_.reserve(static_cast<size_t>(config.num_layers));
   for (int k = 0; k < config.num_layers; ++k) {
@@ -47,7 +17,7 @@ GinModel::GinModel(const GinConfig& config, Rng* rng) : config_(config) {
     layers_.push_back(std::move(lp));
     in = config.hidden_dim;
   }
-  fc_ = DenseLayer(config.hidden_dim, config.num_classes, rng);
+  InitHead(rng);
 }
 
 SparseMatrix GinModel::AggregationOperator(const Graph& g) const {
@@ -63,72 +33,31 @@ SparseMatrix GinModel::AggregationOperator(const Graph& g) const {
   return SparseMatrix(n, n, std::move(trips));
 }
 
-Matrix GinModel::InputFeatures(const Graph& g) const {
-  Matrix x = g.features();
-  if (x.empty() && g.num_nodes() > 0) {
-    x = Matrix(g.num_nodes(), config_.input_dim, 1.0f);
-  }
-  return x;
-}
-
 GinModel::Trace GinModel::Forward(const Graph& g) const {
   Trace t;
   t.s = AggregationOperator(g);
   t.caches.resize(layers_.size());
-  Matrix h = InputFeatures(g);
+  Matrix h = InputFeatures(g, config_.input_dim);
   for (size_t k = 0; k < layers_.size(); ++k) {
     LayerCache& c = t.caches[k];
     const LayerParams& lp = layers_[k];
     c.input = h;
     c.agg = t.s.Multiply(h);
     c.z1 = MatMul(c.agg, lp.w1);
-    AddBias(lp.b1, &c.z1);
+    AddRowBias(lp.b1, &c.z1);
     c.h1 = Relu(c.z1);
     c.z2 = MatMul(c.h1, lp.w2);
-    AddBias(lp.b2, &c.z2);
+    AddRowBias(lp.b2, &c.z2);
     c.out = Relu(c.z2);
     h = c.out;
   }
-  t.pooled = Readout(config_.readout, h, &t.pool_argmax);
-  t.logits = fc_.Forward(t.pooled);
-  t.probs = Softmax(t.logits.RowVec(0));
+  head_.Forward(h, &t);
   return t;
-}
-
-std::vector<float> GinModel::PredictProba(const Graph& g) const {
-  if (g.num_nodes() == 0) {
-    Matrix zero(1, config_.hidden_dim);
-    return Softmax(fc_.Forward(zero).RowVec(0));
-  }
-  return Forward(g).probs;
-}
-
-Matrix GinModel::NodeEmbeddings(const Graph& g) const {
-  if (g.num_nodes() == 0) return Matrix(0, config_.hidden_dim);
-  return Forward(g).caches.back().out;
-}
-
-GinModel::Gradients GinModel::ZeroGradients() const {
-  Gradients grads;
-  for (const auto& lp : layers_) {
-    grads.mats.emplace_back(lp.w1.rows(), lp.w1.cols());
-    grads.mats.emplace_back(lp.b1.rows(), lp.b1.cols());
-    grads.mats.emplace_back(lp.w2.rows(), lp.w2.cols());
-    grads.mats.emplace_back(lp.b2.rows(), lp.b2.cols());
-  }
-  grads.mats.emplace_back(fc_.in_dim(), fc_.out_dim());
-  grads.fc_bias.assign(static_cast<size_t>(fc_.out_dim()), 0.0f);
-  return grads;
 }
 
 void GinModel::Backward(const Trace& trace, const Matrix& grad_logits,
                         Gradients* grads) const {
-  assert(grads != nullptr);
-  const size_t head_idx = layers_.size() * 4;
-  Matrix dpooled = fc_.Backward(trace.pooled, grad_logits,
-                                &grads->mats[head_idx], &grads->fc_bias);
-  const int n = trace.caches.empty() ? 0 : trace.caches.back().out.rows();
-  Matrix dh = ReadoutBackward(config_.readout, dpooled, n, trace.pool_argmax);
+  Matrix dh = head_.Backward(trace, grad_logits, grads);
   for (int k = static_cast<int>(layers_.size()) - 1; k >= 0; --k) {
     const LayerParams& lp = layers_[static_cast<size_t>(k)];
     const LayerCache& c = trace.caches[static_cast<size_t>(k)];
@@ -154,7 +83,7 @@ std::vector<Matrix*> GinModel::MutableParams() {
     out.push_back(&lp.w2);
     out.push_back(&lp.b2);
   }
-  out.push_back(fc_.mutable_weight());
+  out.push_back(head_.mutable_weight());
   return out;
 }
 

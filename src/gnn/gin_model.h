@@ -10,9 +10,7 @@
 
 #include <vector>
 
-#include "gnn/classifier.h"
-#include "gnn/dense_layer.h"
-#include "gnn/readout.h"
+#include "gnn/substrate.h"
 #include "graph/graph.h"
 #include "la/sparse.h"
 #include "util/rng.h"
@@ -30,17 +28,10 @@ struct GinConfig {
 };
 
 /// k-layer GIN graph classifier with full training support.
-class GinModel : public GnnClassifier {
+class GinModel : public MessagePassingModel<GinModel, GinConfig> {
  public:
   GinModel() = default;
   GinModel(const GinConfig& config, Rng* rng);
-
-  const GinConfig& config() const { return config_; }
-  int num_classes() const override { return config_.num_classes; }
-  int num_layers() const override { return config_.num_layers; }
-
-  std::vector<float> PredictProba(const Graph& g) const override;
-  Matrix NodeEmbeddings(const Graph& g) const override;
 
   /// One layer's MLP parameters (biases stored as 1 x d matrices so the
   /// optimizer treats all tensors uniformly).
@@ -55,40 +46,23 @@ class GinModel : public GnnClassifier {
     Matrix z1, h1, z2, out;
   };
 
-  struct Trace {
+  struct Trace : HeadTrace {
     SparseMatrix s;  // A + (1+eps) I
     std::vector<LayerCache> caches;
-    std::vector<int> pool_argmax;
-    Matrix pooled;
-    Matrix logits;
-    std::vector<float> probs;
-  };
-
-  /// Gradients aligned with MutableParams() order.
-  struct Gradients {
-    std::vector<Matrix> mats;
-    std::vector<float> fc_bias;
   };
 
   Trace Forward(const Graph& g) const;
-  Gradients ZeroGradients() const;
   void Backward(const Trace& trace, const Matrix& grad_logits,
                 Gradients* grads) const;
 
-  /// Parameter tensors in a fixed order: per layer {w1,b1,w2,b2}, then the
-  /// head weight; head bias separate.
+  /// Parameter tensors: per layer {w1,b1,w2,b2}, then the head weight.
   std::vector<Matrix*> MutableParams();
-  std::vector<float>* MutableFcBias() { return fc_.mutable_bias(); }
 
   /// The GIN aggregation operator S = A + (1+ε) I for `g`.
   SparseMatrix AggregationOperator(const Graph& g) const;
 
  private:
-  Matrix InputFeatures(const Graph& g) const;
-
-  GinConfig config_;
   std::vector<LayerParams> layers_;
-  DenseLayer fc_;
 };
 
 }  // namespace gvex

@@ -48,9 +48,9 @@ std::string SerializeModel(const GcnModel& model) {
   for (const auto& layer : model.gcn_layers()) {
     AppendMatrix(layer.weight(), &out);
   }
-  AppendMatrix(model.fc().weight(), &out);
+  AppendMatrix(model.head().weight(), &out);
   out += "bias";
-  for (float b : model.FcBias()) out += StrFormat(" %.9g", b);
+  for (float b : model.head().bias()) out += StrFormat(" %.9g", b);
   out += "\n";
   return out;
 }

@@ -2,40 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 #include "la/matrix_ops.h"
 
 namespace gvex {
 
-namespace {
-
-Matrix GlorotMatrix(int rows, int cols, Rng* rng) {
-  Matrix m(rows, cols);
-  const float limit = std::sqrt(6.0f / static_cast<float>(rows + cols));
-  for (int i = 0; i < rows; ++i) {
-    for (int j = 0; j < cols; ++j) m.at(i, j) = rng->NextFloat(-limit, limit);
-  }
-  return m;
-}
-
-void AddBias(const Matrix& bias, Matrix* x) {
-  for (int i = 0; i < x->rows(); ++i) {
-    for (int j = 0; j < x->cols(); ++j) x->at(i, j) += bias.at(0, j);
-  }
-}
-
-void AccumulateBiasGrad(const Matrix& g, Matrix* bias_grad) {
-  for (int i = 0; i < g.rows(); ++i) {
-    for (int j = 0; j < g.cols(); ++j) bias_grad->at(0, j) += g.at(i, j);
-  }
-}
-
-}  // namespace
-
-RgcnModel::RgcnModel(const RgcnConfig& config, Rng* rng) : config_(config) {
-  assert(config.input_dim > 0 && config.num_layers >= 1 &&
-         config.num_edge_types >= 1);
+RgcnModel::RgcnModel(const RgcnConfig& config, Rng* rng)
+    : MessagePassingModel(config) {
+  assert(config.num_edge_types >= 1);
   int in = config.input_dim;
   layers_.reserve(static_cast<size_t>(config.num_layers));
   for (int k = 0; k < config.num_layers; ++k) {
@@ -49,7 +23,7 @@ RgcnModel::RgcnModel(const RgcnConfig& config, Rng* rng) : config_(config) {
     layers_.push_back(std::move(lp));
     in = config.hidden_dim;
   }
-  fc_ = DenseLayer(config.hidden_dim, config.num_classes, rng);
+  InitHead(rng);
 }
 
 std::vector<SparseMatrix> RgcnModel::RelationOperators(const Graph& g) const {
@@ -83,19 +57,11 @@ std::vector<SparseMatrix> RgcnModel::RelationOperators(const Graph& g) const {
   return ops;
 }
 
-Matrix RgcnModel::InputFeatures(const Graph& g) const {
-  Matrix x = g.features();
-  if (x.empty() && g.num_nodes() > 0) {
-    x = Matrix(g.num_nodes(), config_.input_dim, 1.0f);
-  }
-  return x;
-}
-
 RgcnModel::Trace RgcnModel::Forward(const Graph& g) const {
   Trace t;
   t.rel_ops = RelationOperators(g);
   t.caches.resize(layers_.size());
-  Matrix h = InputFeatures(g);
+  Matrix h = InputFeatures(g, config_.input_dim);
   for (size_t k = 0; k < layers_.size(); ++k) {
     LayerCache& c = t.caches[k];
     const LayerParams& lp = layers_[k];
@@ -106,53 +72,19 @@ RgcnModel::Trace RgcnModel::Forward(const Graph& g) const {
       c.rel_agg[r] = t.rel_ops[r].Multiply(h);
       c.z += MatMul(c.rel_agg[r], lp.w_rel[r]);
     }
-    AddBias(lp.bias, &c.z);
+    AddRowBias(lp.bias, &c.z);
     c.out = Relu(c.z);
     h = c.out;
   }
-  t.pooled = Readout(config_.readout, h, &t.pool_argmax);
-  t.logits = fc_.Forward(t.pooled);
-  t.probs = Softmax(t.logits.RowVec(0));
+  head_.Forward(h, &t);
   return t;
-}
-
-std::vector<float> RgcnModel::PredictProba(const Graph& g) const {
-  if (g.num_nodes() == 0) {
-    Matrix zero(1, config_.hidden_dim);
-    return Softmax(fc_.Forward(zero).RowVec(0));
-  }
-  return Forward(g).probs;
-}
-
-Matrix RgcnModel::NodeEmbeddings(const Graph& g) const {
-  if (g.num_nodes() == 0) return Matrix(0, config_.hidden_dim);
-  return Forward(g).caches.back().out;
-}
-
-RgcnModel::Gradients RgcnModel::ZeroGradients() const {
-  Gradients grads;
-  for (const auto& lp : layers_) {
-    grads.mats.emplace_back(lp.w_self.rows(), lp.w_self.cols());
-    for (const auto& w : lp.w_rel) {
-      grads.mats.emplace_back(w.rows(), w.cols());
-    }
-    grads.mats.emplace_back(lp.bias.rows(), lp.bias.cols());
-  }
-  grads.mats.emplace_back(fc_.in_dim(), fc_.out_dim());
-  grads.fc_bias.assign(static_cast<size_t>(fc_.out_dim()), 0.0f);
-  return grads;
 }
 
 void RgcnModel::Backward(const Trace& trace, const Matrix& grad_logits,
                          Gradients* grads) const {
-  assert(grads != nullptr);
   const int T = config_.num_edge_types;
   const size_t per_layer = static_cast<size_t>(T) + 2;  // self + rels + bias
-  const size_t head_idx = layers_.size() * per_layer;
-  Matrix dpooled = fc_.Backward(trace.pooled, grad_logits,
-                                &grads->mats[head_idx], &grads->fc_bias);
-  const int n = trace.caches.empty() ? 0 : trace.caches.back().out.rows();
-  Matrix dh = ReadoutBackward(config_.readout, dpooled, n, trace.pool_argmax);
+  Matrix dh = head_.Backward(trace, grad_logits, grads);
   for (int k = static_cast<int>(layers_.size()) - 1; k >= 0; --k) {
     const LayerParams& lp = layers_[static_cast<size_t>(k)];
     const LayerCache& c = trace.caches[static_cast<size_t>(k)];
@@ -178,7 +110,7 @@ std::vector<Matrix*> RgcnModel::MutableParams() {
     for (auto& w : lp.w_rel) out.push_back(&w);
     out.push_back(&lp.bias);
   }
-  out.push_back(fc_.mutable_weight());
+  out.push_back(head_.mutable_weight());
   return out;
 }
 

@@ -10,9 +10,7 @@
 
 #include <vector>
 
-#include "gnn/classifier.h"
-#include "gnn/dense_layer.h"
-#include "gnn/readout.h"
+#include "gnn/substrate.h"
 #include "graph/graph.h"
 #include "la/sparse.h"
 #include "util/rng.h"
@@ -30,17 +28,10 @@ struct RgcnConfig {
 };
 
 /// Edge-type-aware graph classifier with full training support.
-class RgcnModel : public GnnClassifier {
+class RgcnModel : public MessagePassingModel<RgcnModel, RgcnConfig> {
  public:
   RgcnModel() = default;
   RgcnModel(const RgcnConfig& config, Rng* rng);
-
-  const RgcnConfig& config() const { return config_; }
-  int num_classes() const override { return config_.num_classes; }
-  int num_layers() const override { return config_.num_layers; }
-
-  std::vector<float> PredictProba(const Graph& g) const override;
-  Matrix NodeEmbeddings(const Graph& g) const override;
 
   struct LayerParams {
     Matrix w_self;
@@ -55,39 +46,24 @@ class RgcnModel : public GnnClassifier {
     Matrix out;
   };
 
-  struct Trace {
+  struct Trace : HeadTrace {
     std::vector<SparseMatrix> rel_ops;  // per-type mean operators
     std::vector<LayerCache> caches;
-    std::vector<int> pool_argmax;
-    Matrix pooled;
-    Matrix logits;
-    std::vector<float> probs;
-  };
-
-  struct Gradients {
-    std::vector<Matrix> mats;
-    std::vector<float> fc_bias;
   };
 
   Trace Forward(const Graph& g) const;
-  Gradients ZeroGradients() const;
   void Backward(const Trace& trace, const Matrix& grad_logits,
                 Gradients* grads) const;
 
   /// Parameter tensors: per layer {w_self, w_rel[0..T), bias}, then head.
   std::vector<Matrix*> MutableParams();
-  std::vector<float>* MutableFcBias() { return fc_.mutable_bias(); }
 
   /// Per-edge-type mean aggregation operators (edges whose type exceeds
   /// num_edge_types-1 are clamped to the last relation).
   std::vector<SparseMatrix> RelationOperators(const Graph& g) const;
 
  private:
-  Matrix InputFeatures(const Graph& g) const;
-
-  RgcnConfig config_;
   std::vector<LayerParams> layers_;
-  DenseLayer fc_;
 };
 
 }  // namespace gvex

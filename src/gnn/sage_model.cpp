@@ -1,39 +1,11 @@
 #include "gnn/sage_model.h"
 
-#include <cassert>
-#include <cmath>
-
 #include "la/matrix_ops.h"
 
 namespace gvex {
 
-namespace {
-
-Matrix GlorotMatrix(int rows, int cols, Rng* rng) {
-  Matrix m(rows, cols);
-  const float limit = std::sqrt(6.0f / static_cast<float>(rows + cols));
-  for (int i = 0; i < rows; ++i) {
-    for (int j = 0; j < cols; ++j) m.at(i, j) = rng->NextFloat(-limit, limit);
-  }
-  return m;
-}
-
-void AddBias(const Matrix& bias, Matrix* x) {
-  for (int i = 0; i < x->rows(); ++i) {
-    for (int j = 0; j < x->cols(); ++j) x->at(i, j) += bias.at(0, j);
-  }
-}
-
-void AccumulateBiasGrad(const Matrix& g, Matrix* bias_grad) {
-  for (int i = 0; i < g.rows(); ++i) {
-    for (int j = 0; j < g.cols(); ++j) bias_grad->at(0, j) += g.at(i, j);
-  }
-}
-
-}  // namespace
-
-SageModel::SageModel(const SageConfig& config, Rng* rng) : config_(config) {
-  assert(config.input_dim > 0 && config.num_layers >= 1);
+SageModel::SageModel(const SageConfig& config, Rng* rng)
+    : MessagePassingModel(config) {
   int in = config.input_dim;
   layers_.reserve(static_cast<size_t>(config.num_layers));
   for (int k = 0; k < config.num_layers; ++k) {
@@ -44,7 +16,7 @@ SageModel::SageModel(const SageConfig& config, Rng* rng) : config_(config) {
     layers_.push_back(std::move(lp));
     in = config.hidden_dim;
   }
-  fc_ = DenseLayer(config.hidden_dim, config.num_classes, rng);
+  InitHead(rng);
 }
 
 SparseMatrix SageModel::MeanOperator(const Graph& g) const {
@@ -63,19 +35,11 @@ SparseMatrix SageModel::MeanOperator(const Graph& g) const {
   return SparseMatrix(n, n, std::move(trips));
 }
 
-Matrix SageModel::InputFeatures(const Graph& g) const {
-  Matrix x = g.features();
-  if (x.empty() && g.num_nodes() > 0) {
-    x = Matrix(g.num_nodes(), config_.input_dim, 1.0f);
-  }
-  return x;
-}
-
 SageModel::Trace SageModel::Forward(const Graph& g) const {
   Trace t;
   t.m = MeanOperator(g);
   t.caches.resize(layers_.size());
-  Matrix h = InputFeatures(g);
+  Matrix h = InputFeatures(g, config_.input_dim);
   for (size_t k = 0; k < layers_.size(); ++k) {
     LayerCache& c = t.caches[k];
     const LayerParams& lp = layers_[k];
@@ -83,49 +47,17 @@ SageModel::Trace SageModel::Forward(const Graph& g) const {
     c.nb = t.m.Multiply(h);
     c.z = MatMul(h, lp.w_self);
     c.z += MatMul(c.nb, lp.w_nb);
-    AddBias(lp.bias, &c.z);
+    AddRowBias(lp.bias, &c.z);
     c.out = Relu(c.z);
     h = c.out;
   }
-  t.pooled = Readout(config_.readout, h, &t.pool_argmax);
-  t.logits = fc_.Forward(t.pooled);
-  t.probs = Softmax(t.logits.RowVec(0));
+  head_.Forward(h, &t);
   return t;
-}
-
-std::vector<float> SageModel::PredictProba(const Graph& g) const {
-  if (g.num_nodes() == 0) {
-    Matrix zero(1, config_.hidden_dim);
-    return Softmax(fc_.Forward(zero).RowVec(0));
-  }
-  return Forward(g).probs;
-}
-
-Matrix SageModel::NodeEmbeddings(const Graph& g) const {
-  if (g.num_nodes() == 0) return Matrix(0, config_.hidden_dim);
-  return Forward(g).caches.back().out;
-}
-
-SageModel::Gradients SageModel::ZeroGradients() const {
-  Gradients grads;
-  for (const auto& lp : layers_) {
-    grads.mats.emplace_back(lp.w_self.rows(), lp.w_self.cols());
-    grads.mats.emplace_back(lp.w_nb.rows(), lp.w_nb.cols());
-    grads.mats.emplace_back(lp.bias.rows(), lp.bias.cols());
-  }
-  grads.mats.emplace_back(fc_.in_dim(), fc_.out_dim());
-  grads.fc_bias.assign(static_cast<size_t>(fc_.out_dim()), 0.0f);
-  return grads;
 }
 
 void SageModel::Backward(const Trace& trace, const Matrix& grad_logits,
                          Gradients* grads) const {
-  assert(grads != nullptr);
-  const size_t head_idx = layers_.size() * 3;
-  Matrix dpooled = fc_.Backward(trace.pooled, grad_logits,
-                                &grads->mats[head_idx], &grads->fc_bias);
-  const int n = trace.caches.empty() ? 0 : trace.caches.back().out.rows();
-  Matrix dh = ReadoutBackward(config_.readout, dpooled, n, trace.pool_argmax);
+  Matrix dh = head_.Backward(trace, grad_logits, grads);
   for (int k = static_cast<int>(layers_.size()) - 1; k >= 0; --k) {
     const LayerParams& lp = layers_[static_cast<size_t>(k)];
     const LayerCache& c = trace.caches[static_cast<size_t>(k)];
@@ -148,7 +80,7 @@ std::vector<Matrix*> SageModel::MutableParams() {
     out.push_back(&lp.w_nb);
     out.push_back(&lp.bias);
   }
-  out.push_back(fc_.mutable_weight());
+  out.push_back(head_.mutable_weight());
   return out;
 }
 

@@ -8,9 +8,7 @@
 
 #include <vector>
 
-#include "gnn/classifier.h"
-#include "gnn/dense_layer.h"
-#include "gnn/readout.h"
+#include "gnn/substrate.h"
 #include "graph/graph.h"
 #include "la/sparse.h"
 #include "util/rng.h"
@@ -27,17 +25,10 @@ struct SageConfig {
 };
 
 /// k-layer GraphSAGE graph classifier with full training support.
-class SageModel : public GnnClassifier {
+class SageModel : public MessagePassingModel<SageModel, SageConfig> {
  public:
   SageModel() = default;
   SageModel(const SageConfig& config, Rng* rng);
-
-  const SageConfig& config() const { return config_; }
-  int num_classes() const override { return config_.num_classes; }
-  int num_layers() const override { return config_.num_layers; }
-
-  std::vector<float> PredictProba(const Graph& g) const override;
-  Matrix NodeEmbeddings(const Graph& g) const override;
 
   struct LayerParams {
     Matrix w_self, w_nb, bias;  // bias is 1 x d
@@ -50,38 +41,23 @@ class SageModel : public GnnClassifier {
     Matrix out;
   };
 
-  struct Trace {
+  struct Trace : HeadTrace {
     SparseMatrix m;  // row-normalized adjacency D^-1 A (no self loop)
     std::vector<LayerCache> caches;
-    std::vector<int> pool_argmax;
-    Matrix pooled;
-    Matrix logits;
-    std::vector<float> probs;
-  };
-
-  struct Gradients {
-    std::vector<Matrix> mats;
-    std::vector<float> fc_bias;
   };
 
   Trace Forward(const Graph& g) const;
-  Gradients ZeroGradients() const;
   void Backward(const Trace& trace, const Matrix& grad_logits,
                 Gradients* grads) const;
 
   /// Parameter tensors: per layer {w_self, w_nb, bias}, then head weight.
   std::vector<Matrix*> MutableParams();
-  std::vector<float>* MutableFcBias() { return fc_.mutable_bias(); }
 
   /// Row-normalized mean-aggregation operator for `g`.
   SparseMatrix MeanOperator(const Graph& g) const;
 
  private:
-  Matrix InputFeatures(const Graph& g) const;
-
-  SageConfig config_;
   std::vector<LayerParams> layers_;
-  DenseLayer fc_;
 };
 
 }  // namespace gvex

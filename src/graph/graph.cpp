@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "util/string_util.h"
@@ -80,7 +81,9 @@ Status Graph::SetOneHotFeaturesFromTypes(int num_types) {
   return Status::OK();
 }
 
-SparseMatrix Graph::NormalizedAdjacency() const {
+SparseMatrix Graph::NormalizedAdjacency(
+    const std::vector<float>& edge_weights) const {
+  assert(edge_weights.empty() || edge_weights.size() == edges_.size());
   const int n = num_nodes();
   // Degree of Â = A_sym + I.
   std::vector<float> deg(static_cast<size_t>(n), 1.0f);  // self loop
@@ -100,8 +103,12 @@ SparseMatrix Graph::NormalizedAdjacency() const {
     float w = inv_sqrt[static_cast<size_t>(v)] * inv_sqrt[static_cast<size_t>(v)];
     trips.push_back({v, v, w});
   }
-  for (const Edge& e : edges_) {
-    float w = inv_sqrt[static_cast<size_t>(e.u)] * inv_sqrt[static_cast<size_t>(e.v)];
+  for (size_t i = 0; i < edges_.size(); ++i) {
+    const Edge& e = edges_[i];
+    // 1 * x == x exactly, so the unweighted entries are unchanged.
+    const float scale = edge_weights.empty() ? 1.0f : edge_weights[i];
+    float w = scale * inv_sqrt[static_cast<size_t>(e.u)] *
+              inv_sqrt[static_cast<size_t>(e.v)];
     trips.push_back({e.u, e.v, w});
     trips.push_back({e.v, e.u, w});
   }

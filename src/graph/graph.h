@@ -89,7 +89,12 @@ class Graph {
   /// Symmetric-normalized propagation operator of Eq. (1):
   /// S = D^-1/2 (A + I) D^-1/2 over the *undirectedized* adjacency (GCN
   /// convention: directed graphs are symmetrized for message passing).
-  SparseMatrix NormalizedAdjacency() const;
+  /// Non-empty `edge_weights` (aligned with edges()) scale each edge's two
+  /// entries; self loops keep weight 1 and the degrees stay those of the
+  /// unweighted graph (GNNExplainer's edge mask). All-ones weights give the
+  /// unweighted operator bit for bit.
+  SparseMatrix NormalizedAdjacency(
+      const std::vector<float>& edge_weights = {}) const;
 
   /// Summary like "Graph(n=30, m=31, directed=false)".
   std::string ToString() const;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "test_util.h"
@@ -106,6 +107,13 @@ struct PropertyParam {
   float r;
   float gamma;
 };
+
+// Names each instance by its fields; without it gtest prints the raw 24
+// bytes, padding included, and the test names change between builds.
+void PrintTo(const PropertyParam& p, std::ostream* os) {
+  *os << "seed=" << p.seed << " theta=" << p.theta << " r=" << p.r
+      << " gamma=" << p.gamma;
+}
 
 class ScoringPropertyTest : public ::testing::TestWithParam<PropertyParam> {};
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "gnn/loss.h"
 #include "la/matrix_ops.h"
@@ -108,10 +109,7 @@ TEST(GcnModelTest, FullBackwardMatchesFiniteDifference) {
   // Check a sample of weight coordinates in every parameter tensor.
   const float eps = 1e-3f;
   auto params = model.MutableParams();
-  std::vector<Matrix*> grad_ptrs;
-  for (auto& gm : grads.gcn_weights) grad_ptrs.push_back(&gm);
-  grad_ptrs.push_back(&grads.fc_weight);
-  ASSERT_EQ(params.size(), grad_ptrs.size());
+  ASSERT_EQ(params.size(), grads.mats.size());
   for (size_t pi = 0; pi < params.size(); ++pi) {
     Matrix* w = params[pi];
     const int r = 0;
@@ -123,26 +121,31 @@ TEST(GcnModelTest, FullBackwardMatchesFiniteDifference) {
     const double lm = loss_of(model);
     w->at(r, c) = orig;
     const double fd = (lp - lm) / (2.0 * eps);
-    EXPECT_NEAR(grad_ptrs[pi]->at(r, c), fd, 2e-2) << "param tensor " << pi;
+    EXPECT_NEAR(grads.mats[pi].at(r, c), fd, 2e-2) << "param tensor " << pi;
   }
 }
 
 TEST(MaskedOperatorTest, AllOnesMatchesNormalizedAdjacency) {
   Graph g = testing::TriangleWithTail();
   std::vector<float> ones(static_cast<size_t>(g.num_edges()), 1.0f);
-  Matrix masked = BuildMaskedOperator(g, ones).ToDense();
+  Matrix masked = g.NormalizedAdjacency(ones).ToDense();
   Matrix plain = g.NormalizedAdjacency().ToDense();
   for (int i = 0; i < masked.rows(); ++i) {
     for (int j = 0; j < masked.cols(); ++j) {
       EXPECT_NEAR(masked.at(i, j), plain.at(i, j), 1e-6f);
     }
   }
+  // Bit for bit, not only within tolerance.
+  ASSERT_EQ(masked.size(), plain.size());
+  EXPECT_EQ(std::memcmp(masked.data(), plain.data(),
+                        masked.size() * sizeof(float)),
+            0);
 }
 
 TEST(MaskedOperatorTest, ZeroMaskKeepsOnlySelfLoops) {
   Graph g = testing::PathGraph(3);
   std::vector<float> zeros(static_cast<size_t>(g.num_edges()), 0.0f);
-  Matrix masked = BuildMaskedOperator(g, zeros).ToDense();
+  Matrix masked = g.NormalizedAdjacency(zeros).ToDense();
   for (int i = 0; i < 3; ++i) {
     for (int j = 0; j < 3; ++j) {
       if (i != j) {

@@ -9,7 +9,7 @@
 #include "gnn/loss.h"
 #include "gnn/rgcn_model.h"
 #include "gnn/sage_model.h"
-#include "gnn/train_any.h"
+#include "gnn/trainer.h"
 #include "test_util.h"
 
 namespace gvex {
@@ -128,9 +128,8 @@ void CheckGradients(Model* model, const Graph& g) {
   SoftmaxCrossEntropy(trace.logits, 1, &dlogits);
   auto grads = model->ZeroGradients();
   model->Backward(trace, dlogits, &grads);
-  GradientView view = GradientPtrs(&grads);
   auto params = model->MutableParams();
-  ASSERT_EQ(params.size() + 0, view.mats.size());
+  ASSERT_EQ(params.size(), grads.mats.size());
   const float eps = 1e-3f;
   for (size_t pi = 0; pi < params.size(); ++pi) {
     Matrix* w = params[pi];
@@ -144,7 +143,7 @@ void CheckGradients(Model* model, const Graph& g) {
     const double lm = loss_of(*model);
     w->at(r, c) = orig;
     const double fd = (lp - lm) / (2.0 * eps);
-    EXPECT_NEAR(view.mats[pi]->at(r, c), fd, 3e-2) << "tensor " << pi;
+    EXPECT_NEAR(grads.mats[pi].at(r, c), fd, 3e-2) << "tensor " << pi;
   }
 }
 
@@ -266,14 +265,7 @@ TEST(ModelAgnosticTest, ApproxGvexExplainsGinModel) {
   GraphDatabase db;
   float acc = TrainOnMolecules(&model, &db);
   ASSERT_GT(acc, 0.8f);
-  ASSERT_TRUE(db.SetPredictedLabels([&] {
-                  std::vector<int> preds;
-                  for (int i = 0; i < db.size(); ++i) {
-                    preds.push_back(model.Predict(db.graph(i)));
-                  }
-                  return preds;
-                }())
-                  .ok());
+  ASSERT_TRUE(AssignPredictedLabels(model, &db).ok());
   Configuration config;
   config.theta = 0.05f;
   config.r = 0.3f;
