@@ -31,6 +31,18 @@ Result<ExplanationSubgraph> GnnExplainer::Explain(const Graph& g,
   // Degree normalization constants of the unmasked graph: S entry for edge
   // (u,v) is  mask_e * base_uv, so dL/dmask_e = base_uv * (dL/dS_uv +
   // dL/dS_vu) and dL/dlogit = dL/dmask * σ'(logit).
+  std::vector<float> deg(static_cast<size_t>(g.num_nodes()), 1.0f);
+  for (const Edge& ed : g.edges()) {
+    deg[static_cast<size_t>(ed.u)] += 1.0f;
+    deg[static_cast<size_t>(ed.v)] += 1.0f;
+  }
+  std::vector<float> base(static_cast<size_t>(m));
+  for (size_t e = 0; e < base.size(); ++e) {
+    const Edge& ed = g.edges()[e];
+    base[e] = 1.0f / std::sqrt(deg[static_cast<size_t>(ed.u)] *
+                               deg[static_cast<size_t>(ed.v)]);
+  }
+
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {
     for (size_t e = 0; e < mask.size(); ++e) {
       mask[e] = Sigmoid(logits_mask[e]);
@@ -44,18 +56,9 @@ Result<ExplanationSubgraph> GnnExplainer::Explain(const Graph& g,
     Matrix grad_s(g.num_nodes(), g.num_nodes());
     model_->Backward(trace, dlogits, &grads, nullptr, &grad_s);
 
-    // Base (unmasked-normalization) coefficients.
-    std::vector<float> deg(static_cast<size_t>(g.num_nodes()), 1.0f);
-    for (const Edge& ed : g.edges()) {
-      deg[static_cast<size_t>(ed.u)] += 1.0f;
-      deg[static_cast<size_t>(ed.v)] += 1.0f;
-    }
     for (size_t e = 0; e < mask.size(); ++e) {
       const Edge& ed = g.edges()[e];
-      const float base =
-          1.0f / std::sqrt(deg[static_cast<size_t>(ed.u)] *
-                           deg[static_cast<size_t>(ed.v)]);
-      float dmask = base * (grad_s.at(ed.u, ed.v) + grad_s.at(ed.v, ed.u));
+      float dmask = base[e] * (grad_s.at(ed.u, ed.v) + grad_s.at(ed.v, ed.u));
       // Regularizers: λ1 d|σ|/dm + λ2 dH/dm.
       const float sm = mask[e];
       dmask += options_.l1_coeff;

@@ -42,13 +42,19 @@ std::vector<NodeId> GroupOf(const Graph& g, NodeId v,
 bool CounterfactualRepair(const GnnClassifier& model, const Graph& g, int label,
                           const CoverageBound& bound, int max_iters,
                           std::vector<NodeId>* vs) {
-  // One predictor per call: every probe below differs from the V_S pinned
-  // at the top of its iteration by one to a few nodes.
+  // One predictor per call: every probe below differs from the set pinned
+  // for its eviction count by its own group.
   std::unique_ptr<RemainderPredictor> rest = model.MakeRemainderPredictor(g);
   if (IsCounterfactual(rest.get(), *vs, label)) return true;
   std::vector<bool> selected(static_cast<size_t>(g.num_nodes()), false);
   for (NodeId v : *vs) selected[static_cast<size_t>(v)] = true;
 
+  struct Candidate {
+    int k;  // residents evicted: the first k of eviction_order
+    NodeId v;
+    std::vector<NodeId> group;
+  };
+  std::vector<Candidate> candidates;
   for (int iter = 0; iter < max_iters; ++iter) {
     rest->Pin(*vs);
     const double current_p = RemainderProba(rest.get(), *vs, label);
@@ -66,10 +72,9 @@ bool CounterfactualRepair(const GnnClassifier& model, const Graph& g, int label,
     }
     std::sort(eviction_order.begin(), eviction_order.end());
 
-    // Evaluate every candidate group: the trial set is V_S ∪ group with the
+    // Every candidate group: the trial set is V_S ∪ group with the k
     // least-flip-useful residents evicted to respect the upper bound.
-    double best_p = current_p;
-    std::vector<NodeId> best_vs;
+    candidates.clear();
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       if (selected[static_cast<size_t>(v)]) continue;
       std::vector<NodeId> group = GroupOf(g, v, selected);
@@ -77,25 +82,51 @@ bool CounterfactualRepair(const GnnClassifier& model, const Graph& g, int label,
       const int excess = static_cast<int>(vs->size() + group.size()) -
                          bound.upper;
       if (excess > static_cast<int>(vs->size())) continue;
+      candidates.push_back({std::max(excess, 0), v, std::move(group)});
+    }
+    // Probe by eviction count, ascending: with the kept residents pinned,
+    // a probe toggles only its own group. The move is the lowest p below
+    // current_p, ties to the lowest v, as a strict scan in v order picks.
+    std::stable_sort(candidates.begin(), candidates.end(),
+                     [](const Candidate& a, const Candidate& b) {
+                       return a.k < b.k;
+                     });
+    // The residents left after evicting the first k of eviction_order, in
+    // V_S order: the next iteration's eviction ties read that order.
+    auto kept_after = [&](int k) {
       std::vector<bool> evicted(vs->size(), false);
-      for (int k = 0; k < excess; ++k) {
-        evicted[eviction_order[static_cast<size_t>(k)].second] = true;
+      for (int i = 0; i < k; ++i) {
+        evicted[eviction_order[static_cast<size_t>(i)].second] = true;
       }
-      std::vector<NodeId> trial;
-      trial.reserve(static_cast<size_t>(bound.upper));
+      std::vector<NodeId> kept;
+      kept.reserve(static_cast<size_t>(bound.upper));
       for (size_t i = 0; i < vs->size(); ++i) {
-        if (!evicted[i]) trial.push_back((*vs)[i]);
+        if (!evicted[i]) kept.push_back((*vs)[i]);
       }
-      trial.insert(trial.end(), group.begin(), group.end());
+      return kept;
+    };
+    double best_p = current_p;
+    const Candidate* best = nullptr;
+    std::vector<NodeId> kept;
+    std::vector<NodeId> trial;
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      const Candidate& cand = candidates[c];
+      if (c == 0 || cand.k != candidates[c - 1].k) {
+        kept = kept_after(cand.k);
+        rest->Pin(kept);
+      }
+      trial = kept;
+      trial.insert(trial.end(), cand.group.begin(), cand.group.end());
       const double p = RemainderProba(rest.get(), trial, label);
-      if (p < best_p) {
+      if (p < best_p || (best != nullptr && p == best_p && cand.v < best->v)) {
         best_p = p;
-        best_vs = std::move(trial);
+        best = &cand;
       }
     }
-    if (best_vs.empty()) break;  // no improving move
+    if (best == nullptr) break;  // no improving move
     std::fill(selected.begin(), selected.end(), false);
-    *vs = std::move(best_vs);
+    *vs = kept_after(best->k);
+    vs->insert(vs->end(), best->group.begin(), best->group.end());
     for (NodeId v : *vs) selected[static_cast<size_t>(v)] = true;
     if (IsCounterfactual(rest.get(), *vs, label)) {
       std::sort(vs->begin(), vs->end());

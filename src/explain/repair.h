@@ -7,6 +7,13 @@
 // is exhausted. The explainability objective is monotone, so additions never
 // hurt it; swaps trade a small amount of f for the counterfactual property
 // required by the definition of explanation subgraphs (§2.2).
+//
+// Every probe goes through one remainder predictor per call. An iteration
+// pins V_S for the eviction order, then probes the candidate groups by
+// eviction count k, ascending, with V_S minus its first k evictees pinned,
+// so each trial toggles only its own group against the pinned set. The move
+// is the trial of lowest P(label | G \ trial) below the current one, ties
+// to the lowest node: what a scan in node order with a strict < picks.
 
 #ifndef GVEX_EXPLAIN_REPAIR_H_
 #define GVEX_EXPLAIN_REPAIR_H_

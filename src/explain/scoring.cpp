@@ -1,5 +1,7 @@
 #include "explain/scoring.h"
 
+#include <algorithm>
+
 #include "la/matrix_ops.h"
 
 namespace gvex {
@@ -31,6 +33,7 @@ GraphScoringContext::GraphScoringContext(const GnnClassifier& model, const Graph
 ScoreState::ScoreState(const GraphScoringContext* ctx) : ctx_(ctx) {
   influenced_.assign(static_cast<size_t>(ctx->num_nodes()), false);
   diversity_refcnt_.assign(static_cast<size_t>(ctx->num_nodes()), 0);
+  counted_.assign(static_cast<size_t>(ctx->num_nodes()), 0);
 }
 
 double ScoreState::Score() const {
@@ -41,27 +44,22 @@ double ScoreState::Score() const {
 
 double ScoreState::GainOf(NodeId u) const {
   if (ctx_->num_nodes() == 0) return 0.0;
+  // A w outside the union counts once however many newly influenced nodes
+  // reach it: counted_[w] == epoch_ marks it as counted by this call.
+  if (++epoch_ == 0) {
+    std::fill(counted_.begin(), counted_.end(), 0);
+    epoch_ = 1;
+  }
   int new_influenced = 0;
   double new_diverse = 0;
-  // Count diversity additions without double counting across multiple newly
-  // influenced nodes: use a small local set keyed by refcnt==0.
-  std::vector<NodeId> touched;
   for (NodeId v : ctx_->InfluencedBy(u)) {
     if (influenced_[static_cast<size_t>(v)]) continue;
     ++new_influenced;
     for (NodeId w : ctx_->Neighborhood(v)) {
-      if (diversity_refcnt_[static_cast<size_t>(w)] == 0) {
-        bool seen = false;
-        for (NodeId t : touched) {
-          if (t == w) {
-            seen = true;
-            break;
-          }
-        }
-        if (!seen) {
-          touched.push_back(w);
-          new_diverse += 1.0;
-        }
+      const size_t wi = static_cast<size_t>(w);
+      if (diversity_refcnt_[wi] == 0 && counted_[wi] != epoch_) {
+        counted_[wi] = epoch_;
+        new_diverse += 1.0;
       }
     }
   }

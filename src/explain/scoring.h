@@ -6,12 +6,16 @@
 //   D(V_s)   = | ∪_{v influenced by V_s} r(v,d) |        (diversity, Eq. 6)
 //   r(v,d)   = { v' : d(X^k_v, X^k_v') ≤ r }             (embedding ball)
 //
-// Lemma 3.3 shows I and D are monotone submodular in V_s; ScoreState exposes
-// the O(deg)-amortized marginal gains the greedy algorithms need.
+// Lemma 3.3 shows I and D are monotone submodular in V_s; ScoreState keeps
+// them incrementally for the greedy algorithms. GainOf(u) and Add(u) each
+// cost O(|InfluencedBy(u)| + Σ |r(v,d)|), the sum over the nodes v that u
+// newly influences: a gain visits each ball entry once, deduplicated by an
+// epoch-stamped mark array rather than a scan of the entries counted so far.
 
 #ifndef GVEX_EXPLAIN_SCORING_H_
 #define GVEX_EXPLAIN_SCORING_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "explain/config.h"
@@ -56,8 +60,9 @@ class GraphScoringContext {
 };
 
 /// Mutable greedy state over one context: tracks the influenced set and the
-/// diversity union with reference counts so marginal gains are exact and
-/// Add() is O(|InfluencedBy| · |Neighborhood|).
+/// diversity union with reference counts so marginal gains are exact
+/// integer counts. Not thread-safe, GainOf included (it writes scratch):
+/// give each thread its own state.
 class ScoreState {
  public:
   explicit ScoreState(const GraphScoringContext* ctx);
@@ -69,7 +74,7 @@ class ScoreState {
   int InfluenceCount() const { return influence_count_; }
   int DiversityCount() const { return diversity_count_; }
 
-  /// Marginal gain of adding `u` (does not mutate).
+  /// Marginal gain of adding `u` (V_s is unchanged).
   double GainOf(NodeId u) const;
 
   /// Adds `u` to V_s.
@@ -84,6 +89,10 @@ class ScoreState {
   const GraphScoringContext* ctx_;
   std::vector<bool> influenced_;       // v influenced by current V_s
   std::vector<int> diversity_refcnt_;  // times v appears in the union
+  // GainOf's scratch: counted_[w] == epoch_ iff the current call has
+  // counted w. A ScoreState serves one thread.
+  mutable std::vector<uint32_t> counted_;
+  mutable uint32_t epoch_ = 0;
   int influence_count_ = 0;
   int diversity_count_ = 0;
 };

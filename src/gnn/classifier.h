@@ -4,7 +4,7 @@
 // its internals. Any architecture plugs in by implementing this interface;
 // the in-tree GCN, GIN, GraphSAGE and R-GCN do so through the shared
 // substrate (gnn/substrate.h), which implements it on top of each model's
-// own Forward.
+// own layer math.
 
 #ifndef GVEX_GNN_CLASSIFIER_H_
 #define GVEX_GNN_CLASSIFIER_H_

@@ -18,6 +18,15 @@ GcnModel::Trace GcnModel::Forward(const Graph& g) const {
                              InputFeatures(g, config_.input_dim));
 }
 
+Matrix GcnModel::LastLayer(const Graph& g) const {
+  const SparseMatrix s = g.NormalizedAdjacency();
+  Matrix h = InputFeatures(g, config_.input_dim);
+  for (const GcnLayer& layer : gcn_layers_) {
+    h = layer.Forward(s, h, /*relu=*/true, nullptr);
+  }
+  return h;
+}
+
 GcnModel::Trace GcnModel::ForwardWithOperator(const SparseMatrix& s,
                                               const Matrix& x) const {
   Trace t;

@@ -56,6 +56,9 @@ class GcnModel : public MessagePassingModel<GcnModel, GcnConfig> {
   /// Forward over the graph's own normalized adjacency.
   Trace Forward(const Graph& g) const;
 
+  /// The last layer's output of Forward(g), keeping no trace.
+  Matrix LastLayer(const Graph& g) const;
+
   /// Forward with a caller-supplied propagation operator and features — the
   /// hook GNNExplainer-style mask learning uses (S entries reweighted by the
   /// learned edge mask, features possibly masked).

@@ -1,5 +1,7 @@
 #include "gnn/gin_model.h"
 
+#include <utility>
+
 #include "la/matrix_ops.h"
 
 namespace gvex {
@@ -33,26 +35,46 @@ SparseMatrix GinModel::AggregationOperator(const Graph& g) const {
   return SparseMatrix(n, n, std::move(trips));
 }
 
+Matrix GinModel::LayerForward(const SparseMatrix& s, size_t k,
+                              const Matrix& x, LayerCache* c) const {
+  const LayerParams& lp = layers_[k];
+  Matrix agg = s.Multiply(x);
+  Matrix z1 = MatMul(agg, lp.w1);
+  AddRowBias(lp.b1, &z1);
+  Matrix h1 = Relu(z1);
+  Matrix z2 = MatMul(h1, lp.w2);
+  AddRowBias(lp.b2, &z2);
+  Matrix out = Relu(z2);
+  if (c) {
+    c->input = x;
+    c->agg = std::move(agg);
+    c->z1 = std::move(z1);
+    c->h1 = std::move(h1);
+    c->z2 = std::move(z2);
+    c->out = out;
+  }
+  return out;
+}
+
 GinModel::Trace GinModel::Forward(const Graph& g) const {
   Trace t;
   t.s = AggregationOperator(g);
   t.caches.resize(layers_.size());
   Matrix h = InputFeatures(g, config_.input_dim);
   for (size_t k = 0; k < layers_.size(); ++k) {
-    LayerCache& c = t.caches[k];
-    const LayerParams& lp = layers_[k];
-    c.input = h;
-    c.agg = t.s.Multiply(h);
-    c.z1 = MatMul(c.agg, lp.w1);
-    AddRowBias(lp.b1, &c.z1);
-    c.h1 = Relu(c.z1);
-    c.z2 = MatMul(c.h1, lp.w2);
-    AddRowBias(lp.b2, &c.z2);
-    c.out = Relu(c.z2);
-    h = c.out;
+    h = LayerForward(t.s, k, h, &t.caches[k]);
   }
   head_.Forward(h, &t);
   return t;
+}
+
+Matrix GinModel::LastLayer(const Graph& g) const {
+  const SparseMatrix s = AggregationOperator(g);
+  Matrix h = InputFeatures(g, config_.input_dim);
+  for (size_t k = 0; k < layers_.size(); ++k) {
+    h = LayerForward(s, k, h, nullptr);
+  }
+  return h;
 }
 
 void GinModel::Backward(const Trace& trace, const Matrix& grad_logits,

@@ -52,6 +52,8 @@ class GinModel : public MessagePassingModel<GinModel, GinConfig> {
   };
 
   Trace Forward(const Graph& g) const;
+  /// The last layer's output of Forward(g), keeping no trace.
+  Matrix LastLayer(const Graph& g) const;
   void Backward(const Trace& trace, const Matrix& grad_logits,
                 Gradients* grads) const;
 
@@ -62,6 +64,10 @@ class GinModel : public MessagePassingModel<GinModel, GinConfig> {
   SparseMatrix AggregationOperator(const Graph& g) const;
 
  private:
+  // Layer k over aggregation operator s; fills `c` if non-null.
+  Matrix LayerForward(const SparseMatrix& s, size_t k, const Matrix& x,
+                      LayerCache* c) const;
+
   std::vector<LayerParams> layers_;
 };
 

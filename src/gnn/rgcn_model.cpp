@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "la/matrix_ops.h"
 
@@ -57,27 +58,46 @@ std::vector<SparseMatrix> RgcnModel::RelationOperators(const Graph& g) const {
   return ops;
 }
 
+Matrix RgcnModel::LayerForward(const std::vector<SparseMatrix>& rel_ops,
+                               size_t k, const Matrix& x,
+                               LayerCache* c) const {
+  const LayerParams& lp = layers_[k];
+  Matrix z = MatMul(x, lp.w_self);
+  std::vector<Matrix> rel_agg(rel_ops.size());
+  for (size_t r = 0; r < rel_ops.size(); ++r) {
+    rel_agg[r] = rel_ops[r].Multiply(x);
+    z += MatMul(rel_agg[r], lp.w_rel[r]);
+  }
+  AddRowBias(lp.bias, &z);
+  Matrix out = Relu(z);
+  if (c) {
+    c->input = x;
+    c->rel_agg = std::move(rel_agg);
+    c->z = std::move(z);
+    c->out = out;
+  }
+  return out;
+}
+
 RgcnModel::Trace RgcnModel::Forward(const Graph& g) const {
   Trace t;
   t.rel_ops = RelationOperators(g);
   t.caches.resize(layers_.size());
   Matrix h = InputFeatures(g, config_.input_dim);
   for (size_t k = 0; k < layers_.size(); ++k) {
-    LayerCache& c = t.caches[k];
-    const LayerParams& lp = layers_[k];
-    c.input = h;
-    c.z = MatMul(h, lp.w_self);
-    c.rel_agg.resize(t.rel_ops.size());
-    for (size_t r = 0; r < t.rel_ops.size(); ++r) {
-      c.rel_agg[r] = t.rel_ops[r].Multiply(h);
-      c.z += MatMul(c.rel_agg[r], lp.w_rel[r]);
-    }
-    AddRowBias(lp.bias, &c.z);
-    c.out = Relu(c.z);
-    h = c.out;
+    h = LayerForward(t.rel_ops, k, h, &t.caches[k]);
   }
   head_.Forward(h, &t);
   return t;
+}
+
+Matrix RgcnModel::LastLayer(const Graph& g) const {
+  const std::vector<SparseMatrix> rel_ops = RelationOperators(g);
+  Matrix h = InputFeatures(g, config_.input_dim);
+  for (size_t k = 0; k < layers_.size(); ++k) {
+    h = LayerForward(rel_ops, k, h, nullptr);
+  }
+  return h;
 }
 
 void RgcnModel::Backward(const Trace& trace, const Matrix& grad_logits,

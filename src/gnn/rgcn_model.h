@@ -52,6 +52,8 @@ class RgcnModel : public MessagePassingModel<RgcnModel, RgcnConfig> {
   };
 
   Trace Forward(const Graph& g) const;
+  /// The last layer's output of Forward(g), keeping no trace.
+  Matrix LastLayer(const Graph& g) const;
   void Backward(const Trace& trace, const Matrix& grad_logits,
                 Gradients* grads) const;
 
@@ -63,6 +65,10 @@ class RgcnModel : public MessagePassingModel<RgcnModel, RgcnConfig> {
   std::vector<SparseMatrix> RelationOperators(const Graph& g) const;
 
  private:
+  // Layer k over the per-type operators; fills `c` if non-null.
+  Matrix LayerForward(const std::vector<SparseMatrix>& rel_ops, size_t k,
+                      const Matrix& x, LayerCache* c) const;
+
   std::vector<LayerParams> layers_;
 };
 

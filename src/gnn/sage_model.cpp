@@ -1,5 +1,7 @@
 #include "gnn/sage_model.h"
 
+#include <utility>
+
 #include "la/matrix_ops.h"
 
 namespace gvex {
@@ -35,24 +37,42 @@ SparseMatrix SageModel::MeanOperator(const Graph& g) const {
   return SparseMatrix(n, n, std::move(trips));
 }
 
+Matrix SageModel::LayerForward(const SparseMatrix& m, size_t k,
+                               const Matrix& x, LayerCache* c) const {
+  const LayerParams& lp = layers_[k];
+  Matrix nb = m.Multiply(x);
+  Matrix z = MatMul(x, lp.w_self);
+  z += MatMul(nb, lp.w_nb);
+  AddRowBias(lp.bias, &z);
+  Matrix out = Relu(z);
+  if (c) {
+    c->input = x;
+    c->nb = std::move(nb);
+    c->z = std::move(z);
+    c->out = out;
+  }
+  return out;
+}
+
 SageModel::Trace SageModel::Forward(const Graph& g) const {
   Trace t;
   t.m = MeanOperator(g);
   t.caches.resize(layers_.size());
   Matrix h = InputFeatures(g, config_.input_dim);
   for (size_t k = 0; k < layers_.size(); ++k) {
-    LayerCache& c = t.caches[k];
-    const LayerParams& lp = layers_[k];
-    c.input = h;
-    c.nb = t.m.Multiply(h);
-    c.z = MatMul(h, lp.w_self);
-    c.z += MatMul(c.nb, lp.w_nb);
-    AddRowBias(lp.bias, &c.z);
-    c.out = Relu(c.z);
-    h = c.out;
+    h = LayerForward(t.m, k, h, &t.caches[k]);
   }
   head_.Forward(h, &t);
   return t;
+}
+
+Matrix SageModel::LastLayer(const Graph& g) const {
+  const SparseMatrix m = MeanOperator(g);
+  Matrix h = InputFeatures(g, config_.input_dim);
+  for (size_t k = 0; k < layers_.size(); ++k) {
+    h = LayerForward(m, k, h, nullptr);
+  }
+  return h;
 }
 
 void SageModel::Backward(const Trace& trace, const Matrix& grad_logits,

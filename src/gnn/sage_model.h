@@ -47,6 +47,8 @@ class SageModel : public MessagePassingModel<SageModel, SageConfig> {
   };
 
   Trace Forward(const Graph& g) const;
+  /// The last layer's output of Forward(g), keeping no trace.
+  Matrix LastLayer(const Graph& g) const;
   void Backward(const Trace& trace, const Matrix& grad_logits,
                 Gradients* grads) const;
 
@@ -57,6 +59,10 @@ class SageModel : public MessagePassingModel<SageModel, SageConfig> {
   SparseMatrix MeanOperator(const Graph& g) const;
 
  private:
+  // Layer k over mean operator m; fills `c` if non-null.
+  Matrix LayerForward(const SparseMatrix& m, size_t k, const Matrix& x,
+                      LayerCache* c) const;
+
   std::vector<LayerParams> layers_;
 };
 

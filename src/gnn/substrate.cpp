@@ -51,6 +51,10 @@ std::vector<float> GraphHead::Proba(const Matrix& pooled) const {
   return Softmax(Logits(pooled).RowVec(0));
 }
 
+std::vector<float> GraphHead::Predict(const Matrix& h) const {
+  return Proba(Readout(readout_, h, nullptr));
+}
+
 void GraphHead::Forward(const Matrix& h, HeadTrace* t) const {
   t->num_nodes = h.rows();
   t->pooled = Readout(readout_, h, &t->pool_argmax);

@@ -1,7 +1,7 @@
 // The substrate every GNN architecture shares (GCN, GIN, GraphSAGE, R-GCN):
 // the layer helpers, the readout → dense → softmax head, the gradient
-// layout, and MessagePassingModel, which builds black-box inference and the
-// training protocol on top of an architecture's own Forward. Each
+// layout, and MessagePassingModel, which builds black-box inference on an
+// architecture's LastLayer and the training protocol on its Forward. Each
 // architecture supplies only its layer math.
 
 #ifndef GVEX_GNN_SUBSTRATE_H_
@@ -65,6 +65,10 @@ class GraphHead {
   /// Class probabilities for a pooled embedding (1 x hidden).
   std::vector<float> Proba(const Matrix& pooled) const;
 
+  /// Class probabilities for the last layer's output h (n x hidden): what
+  /// Forward computes, without the trace.
+  std::vector<float> Predict(const Matrix& h) const;
+
   /// Pools the last layer's output h (n x hidden) and fills `t`.
   void Forward(const Matrix& h, HeadTrace* t) const;
 
@@ -86,6 +90,8 @@ class GraphHead {
 /// MessagePassingModel<Model, Config> and supplies
 ///   - Forward(g): a trace that extends HeadTrace and whose `caches` end
 ///     with the last layer's output `out`;
+///   - LastLayer(g): that output alone, with the same bits, keeping no
+///     trace (black-box inference runs it);
 ///   - MutableParams(): its layer tensors, then head().mutable_weight();
 ///   - Backward(trace, grad_logits, grads), accumulating in that order.
 /// `Config` has input_dim, hidden_dim, num_layers, num_classes and readout.
@@ -103,13 +109,13 @@ class MessagePassingModel : public GnnClassifier {
   /// the head bias.
   std::vector<float> PredictProba(const Graph& g) const override {
     if (g.num_nodes() == 0) return head_.Proba(Matrix(1, config_.hidden_dim));
-    return self().Forward(g).probs;
+    return head_.Predict(self().LastLayer(g));
   }
 
   /// Last-layer node embeddings X^k (n x hidden).
   Matrix NodeEmbeddings(const Graph& g) const override {
     if (g.num_nodes() == 0) return Matrix(0, config_.hidden_dim);
-    return self().Forward(g).caches.back().out;
+    return self().LastLayer(g);
   }
 
   /// Zero gradients shaped like the parameters.

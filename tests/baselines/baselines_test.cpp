@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -90,6 +91,31 @@ TEST(GnnExplainerTest, MaskConvergesTowardExtremes) {
     EXPECT_GE(m, 0.0f);
     EXPECT_LE(m, 1.0f);
   }
+}
+
+// The learned mask is pinned bit for bit: FNV-1a over the bytes of
+// last_mask() after five epochs on two fixture graphs, recorded from the
+// build that rebuilt the base coefficients on every epoch.
+TEST(GnnExplainerTest, MaskBitsArePinned) {
+  const auto& fx = testing::GetTrainedFixture();
+  GnnExplainerOptions opt;
+  opt.epochs = 5;
+  GnnExplainer ge(&fx.model, opt);
+  std::vector<uint64_t> hashes;
+  for (int label : {0, 1}) {
+    const int gi = fx.db.LabelGroup(label)[0];
+    ASSERT_TRUE(ge.Explain(fx.db.graph(gi), gi, label, 6).ok());
+    const std::vector<float>& mask = ge.last_mask();
+    ASSERT_EQ(mask.size(), static_cast<size_t>(fx.db.graph(gi).num_edges()));
+    uint64_t h = 14695981039346656037ull;
+    const auto* bytes = reinterpret_cast<const unsigned char*>(mask.data());
+    for (size_t i = 0; i < mask.size() * sizeof(float); ++i) {
+      h = (h ^ bytes[i]) * 1099511628211ull;
+    }
+    hashes.push_back(h);
+  }
+  EXPECT_EQ(hashes, (std::vector<uint64_t>{15788287808474347651ull,
+                                           2653967174985165644ull}));
 }
 
 TEST(GcfExplainerTest, DeletionSetIsCounterfactualWhenFlipFound) {

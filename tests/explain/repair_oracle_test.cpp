@@ -87,6 +87,46 @@ TEST(RepairOracleTest, MutagenicityFixture) {
   EXPECT_GT(cov.moved, 0);
 }
 
+// From a full V_S (|V_S| = u_l) every candidate group of s nodes evicts s
+// residents, so on MUT, where nitro groups and hydroxyls hang pendant atoms
+// off their hub, one iteration probes eviction counts 1, 2 and 3.
+TEST(RepairOracleTest, FullSelectionProbesSeveralEvictionCounts) {
+  const auto& fx = testing::GetTrainedFixture();
+  const RepairCase cases[] = {{{0, 4}, 1}, {{0, 6}, 1}, {{0, 6}, 4}};
+  Rng rng(17);
+  int mismatches = 0;
+  Coverage cov;
+  std::vector<bool> probed_k(4, false);
+  for (int label : {0, 1}) {
+    const std::vector<int> group = fx.db.LabelGroup(label);
+    for (size_t i = 0; i < group.size() && i < 8; ++i) {
+      const Graph& g = fx.db.graph(group[i]);
+      for (const RepairCase& c : cases) {
+        if (g.num_nodes() <= c.bound.upper) continue;
+        const std::vector<NodeId> start = Starts(g, c.bound.upper, &rng);
+        // The first iteration's eviction counts: a candidate's group size.
+        std::vector<bool> selected(static_cast<size_t>(g.num_nodes()), false);
+        for (NodeId v : start) selected[static_cast<size_t>(v)] = true;
+        for (NodeId v = 0; v < g.num_nodes(); ++v) {
+          if (selected[static_cast<size_t>(v)]) continue;
+          size_t k = 1;
+          for (const Neighbor& nb : g.neighbors(v)) {
+            if (g.degree(nb.node) == 1 &&
+                !selected[static_cast<size_t>(nb.node)]) {
+              ++k;
+            }
+          }
+          if (k < probed_k.size()) probed_k[k] = true;
+        }
+        mismatches += CompareRepairs(fx.model, g, label, c, start, &cov);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_TRUE(probed_k[1] && probed_k[2] && probed_k[3]);
+  EXPECT_GT(cov.moved, 0);
+}
+
 TEST(RepairOracleTest, MalnetCallGraphs) {
   // Three directed call graphs of the default 120-260 nodes and a small
   // GCN trained briefly on them; predictions supply the labels to repair.

@@ -2,12 +2,75 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "explain/verify.h"
 #include "graph/subgraph.h"
 #include "test_util.h"
 
 namespace gvex {
 namespace {
+
+// A stub black box whose P(label 1 | G) depends only on how many nodes G
+// keeps: fewer kept nodes, lower p, never below 1/2 (so never flipped).
+// Every trial that removes as many nodes ties exactly.
+class KeptCountModel : public GnnClassifier {
+ public:
+  int num_classes() const override { return 2; }
+  int num_layers() const override { return 1; }
+  std::vector<float> PredictProba(const Graph& g) const override {
+    const float p1 = 0.5f + 0.04f * static_cast<float>(g.num_nodes());
+    return {1.0f - p1, p1};
+  }
+  Matrix NodeEmbeddings(const Graph& g) const override {
+    return Matrix(g.num_nodes(), 1);
+  }
+};
+
+Graph Undirected(int n, const std::vector<std::pair<NodeId, NodeId>>& edges) {
+  Graph g;
+  for (int i = 0; i < n; ++i) g.AddNode(0);
+  for (const auto& [u, v] : edges) EXPECT_TRUE(g.AddEdge(u, v).ok());
+  return g;
+}
+
+TEST(RepairTest, TiedTrialsGoToTheLowestNode) {
+  // Path 0-1-2-3; hub 4 (on 3) with pendants 5, 6; hub 7 (on 2) with
+  // pendants 8, 9. From V_S = {1} the groups {4,5,6} and {7,8,9} remove
+  // the most nodes and tie; the lowest v, 4, wins.
+  const Graph g = Undirected(10, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5},
+                                  {4, 6}, {2, 7}, {7, 8}, {7, 9}});
+  KeptCountModel model;
+  std::vector<NodeId> vs{1};
+  EXPECT_FALSE(CounterfactualRepair(model, g, 1, {0, 10}, 1, &vs));
+  EXPECT_EQ(vs, (std::vector<NodeId>{1, 4, 5, 6}));
+}
+
+TEST(RepairTest, TiesAcrossEvictionCountsGoToTheLowestNode) {
+  // Hub 0 with pendants 1, 2, then the path 0-3-4-5-6-7. With u_l 4 and
+  // V_S = (5, 6, 7), every trial keeps 4 removed nodes: group {0,1,2}
+  // evicts 2 residents and the single nodes 1-4 evict none. All tie, so
+  // v = 0 wins, though its eviction count is probed last. The residents
+  // tie too, so eviction follows V_S order: 5 and 6 go.
+  const Graph g = Undirected(
+      8, {{0, 1}, {0, 2}, {0, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}});
+  KeptCountModel model;
+  std::vector<NodeId> vs{5, 6, 7};
+  EXPECT_FALSE(CounterfactualRepair(model, g, 1, {0, 4}, 1, &vs));
+  EXPECT_EQ(vs, (std::vector<NodeId>{0, 1, 2, 7}));
+}
+
+TEST(RepairTest, TiesWithTheCurrentSelectionAreNoMove) {
+  // A full V_S: every trial removes u_l nodes, as V_S does, so none has a
+  // lower p and the selection stays.
+  const Graph g = Undirected(
+      8, {{0, 1}, {0, 2}, {0, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}});
+  KeptCountModel model;
+  std::vector<NodeId> vs{7, 5, 6, 4};
+  EXPECT_FALSE(CounterfactualRepair(model, g, 1, {0, 4}, 3, &vs));
+  EXPECT_EQ(vs, (std::vector<NodeId>{4, 5, 6, 7}));
+}
 
 TEST(RepairTest, NoOpWhenAlreadyCounterfactual) {
   const auto& fx = testing::GetTrainedFixture();

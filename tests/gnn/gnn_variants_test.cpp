@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <type_traits>
+#include <vector>
+
 #include "data/mutagenicity.h"
 #include "explain/approx_gvex.h"
+#include "gnn/gcn_model.h"
 #include "gnn/gin_model.h"
 #include "gnn/loss.h"
 #include "gnn/rgcn_model.h"
@@ -144,6 +149,61 @@ void CheckGradients(Model* model, const Graph& g) {
     w->at(r, c) = orig;
     const double fd = (lp - lm) / (2.0 * eps);
     EXPECT_NEAR(grads.mats[pi].at(r, c), fd, 3e-2) << "tensor " << pi;
+  }
+}
+
+// Black-box inference keeps no trace, yet must answer Forward's bits:
+// PredictProba is Forward(g).probs and NodeEmbeddings the last layer's
+// `out`, for every architecture and readout, on MUT molecules (typed bonds)
+// and on a graph without features (the constant default feature).
+template <typename Model>
+class InferenceWithoutTraceTest : public ::testing::Test {};
+
+using Architectures =
+    ::testing::Types<GcnModel, GinModel, SageModel, RgcnModel>;
+TYPED_TEST_SUITE(InferenceWithoutTraceTest, Architectures);
+
+template <typename T>
+bool SameBits(const T* a, const T* b, size_t n) {
+  return std::memcmp(a, b, n * sizeof(T)) == 0;
+}
+
+TYPED_TEST(InferenceWithoutTraceTest, BitwiseEqualToForward) {
+  using Model = TypeParam;
+  MutagenicityOptions mopt;
+  mopt.num_graphs = 6;
+  mopt.seed = 13;
+  const GraphDatabase db = GenerateMutagenicity(mopt);
+  std::vector<Graph> graphs;
+  for (int i = 0; i < db.size(); ++i) graphs.push_back(db.graph(i));
+  Graph bare;  // no features
+  for (int i = 0; i < 6; ++i) bare.AddNode(0);
+  for (int i = 0; i + 1 < 6; ++i) ASSERT_TRUE(bare.AddEdge(i, i + 1, i % 2).ok());
+  ASSERT_TRUE(bare.AddEdge(0, 5, 1).ok());
+  graphs.push_back(bare);
+
+  for (ReadoutKind readout :
+       {ReadoutKind::kMax, ReadoutKind::kMean, ReadoutKind::kSum}) {
+    std::decay_t<decltype(std::declval<Model>().config())> cfg;
+    cfg.input_dim = db.graph(0).feature_dim();
+    cfg.hidden_dim = 8;
+    cfg.num_layers = 3;
+    cfg.num_classes = 3;
+    cfg.readout = readout;
+    if constexpr (std::is_same_v<Model, RgcnModel>) cfg.num_edge_types = 2;
+    Rng rng(17);
+    const Model model(cfg, &rng);
+    for (const Graph& g : graphs) {
+      const auto trace = model.Forward(g);
+      const std::vector<float> p = model.PredictProba(g);
+      ASSERT_EQ(p.size(), trace.probs.size());
+      EXPECT_TRUE(SameBits(p.data(), trace.probs.data(), p.size()));
+      const Matrix& want = trace.caches.back().out;
+      const Matrix h = model.NodeEmbeddings(g);
+      ASSERT_EQ(h.rows(), want.rows());
+      ASSERT_EQ(h.cols(), want.cols());
+      EXPECT_TRUE(SameBits(h.data(), want.data(), h.size()));
+    }
   }
 }
 
