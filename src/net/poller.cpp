@@ -60,6 +60,8 @@ void Poller::Remove(int fd) {
   // Kernels before 2.6.9 require a non-null event; pass one for safety.
   struct epoll_event ev;
   ::memset(&ev, 0, sizeof(ev));
+  // Unchecked: callers close `fd` right after, and closing an fd with no
+  // other duplicates drops it from every epoll set anyway.
   (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, &ev);
 }
 

@@ -27,6 +27,24 @@ int64_t NowMs() {
       .count();
 }
 
+// Writes one wake byte to a worker's wake pipe. The pipe is non-blocking,
+// so EAGAIN means it is full and a wake is already pending. Any other
+// failure goes to the flight recorder, not the log: Drain() runs this from
+// a signal handler, which is also why errno is restored.
+void WakeWorker(int wake_write) {
+  const int saved_errno = errno;
+  const char b = 1;
+  ssize_t n;
+  do {
+    n = ::write(wake_write, &b, 1);
+  } while (n < 0 && errno == EINTR);
+  if (n < 0 && errno != EAGAIN) {
+    obs::RecordFlight(obs::FlightKind::kServer,
+                      "wake pipe write failed: errno %d", errno);
+  }
+  errno = saved_errno;
+}
+
 // Server-level net instruments, registered once per process. The live
 // gauge mirrors live_sessions_ (Set after every change, so it never
 // drifts from the authoritative atomic).
@@ -247,10 +265,7 @@ void TcpServer::Drain() {
                     "drain begun (%d live sessions, %.1f s budget)",
                     live_sessions_.load(), options_.drain_timeout_sec);
   // Wake every worker so the drain is noticed without waiting for a tick.
-  for (auto& w : workers_) {
-    const char b = 1;
-    (void)!::write(w->wake_write, &b, 1);
-  }
+  for (auto& w : workers_) WakeWorker(w->wake_write);
   drain_woken_.store(true);
 }
 
@@ -360,8 +375,7 @@ void TcpServer::AcceptLoop() {
         std::lock_guard<std::mutex> lock(w->mu);
         w->incoming.emplace_back(fd, std::chrono::steady_clock::now());
       }
-      const char b = 1;
-      (void)!::write(w->wake_write, &b, 1);
+      WakeWorker(w->wake_write);
     }
   }
   // Close the listen socket so post-drain connects are REFUSED instead of

@@ -17,17 +17,21 @@ namespace gvex {
 
 namespace {
 
-// The initial (epoch-0) views map, shared by every service instance.
-ViewMapPtr EmptyViews() {
-  static const auto empty = std::make_shared<const ViewMap>();
-  return empty;
-}
-
 // Plain-valued copy of a shared view map (the snapshot codec's form).
 std::map<int, ExplanationView> PlainViews(const ViewMap& views) {
   std::map<int, ExplanationView> out;
   for (const auto& [label, view] : views) out.emplace(label, *view);
   return out;
+}
+
+// Installs `views` into `map` in order (the last view of a label wins) and
+// adds their labels to `changed`.
+void InstallViews(std::vector<ExplanationView> views, ViewMap* map,
+                  std::set<int>* changed) {
+  for (ExplanationView& v : views) {
+    changed->insert(v.label);
+    (*map)[v.label] = std::make_shared<const ExplanationView>(std::move(v));
+  }
 }
 
 // True for kinds whose answers are worth caching: the ones that historically
@@ -70,7 +74,6 @@ int64_t SteadyNowMs() {
 struct StoreInstruments {
   obs::Histogram* batch_callers;
   obs::Histogram* batch_views;
-  obs::Histogram* leader_tenure;
   obs::Histogram* index_rebuild;
   obs::Histogram* save_seconds_full;
   obs::Histogram* save_seconds_delta;
@@ -92,13 +95,10 @@ const StoreInstruments& StoreObs() {
     si->batch_views = m.GetHistogram(
         "gvex_admit_batch_views", "Views folded into one published batch",
         obs::Unit::kNone);
-    si->leader_tenure = m.GetHistogram(
-        "gvex_admit_leader_tenure_seconds",
-        "Time one caller spent leading the combining queue",
-        obs::Unit::kNanoseconds);
     si->index_rebuild = m.GetHistogram(
         "gvex_index_rebuild_seconds",
-        "PatternIndex::Apply time per published admission batch",
+        "PatternIndex::Apply time per published batch (admitted or "
+        "replicated)",
         obs::Unit::kNanoseconds);
     si->save_seconds_full = m.GetHistogram(
         "gvex_snapshot_save_seconds", "Snapshot write duration, per kind",
@@ -142,30 +142,31 @@ ViewService::~ViewService() {
   }
 }
 
-ViewService::ViewService(const GraphDatabase* db, ViewServiceOptions options)
-    : db_(db), options_(options) {
-  auto snap = std::make_shared<Snapshot>();
-  snap->epoch = 0;
-  snap->views = EmptyViews();
-  snap->index = PatternIndex::Build(snap->views, db_, options_.index);
-  snapshot_ = std::shared_ptr<const Snapshot>(std::move(snap));
+ViewService::ViewService(const GraphDatabase* db, ViewServiceOptions options,
+                         Unpublished)
+    : db_(db), options_(std::move(options)) {
   RegisterHealthChecks();
+}
+
+ViewService::ViewService(const GraphDatabase* db, ViewServiceOptions options)
+    : ViewService(db, std::move(options), Unpublished{}) {
+  // The empty epoch 0 is what an empty store recovers to.
+  Publish(RecoverSnapshot(RecoveryPlan{}, nullptr).value());
 }
 
 void ViewService::RegisterHealthChecks() {
   health_handles_.push_back(obs::RegisterHealthCheck(
       "admit_queue", [this]() -> obs::HealthCheckResult {
         const int64_t since =
-            admit_leader_since_ms_.load(std::memory_order_relaxed);
+            admit_batch_since_ms_.load(std::memory_order_relaxed);
         if (since == 0) return {obs::HealthStatus::kOk, "idle"};
         const double held_sec =
             static_cast<double>(SteadyNowMs() - since) / 1000.0;
         if (held_sec > options_.admit_wedge_warn_sec) {
           return {obs::HealthStatus::kFail,
-                  StrFormat("combining-queue leader wedged for %.1f s",
-                            held_sec)};
+                  StrFormat("admission batch wedged for %.1f s", held_sec)};
         }
-        return {obs::HealthStatus::kOk, "leader active"};
+        return {obs::HealthStatus::kOk, "batch in flight"};
       }));
 }
 
@@ -252,56 +253,39 @@ Result<uint64_t> ViewService::AdmitViews(std::vector<ExplanationView> views) {
     return Status::FailedPrecondition(
         "read-only replica refuses admissions (Promote() first)");
   }
-  // Single-writer combining queue: every caller enqueues; the first one to
-  // find no active leader becomes the leader and publishes every queued
-  // admission as one epoch (one WAL append + fsync, one incremental index
-  // update over the batch's labels — both amortize over the whole batch).
-  // Later arrivals just sleep until a leader marks their waiter done, so
-  // admission throughput under load is bounded by batches, not callers.
-  // Leadership is TENURE-BOUNDED: once the leader's own admission is
-  // published it serves at most a couple more rounds and then hands the
-  // role to a queued waiter — a sustained stream of admitters can
-  // therefore never hold one caller's AdmitViews hostage indefinitely.
+  // Combining queue: every caller enqueues; one that finds no batch in
+  // flight takes everything queued (its own admission included) as ONE
+  // batch and publishes it as one epoch (one WAL append + fsync, one
+  // incremental index update over the batch's labels — both amortize over
+  // the whole batch). Later arrivals sleep until their waiter is done or
+  // the batch in flight finishes; then one not yet served leads the next
+  // batch. Nobody leads twice, so no caller waits behind an unbounded
+  // stream of other admitters' work.
   AdmitWaiter me;
   me.views = std::move(views);
   std::unique_lock<std::mutex> lock(admit_mu_);
   admit_queue_.push_back(&me);
-  // Returns immediately when there is no active leader (or a leader
-  // already served us); otherwise sleeps until one of those holds.
-  admit_cv_.wait(lock, [&] { return me.done || !admit_leader_active_; });
+  admit_cv_.wait(lock, [&] { return me.done || !admit_batch_active_; });
   if (!me.done) {
-    // No active leader and our admission is still queued: lead.
-    admit_leader_active_ = true;
-    admit_leader_since_ms_.store(SteadyNowMs(), std::memory_order_relaxed);
-    const auto tenure_start = std::chrono::steady_clock::now();
-    constexpr int kLeaderExtraRounds = 2;
-    int extra_rounds = 0;
-    while (!admit_queue_.empty()) {
-      if (me.done && ++extra_rounds > kLeaderExtraRounds) break;
-      std::vector<AdmitWaiter*> batch;
-      batch.swap(admit_queue_);
-      lock.unlock();
-      uint64_t published = 0;
-      uint64_t wal_bytes = 0;
-      const Status status = AdmitCombined(batch, &published, &wal_bytes);
-      // Outside both locks: compaction takes the writer lock itself.
-      MaybeScheduleCompact(wal_bytes);
-      lock.lock();
-      for (AdmitWaiter* waiter : batch) {
-        waiter->status = status;
-        waiter->epoch = published;
-        waiter->done = true;
-      }
-      admit_cv_.notify_all();
+    admit_batch_active_ = true;
+    admit_batch_since_ms_.store(SteadyNowMs(), std::memory_order_relaxed);
+    std::vector<AdmitWaiter*> batch;
+    batch.swap(admit_queue_);
+    lock.unlock();
+    uint64_t published = 0;
+    uint64_t wal_bytes = 0;
+    const Status status = AdmitCombined(batch, &published, &wal_bytes);
+    // Outside both locks: compaction takes the writer lock itself.
+    MaybeScheduleCompact(wal_bytes);
+    lock.lock();
+    for (AdmitWaiter* waiter : batch) {
+      waiter->status = status;
+      waiter->epoch = published;
+      waiter->done = true;
     }
-    admit_leader_active_ = false;
-    admit_leader_since_ms_.store(0, std::memory_order_relaxed);
-    StoreObs().leader_tenure->ObserveSeconds(SecondsSince(tenure_start));
-    if (!admit_queue_.empty()) {
-      // Tenure expired with work still queued: wake the waiters so one
-      // of them takes over as leader.
-      admit_cv_.notify_all();
-    }
+    admit_batch_active_ = false;
+    admit_batch_since_ms_.store(0, std::memory_order_relaxed);
+    admit_cv_.notify_all();
   }
   lock.unlock();
   GVEX_RETURN_NOT_OK(me.status);
@@ -352,31 +336,33 @@ Status ViewService::AdmitCombined(const std::vector<AdmitWaiter*>& batch,
       store_->dirty_labels.insert(v.label);
     }
   }
-  // The next views map copies one pointer per label; only the admitted
+  PublishViews(*cur, *published, std::move(record.views), batch.size());
+  if (store_ != nullptr) *wal_bytes = store_->wal.file_bytes();
+  return Status::OK();
+}
+
+void ViewService::PublishViews(const Snapshot& cur, uint64_t epoch,
+                               std::vector<ExplanationView> views,
+                               size_t callers) {
+  // The next views map copies one pointer per label; only the installed
   // labels get new views, and only they are re-checked by Apply.
-  auto next_views = std::make_shared<ViewMap>(*cur->views);
+  const size_t total = views.size();
+  auto next_views = std::make_shared<ViewMap>(*cur.views);
   std::set<int> changed;
-  for (ExplanationView& v : record.views) {
-    changed.insert(v.label);
-    (*next_views)[v.label] =
-        std::make_shared<const ExplanationView>(std::move(v));
-  }
+  InstallViews(std::move(views), next_views.get(), &changed);
   auto next = std::make_shared<Snapshot>();
-  next->epoch = *published;
+  next->epoch = epoch;
   next->views = std::move(next_views);
   const auto build_start = std::chrono::steady_clock::now();
-  next->index = PatternIndex::Apply(cur->index, next->views, changed,
+  next->index = PatternIndex::Apply(cur.index, next->views, changed,
                                     options_.index.num_threads);
   StoreObs().index_rebuild->ObserveSeconds(SecondsSince(build_start));
-  next->admitted_views = cur->admitted_views + total;
-  next->admitted_batches = cur->admitted_batches + batch.size();
+  next->admitted_views = cur.admitted_views + (callers > 0 ? total : 0);
+  next->admitted_batches = cur.admitted_batches + callers;
   Publish(std::move(next));
   obs::RecordFlight(obs::FlightKind::kEpoch,
                     "epoch %llu published (%zu views, %zu callers)",
-                    static_cast<unsigned long long>(*published), total,
-                    batch.size());
-  if (store_ != nullptr) *wal_bytes = store_->wal.file_bytes();
-  return Status::OK();
+                    static_cast<unsigned long long>(epoch), total, callers);
 }
 
 uint64_t ViewService::epoch() const { return Load()->epoch; }
@@ -529,11 +515,17 @@ Result<std::unique_ptr<ViewService>> ViewService::Open(
     const std::string& dir, const GraphDatabase* db,
     ViewServiceOptions options) {
   GVEX_RETURN_NOT_OK(EnsureDir(dir));
+  auto service = std::unique_ptr<ViewService>(
+      new ViewService(db, std::move(options), Unpublished{}));
+  GVEX_RETURN_NOT_OK(service->AttachStore(dir));
+  return service;
+}
 
+Status ViewService::AttachStore(const std::string& dir) {
   // One writer per store: a second Open (e.g. an "offline" gvex_store
   // compact racing a live server) would truncate the WAL under the first
   // writer's feet and strand its acknowledged appends behind torn bytes.
-  // flock is advisory but every store entry point goes through Open.
+  // flock is advisory but every store entry point takes it here.
   auto store = std::make_unique<DurableStore>();
   store->dir = dir;
   GVEX_RETURN_NOT_OK(store->lock.TryLock(dir));
@@ -541,20 +533,6 @@ Result<std::unique_ptr<ViewService>> ViewService::Open(
   // The shared fail-stop verdict (src/store/recovery.h): newest valid
   // snapshot, WAL contiguity, acknowledged-epoch reachability.
   GVEX_ASSIGN_OR_RETURN(RecoveryPlan plan, PlanRecovery(dir));
-  if (plan.have_snapshot) {
-    // The snapshot records the semantics its postings were computed with;
-    // recovery must answer with those regardless of the caller's defaults
-    // — on BOTH paths below (posting decode and WAL-replay index update),
-    // and for every index update a later admission triggers. Otherwise the
-    // same store would answer differently depending on whether a WAL
-    // record happened to exist at reopen.
-    options.index.match = plan.snapshot.match;
-    options.index.index_database = plan.snapshot.database_indexed;
-  }
-
-  auto service =
-      std::unique_ptr<ViewService>(new ViewService(db, options));
-
   // Chain bookkeeping: the tip is what the resolved chain persists; WAL
   // records beyond it are the dirty set the next delta save must carry.
   store->persisted_epoch = plan.snapshot.epoch;
@@ -562,28 +540,43 @@ Result<std::unique_ptr<ViewService>> ViewService::Open(
   store->have_base = plan.have_snapshot;
   store->chain_length = static_cast<int>(plan.chain.size());
   const uint64_t wal_valid_bytes = plan.replay.valid_bytes;
+  GVEX_ASSIGN_OR_RETURN(
+      std::shared_ptr<const Snapshot> next,
+      RecoverSnapshot(std::move(plan), &store->dirty_labels));
 
-  std::set<int> dirty;
-  auto next = BuildRecoveredSnapshot(std::move(plan), db, options, &dirty);
-  if (next != nullptr) service->Publish(std::move(next));
-  store->dirty_labels = std::move(dirty);
-
-  store->wal.set_sync_every(options.store.wal_sync_every);
+  store->wal.set_sync_every(options_.store.wal_sync_every);
   // Dropping a torn tail here is safe: those bytes never published (the
   // WAL is written before the snapshot swap, so at worst the tail is an
   // admission whose caller never saw success).
   GVEX_RETURN_NOT_OK(store->wal.Open(dir + "/" + WalFileName(),
                                      wal_valid_bytes));
-  service->store_ = std::move(store);
-  service->store_ptr_.store(service->store_.get(), std::memory_order_release);
-  service->RegisterDurableHealthChecks();
-  return service;
+  Publish(std::move(next));
+  store_ = std::move(store);
+  store_ptr_.store(store_.get(), std::memory_order_release);
+  RegisterDurableHealthChecks();
+  return Status::OK();
 }
 
-std::shared_ptr<const ViewService::Snapshot>
-ViewService::BuildRecoveredSnapshot(RecoveryPlan plan, const GraphDatabase* db,
-                                    const ViewServiceOptions& options,
-                                    std::set<int>* dirty) {
+Result<std::shared_ptr<const ViewService::Snapshot>>
+ViewService::RecoverSnapshot(RecoveryPlan plan, std::set<int>* dirty) {
+  const std::shared_ptr<const Snapshot> cur = Load();
+  if (cur != nullptr && plan.final_epoch < cur->epoch) {
+    return Status::IOError(StrFormat(
+        "epoch %llu is published but the recovery plan reaches only %llu — "
+        "refusing to regress acknowledged state",
+        static_cast<unsigned long long>(cur->epoch),
+        static_cast<unsigned long long>(plan.final_epoch)));
+  }
+  if (plan.have_snapshot) {
+    // The snapshot records the semantics its postings were computed with;
+    // recovery must answer with those regardless of the caller's defaults
+    // — on BOTH paths below (posting decode and WAL-replay index update),
+    // and for every index update a later admission triggers. Otherwise the
+    // same store would answer differently depending on whether a WAL
+    // record happened to exist at reopen.
+    options_.index.match = plan.snapshot.match;
+    options_.index.index_database = plan.snapshot.database_indexed;
+  }
   ViewMapPtr base_views = ShareViews(std::move(plan.snapshot.views));
   auto views = std::make_shared<ViewMap>(*base_views);
   std::set<int> replayed;
@@ -592,14 +585,8 @@ ViewService::BuildRecoveredSnapshot(RecoveryPlan plan, const GraphDatabase* db,
     // delta already (Save never resets the WAL, so the log overlaps the
     // chain); applying them again would be a no-op anyway — skip.
     if (record.epoch <= plan.snapshot.epoch) continue;
-    for (ExplanationView& v : record.views) {
-      replayed.insert(v.label);
-      (*views)[v.label] =
-          std::make_shared<const ExplanationView>(std::move(v));
-    }
+    InstallViews(std::move(record.views), views.get(), &replayed);
   }
-  if (dirty != nullptr) dirty->insert(replayed.begin(), replayed.end());
-  if (plan.final_epoch == 0) return nullptr;
   auto next = std::make_shared<Snapshot>();
   next->epoch = plan.final_epoch;
   next->views = std::move(views);
@@ -607,20 +594,21 @@ ViewService::BuildRecoveredSnapshot(RecoveryPlan plan, const GraphDatabase* db,
     // No stored postings describe the base (no snapshot, or deltas were
     // folded in — deltas carry none): one scratch build over the recovered
     // state.
-    next->index = PatternIndex::Build(next->views, db, options.index);
+    next->index = PatternIndex::Build(next->views, db_, options_.index);
   } else {
     // Warm start: decode the base postings (no isomorphism work), then
     // re-check only the labels the WAL tail replaced.
     next->index =
-        PatternIndex::FromStored(base_views, db, plan.snapshot.match,
+        PatternIndex::FromStored(base_views, db_, plan.snapshot.match,
                                  plan.snapshot.database_indexed,
                                  plan.snapshot.postings);
     if (!replayed.empty()) {
       next->index = PatternIndex::Apply(next->index, next->views, replayed,
-                                        options.index.num_threads);
+                                        options_.index.num_threads);
     }
   }
-  return next;
+  if (dirty != nullptr) *dirty = std::move(replayed);
+  return std::shared_ptr<const Snapshot>(std::move(next));
 }
 
 Result<std::unique_ptr<ViewService>> ViewService::OpenReplica(
@@ -630,16 +618,11 @@ Result<std::unique_ptr<ViewService>> ViewService::OpenReplica(
   // No LOCK, no WAL writer: the replica applier owns the directory (and
   // holds its LOCK); this service only publishes validated state from it.
   GVEX_ASSIGN_OR_RETURN(RecoveryPlan plan, PlanRecovery(dir));
-  if (plan.have_snapshot) {
-    options.index.match = plan.snapshot.match;
-    options.index.index_database = plan.snapshot.database_indexed;
-  }
-  auto service =
-      std::unique_ptr<ViewService>(new ViewService(db, options));
+  auto service = std::unique_ptr<ViewService>(
+      new ViewService(db, std::move(options), Unpublished{}));
   service->read_only_.store(true, std::memory_order_release);
   service->replica_dir_ = dir;
-  auto next = BuildRecoveredSnapshot(std::move(plan), db, options, nullptr);
-  if (next != nullptr) service->Publish(std::move(next));
+  GVEX_RETURN_NOT_OK(service->ReplicaPublishPlan(std::move(plan)));
   return service;
 }
 
@@ -654,26 +637,13 @@ Status ViewService::ReplicaPublishPlan(RecoveryPlan plan) {
         "ReplicaPublishPlan requires an unpromoted replica (OpenReplica)");
   }
   std::lock_guard<std::mutex> lock(writer_mu_);
-  std::shared_ptr<const Snapshot> cur = Load();
-  if (plan.final_epoch < cur->epoch) {
-    return Status::IOError(StrFormat(
-        "replica is at epoch %llu but the primary's recovery plan reaches "
-        "only %llu — refusing to regress acknowledged state",
-        static_cast<unsigned long long>(cur->epoch),
-        static_cast<unsigned long long>(plan.final_epoch)));
-  }
-  if (plan.have_snapshot) {
-    // Adopt the primary's index semantics, exactly like Open would.
-    options_.index.match = plan.snapshot.match;
-    options_.index.index_database = plan.snapshot.database_indexed;
-  }
-  const uint64_t final_epoch = plan.final_epoch;
-  auto next = BuildRecoveredSnapshot(std::move(plan), db_, options_, nullptr);
-  if (next == nullptr) return Status::OK();  // empty plan, still epoch 0
+  GVEX_ASSIGN_OR_RETURN(std::shared_ptr<const Snapshot> next,
+                        RecoverSnapshot(std::move(plan), nullptr));
+  const uint64_t epoch = next->epoch;
   Publish(std::move(next));
   obs::RecordFlight(obs::FlightKind::kEpoch,
                     "replica refreshed to epoch %llu",
-                    static_cast<unsigned long long>(final_epoch));
+                    static_cast<unsigned long long>(epoch));
   return Status::OK();
 }
 
@@ -686,8 +656,7 @@ Status ViewService::ReplicaApplyWalRecords(
   std::lock_guard<std::mutex> lock(writer_mu_);
   std::shared_ptr<const Snapshot> cur = Load();
   uint64_t epoch = cur->epoch;
-  std::shared_ptr<ViewMap> next_views;
-  std::set<int> changed;
+  std::vector<ExplanationView> views;
   for (const WalRecord& record : records) {
     if (record.epoch <= epoch) continue;  // already published
     if (record.epoch != epoch + 1) {
@@ -698,27 +667,11 @@ Status ViewService::ReplicaApplyWalRecords(
           static_cast<unsigned long long>(record.epoch),
           static_cast<unsigned long long>(epoch)));
     }
-    if (next_views == nullptr) {
-      next_views = std::make_shared<ViewMap>(*cur->views);
-    }
-    for (const ExplanationView& v : record.views) {
-      changed.insert(v.label);
-      (*next_views)[v.label] = std::make_shared<const ExplanationView>(v);
-    }
+    views.insert(views.end(), record.views.begin(), record.views.end());
     epoch = record.epoch;
   }
-  if (next_views == nullptr) return Status::OK();  // nothing new
-  auto next = std::make_shared<Snapshot>();
-  next->epoch = epoch;
-  next->views = std::move(next_views);
-  next->index = PatternIndex::Apply(cur->index, next->views, changed,
-                                    options_.index.num_threads);
-  next->admitted_views = cur->admitted_views;
-  next->admitted_batches = cur->admitted_batches;
-  Publish(std::move(next));
-  obs::RecordFlight(obs::FlightKind::kEpoch,
-                    "replica applied WAL to epoch %llu",
-                    static_cast<unsigned long long>(epoch));
+  if (epoch == cur->epoch) return Status::OK();  // nothing new
+  PublishViews(*cur, epoch, std::move(views), /*callers=*/0);
   return Status::OK();
 }
 
@@ -728,62 +681,18 @@ Status ViewService::Promote() {
         "Promote() requires an unpromoted replica (OpenReplica)");
   }
   std::lock_guard<std::mutex> lock(writer_mu_);
-  const std::string dir = replica_dir_;
-
-  // The authoritative recovery verdict over the mirrored directory — a
-  // replica must only go writable on a state a restarted primary would
-  // also recover to.
-  GVEX_ASSIGN_OR_RETURN(RecoveryPlan plan, PlanRecovery(dir));
-  std::shared_ptr<const Snapshot> cur = Load();
-  if (plan.final_epoch < cur->epoch) {
-    return Status::IOError(StrFormat(
-        "promotion would regress the replica from epoch %llu to %llu — "
-        "the mirrored directory is behind acknowledged state",
-        static_cast<unsigned long long>(cur->epoch),
-        static_cast<unsigned long long>(plan.final_epoch)));
-  }
-
-  // Become the directory's one writer. The applier must have released its
-  // LOCK before calling (ReplicaApplier::Promote orders this).
-  auto store = std::make_unique<DurableStore>();
-  store->dir = dir;
-  Status locked = store->lock.TryLock(dir);
-  if (locked.IsFailedPrecondition()) {
-    return Status::FailedPrecondition(StrFormat(
-        "store %s is still locked (the replication applier must release it "
-        "before promotion)", dir.c_str()));
-  }
-  GVEX_RETURN_NOT_OK(locked);
-
-  if (plan.have_snapshot) {
-    options_.index.match = plan.snapshot.match;
-    options_.index.index_database = plan.snapshot.database_indexed;
-  }
-  store->persisted_epoch = plan.snapshot.epoch;
-  store->base_epoch = plan.base_epoch;
-  store->have_base = plan.have_snapshot;
-  store->chain_length = static_cast<int>(plan.chain.size());
-  const uint64_t wal_valid_bytes = plan.replay.valid_bytes;
-  const uint64_t final_epoch = plan.final_epoch;
-
-  std::set<int> dirty;
-  auto next = BuildRecoveredSnapshot(std::move(plan), db_, options_, &dirty);
-  store->dirty_labels = std::move(dirty);
-  store->wal.set_sync_every(options_.store.wal_sync_every);
-  GVEX_RETURN_NOT_OK(store->wal.Open(dir + "/" + WalFileName(),
-                                     wal_valid_bytes));
-
-  // Republish exactly the recovered state (the verdict may see WAL bytes
-  // the incremental apply path had not validated yet), then flip writable.
-  if (next != nullptr) Publish(std::move(next));
-  store_ = std::move(store);
-  store_ptr_.store(store_.get(), std::memory_order_release);
-  RegisterDurableHealthChecks();
+  // Become the directory's one writer (ReplicaApplier::Promote releases
+  // the applier's LOCK first) on the authoritative recovery verdict over
+  // the mirrored directory: a replica must only go writable on a state a
+  // restarted primary would also recover to. The verdict may see WAL bytes
+  // the incremental apply path had not validated yet, so the recovered
+  // state is republished before the service flips writable.
+  GVEX_RETURN_NOT_OK(AttachStore(replica_dir_));
   read_only_.store(false, std::memory_order_release);
   obs::RecordFlight(obs::FlightKind::kServer,
                     "promoted to primary at epoch %llu (store %s)",
-                    static_cast<unsigned long long>(final_epoch),
-                    dir.c_str());
+                    static_cast<unsigned long long>(Load()->epoch),
+                    replica_dir_.c_str());
   return Status::OK();
 }
 

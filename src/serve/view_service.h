@@ -10,12 +10,12 @@
 // (views + index + epoch). Readers atomically load the pointer once per
 // query — or once per BATCH, so a batch sees a single consistent epoch —
 // and keep the snapshot alive for the duration via shared ownership.
-// Writers (AdmitView) serialize on a writer mutex, build the NEXT snapshot
-// entirely off to the side, then atomically publish it. The next snapshot
-// shares every view and every coverage bitset the admission left alone
-// with the current one: copying the views map is O(labels), and the index
-// update (PatternIndex::Apply) re-checks only the admitted labels' subgraphs
-// plus any code new to the store. A reader therefore observes either
+// Writers (AdmitViews, the replica's WAL apply) serialize on a writer
+// mutex, build the NEXT snapshot entirely off to the side, then atomically
+// publish it. The next snapshot shares every view and every coverage
+// bitset the admission left alone with the current one: copying the views
+// map is O(labels), and the index update (PatternIndex::Apply) re-checks
+// only the admitted labels' subgraphs plus any code new to the store. A reader therefore observes either
 // the previous complete epoch or the new complete epoch, never a torn
 // intermediate state; old epochs are reclaimed when their last reader
 // drops the shared_ptr (that is the RCU grace period).
@@ -107,12 +107,12 @@ struct ViewServiceOptions {
   size_t cache_capacity = 256;
   /// Durability knobs for Open-created services.
   DurableStoreOptions store;
-  /// The `admit_queue` health check reports FAIL when one combining-queue
-  /// leader has been active longer than this (a wedged leader starves
-  /// every admitter; see obs/health.h).
+  /// The `admit_queue` health check reports FAIL when an admission batch
+  /// has been in flight longer than this (a wedged batch starves every
+  /// admitter; see obs/health.h).
   double admit_wedge_warn_sec = 30.0;
-  /// Test-only: run by the combining leader inside AdmitCombined (under
-  /// the writer lock, before anything is logged or published). Lets tests
+  /// Test-only: run by the batch leader inside AdmitCombined (under the
+  /// writer lock, before anything is logged or published). Lets tests
   /// wedge the admit path deterministically; never set in production.
   std::function<void()> admit_test_hook;
 };
@@ -282,11 +282,12 @@ class ViewService {
   /// gap — the caller then escalates to the full PlanRecovery verdict.
   Status ReplicaApplyWalRecords(const std::vector<WalRecord>& records);
 
-  /// Flips a replica writable: re-runs the PlanRecovery verdict over the
-  /// replica directory, republishes exactly the recovered state, acquires
-  /// the store LOCK (the applier must have released it), attaches the WAL
-  /// writer, and registers the durable health checks — after this the
-  /// service is indistinguishable from one ViewService::Open built.
+  /// Flips a replica writable: acquires the store LOCK (the applier must
+  /// have released it), re-runs the PlanRecovery verdict over the replica
+  /// directory, republishes exactly the recovered state, attaches the WAL
+  /// writer, and registers the durable health checks — the same
+  /// store-attach step as Open, so after this the service is
+  /// indistinguishable from one ViewService::Open built.
   /// FailedPrecondition when not a replica; any verdict/lock/WAL failure
   /// leaves the service read-only and unlocked.
   Status Promote();
@@ -317,15 +318,16 @@ class ViewService {
   Result<uint64_t> AdmitView(ExplanationView view);
 
   /// Publishes several views atomically (readers see all or none of them).
-  /// Concurrent AdmitViews callers are COALESCED by a single-writer
-  /// combining queue: one caller becomes the leader and publishes every
-  /// queued admission as ONE epoch with ONE WAL append (and fsync) and ONE
-  /// incremental index update over the union of the batch's labels — so
-  /// admission throughput under load is not bounded by one WAL fsync per
-  /// caller. Leadership is tenure-bounded
-  /// (a leader serves a few rounds past its own admission, then hands
-  /// off), so no caller waits unboundedly. The returned epoch is the
-  /// combined batch's epoch (several concurrent callers may share it).
+  /// Concurrent AdmitViews callers are COALESCED by a combining queue: a
+  /// caller that finds no batch in flight leads ONE batch — every admission
+  /// queued when it took the lead, its own included — and publishes it as
+  /// ONE epoch with ONE WAL append (and fsync) and ONE incremental index
+  /// update over the union of the batch's labels, so admission throughput
+  /// under load is not bounded by one WAL fsync per caller. It then wakes
+  /// the waiters, and one not yet served leads the next batch; no caller
+  /// leads more than once. All of this runs on the calling threads. The
+  /// returned epoch is the combined batch's epoch (several concurrent
+  /// callers may share it).
   Result<uint64_t> AdmitViews(std::vector<ExplanationView> views);
 
   // --- Single queries (each runs on one atomically loaded snapshot and is
@@ -435,24 +437,45 @@ class ViewService {
     std::atomic<uint64_t> compaction_failures{0};
   };
 
+  /// Tag for the constructor Open and OpenReplica use: it publishes no
+  /// snapshot, so their first index is the recovered one, built with the
+  /// store's semantics.
+  struct Unpublished {};
+  ViewService(const GraphDatabase* db, ViewServiceOptions options,
+              Unpublished);
+
   std::shared_ptr<const Snapshot> Load() const;
   void Publish(std::shared_ptr<const Snapshot> snap);
   /// Builds the snapshot a RecoveryPlan describes: chain image + WAL replay,
-  /// postings decoded when nothing changed the view set, rebuilt otherwise.
-  /// `dirty` (optional) receives the labels WAL records past the chain tip
-  /// touched. Shared by Open, OpenReplica, ReplicaPublishPlan, and Promote
-  /// so every path recovers to IDENTICAL state. Returns null for an empty
-  /// plan (final epoch 0) — the caller keeps its epoch-0 snapshot.
-  static std::shared_ptr<const Snapshot> BuildRecoveredSnapshot(
-      RecoveryPlan plan, const GraphDatabase* db,
-      const ViewServiceOptions& options, std::set<int>* dirty);
+  /// postings decoded when nothing changed the view set, rebuilt otherwise,
+  /// after adopting the plan's stored match semantics into options_ (so
+  /// every later admission uses them too). `dirty` (optional) receives the
+  /// labels WAL records past the chain tip touched. IOError for a plan
+  /// below the published epoch. Every recovery path goes through it, so
+  /// all recover to IDENTICAL state. Requires writer_mu_ held (or a
+  /// service not yet shared).
+  Result<std::shared_ptr<const Snapshot>> RecoverSnapshot(
+      RecoveryPlan plan, std::set<int>* dirty);
+  /// The store-attach step of Open and Promote: takes the LOCK of `dir`,
+  /// plans recovery, publishes the recovered snapshot with the WAL open
+  /// behind it, and registers the durable health checks. On failure
+  /// nothing is published and the LOCK is released. Requires writer_mu_
+  /// held (or a service not yet shared).
+  Status AttachStore(const std::string& dir);
+  /// The publish step of AdmitCombined and ReplicaApplyWalRecords: copies
+  /// `cur`'s views map, installs `views` in order (the last view of a label
+  /// wins), runs one PatternIndex::Apply over the changed labels and
+  /// publishes the result as `epoch`. `callers` is the number of AdmitViews
+  /// calls folded in (0 for replicated WAL records, which are not this
+  /// service's admissions). Requires writer_mu_ held.
+  void PublishViews(const Snapshot& cur, uint64_t epoch,
+                    std::vector<ExplanationView> views, size_t callers);
   ViewQueryResult Execute(const Snapshot& snap, const ViewQuery& q) const;
   /// Cache-through execution: looks up (epoch, query) and fills on miss.
   ViewQueryResult ExecuteCached(const Snapshot& snap,
                                 const ViewQuery& q) const;
   /// Publishes one combined batch of waiters as ONE epoch (one WAL append,
-  /// one PatternIndex::Apply over the batch's labels). Returns the
-  /// published epoch via *published and
+  /// then PublishViews). Returns the published epoch via *published and
   /// the WAL size via *wal_bytes; on error nothing was published.
   Status AdmitCombined(const std::vector<AdmitWaiter*>& batch,
                        uint64_t* published, uint64_t* wal_bytes);
@@ -469,7 +492,7 @@ class ViewService {
   /// constructor calls it, the destructor unregisters via health_handles_.
   void RegisterHealthChecks();
   /// Registers the durable-store checks (wal, store_lock, compaction);
-  /// Open calls it once store_ is attached.
+  /// AttachStore calls it once store_ is attached.
   void RegisterDurableHealthChecks();
 
   const GraphDatabase* db_;
@@ -480,17 +503,17 @@ class ViewService {
   /// Serializes writers (admissions, snapshot writes, WAL appends).
   std::mutex writer_mu_;
   /// Combining queue for AdmitViews: callers enqueue under admit_mu_; a
-  /// caller that finds no active leader becomes one and serves combined
-  /// batches for a bounded tenure (see AdmitViews). Waiters sleep on
-  /// admit_cv_ until their waiter is done or leadership frees up.
+  /// caller that finds no batch in flight takes the queue as one batch and
+  /// publishes it (see AdmitViews). Waiters sleep on admit_cv_ until their
+  /// waiter is done or the batch in flight finishes.
   std::mutex admit_mu_;
   std::condition_variable admit_cv_;
   std::vector<AdmitWaiter*> admit_queue_;
-  bool admit_leader_active_ = false;
-  /// Monotonic ms when the current combining leader took over (0 = no
-  /// leader) — what the `admit_queue` health check and the net watchdog
-  /// read to detect a wedged leader without touching admit_mu_.
-  std::atomic<int64_t> admit_leader_since_ms_{0};
+  bool admit_batch_active_ = false;
+  /// Monotonic ms when the batch in flight was taken (0 = none) — what the
+  /// `admit_queue` health check reads to detect a wedged batch without
+  /// touching admit_mu_.
+  std::atomic<int64_t> admit_batch_since_ms_{0};
   /// Unregistered (front of ~ViewService) before any state they read dies.
   std::vector<obs::HealthCheckHandle> health_handles_;
 

@@ -105,6 +105,11 @@ bool FileExists(const std::string& path) {
   return f.good();
 }
 
+uint64_t FileSize(const std::string& path) {
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
+  return f.good() ? static_cast<uint64_t>(f.tellg()) : 0;
+}
+
 class ChainCrashTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -213,6 +218,45 @@ TEST_F(ChainCrashTest, EpochZeroFullSaveIsAUsableBase) {
   auto recovered = OpenDurable();
   ASSERT_NE(recovered, nullptr);
   EXPECT_EQ(recovered->epoch(), 1u);
+}
+
+// A WAL append that really fails (a file-size cap cuts the write short)
+// fails the admission and publishes nothing: the epoch, the admitted-view
+// count and the log's size stay where they were. Once the cap lifts, the
+// next admission publishes the very next epoch, and a reopen answers
+// bit-identically to an oracle that never saw the failed admission.
+TEST_F(ChainCrashTest, FailedWalAppendPublishesNothing) {
+  ViewService oracle(&store_.db);
+  const std::string wal_path = dir_.File(WalFileName());
+  {
+    auto durable = OpenDurable();
+    ASSERT_NE(durable, nullptr);
+    ASSERT_TRUE(durable->AdmitView(store_.views[0]).ok());
+    ASSERT_TRUE(oracle.AdmitView(store_.views[0]).ok());
+    const uint64_t epoch = durable->epoch();
+    const uint64_t admitted = durable->stats().admitted_views;
+    const uint64_t wal_bytes = FileSize(wal_path);
+    {
+      testing::FileSizeLimit limit(wal_bytes + 20);
+      ASSERT_TRUE(limit.ok());
+      auto failed = durable->AdmitViews({store_.views[1], store_.views[2]});
+      ASSERT_FALSE(failed.ok());
+      EXPECT_TRUE(failed.status().IsIOError()) << failed.status().ToString();
+    }
+    EXPECT_EQ(durable->epoch(), epoch);
+    EXPECT_EQ(durable->stats().admitted_views, admitted);
+    EXPECT_EQ(FileSize(wal_path), wal_bytes);
+    ExpectOracleParity(durable.get(), &oracle);
+
+    auto next = durable->AdmitView(store_.views[3]);
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    EXPECT_EQ(next.value(), epoch + 1);
+    ASSERT_TRUE(oracle.AdmitView(store_.views[3]).ok());
+  }
+  auto recovered = OpenDurable();
+  ASSERT_NE(recovered, nullptr);
+  EXPECT_EQ(recovered->epoch(), 2u);
+  ExpectOracleParity(recovered.get(), &oracle);
 }
 
 // KILL-POINT: mid-delta (and mid-snapshot) write. Atomic tmp+rename means

@@ -72,7 +72,10 @@ fi
 # interleaver racing admits/saves/compactions against WAL shipping (store),
 # and view generation on a pool (gnn + explain: GenerateViews and
 # StreamGvex::GenerateView explain graphs concurrently, each with its own
-# remainder predictor and scoring state over the one shared model).
+# remainder predictor and scoring state over the one shared model). The
+# ViewService concurrency tests and the wedged-batch health test run 20
+# more times: a lost wake-up when one batch leader hands the queue to the
+# next shows only now and then.
 # ASan and TSan can't share a build, so this is a third tree.
 if [[ "${tsan}" == 1 ]]; then
   tsan_dir="${TSAN_BUILD_DIR:-${repo_root}/build-tsan}"
@@ -85,6 +88,8 @@ if [[ "${tsan}" == 1 ]]; then
   "${tsan_dir}/tests/gvex_util_test"
   "${tsan_dir}/tests/gvex_net_test"
   "${tsan_dir}/tests/gvex_serve_test"
+  "${tsan_dir}/tests/gvex_serve_test" --gtest_repeat=20 \
+    --gtest_filter='ViewServiceConcurrencyTest.*:HealthFaultTest.WedgedAdmitLeaderFailsHealthUntilReleased'
   "${tsan_dir}/tests/gvex_obs_test"
   "${tsan_dir}/tests/gvex_store_test"
   "${tsan_dir}/tests/gvex_gnn_test"
