@@ -81,7 +81,7 @@ PhaseResult RunPhase(const synthetic::SyntheticStore& store,
   sopts.workers = kWorkers;
   sopts.max_sessions = connections + 8;
   TcpServer server;
-  if (!server.Start(&service, &store.db, ViewServiceOptions(), sopts).ok()) {
+  if (!server.Start(&service, sopts).ok()) {
     return out;
   }
 

@@ -45,6 +45,11 @@ Status SaveViewsBinary(const std::string& path,
                        const std::vector<ExplanationView>& views);
 Result<std::vector<ExplanationView>> LoadViewsBinary(const std::string& path);
 
+/// Loads a view file in either format: a file that starts with the binary
+/// magic goes to LoadViewsBinary, anything else parses as text.
+Result<std::vector<ExplanationView>> LoadViewsAnyFormat(
+    const std::string& path);
+
 }  // namespace gvex
 
 #endif  // GVEX_EXPLAIN_VIEW_IO_H_

@@ -28,11 +28,9 @@ int64_t NowMs() {
 }
 
 // Writes one wake byte to a worker's wake pipe. The pipe is non-blocking,
-// so EAGAIN means it is full and a wake is already pending. Any other
-// failure goes to the flight recorder, not the log: Drain() runs this from
-// a signal handler, which is also why errno is restored.
+// so EAGAIN means it is full and a wake is already pending; any other
+// failure goes to the flight recorder.
 void WakeWorker(int wake_write) {
-  const int saved_errno = errno;
   const char b = 1;
   ssize_t n;
   do {
@@ -42,7 +40,6 @@ void WakeWorker(int wake_write) {
     obs::RecordFlight(obs::FlightKind::kServer,
                       "wake pipe write failed: errno %d", errno);
   }
-  errno = saved_errno;
 }
 
 // Server-level net instruments, registered once per process. The live
@@ -100,15 +97,14 @@ TcpServer::~TcpServer() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
-Status TcpServer::Start(ViewService* service, const GraphDatabase* db,
-                        const ViewServiceOptions& view_options,
+Status TcpServer::Start(ViewService* service,
                         const TcpServerOptions& options) {
   if (started_.load()) return Status::InvalidArgument("server already started");
   if (service == nullptr) return Status::InvalidArgument("null service");
   if (options.workers < 1) return Status::InvalidArgument("workers < 1");
-  service_ = service;
-  db_ = db;
-  view_options_ = view_options;
+  session_.service = service;
+  session_.promote = options.promote_hook;
+  session_.lag_probe = options.lag_probe;
   options_ = options;
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -311,8 +307,8 @@ void TcpServer::Wait() {
   }
   // Everything acknowledged before the drain is already published in the
   // service; one final save folds it all into the durable store.
-  if (options_.save_on_drain && service_ != nullptr && service_->durable()) {
-    (void)service_->Save(SaveKind::kAuto);
+  if (options_.save_on_drain && session_.service->durable()) {
+    (void)session_.service->Save(SaveKind::kAuto);
   }
 }
 
@@ -416,14 +412,8 @@ void TcpServer::WorkerLoop(Worker* w, int index) {
     {
       std::lock_guard<std::mutex> lock(w->mu);
       for (const auto& [fd, accepted_at] : w->incoming) {
-        ServeSession state;
-        state.service = service_;
-        state.db = db_;
-        state.options = view_options_;
-        state.promote = options_.promote_hook;
-        state.lag_probe = options_.lag_probe;
         auto session = std::make_unique<NetSession>(
-            fd, std::move(state), options_.session, [this] { Drain(); });
+            fd, session_, options_.session, [this] { Drain(); });
         if (draining_.load()) {
           // Raced with the drain: nothing was read, close immediately.
           live_sessions_.fetch_sub(1);

@@ -14,13 +14,13 @@
 // is exactly where the concurrent-connection throughput win comes from.
 //
 // Lifecycle: Start() binds/listens/spawns and returns; the server runs
-// until Drain() (idempotent — called by SIGTERM handlers, the `shutdown`
-// verb via NetSession's on_shutdown hook, or tests). Draining stops the
-// accept loop, stops reading on every session, finishes the requests that
-// were fully framed before the drain, and flushes their responses until
-// `drain_timeout` expires — then force-closes stragglers. Wait() joins
-// everything and, for a durable service, folds everything admitted since
-// the last save into ONE final Save(kAuto).
+// until Drain() (idempotent — called by a host's signal-waiting thread,
+// the `shutdown` verb via NetSession's on_shutdown hook, or tests).
+// Draining stops the accept loop, stops reading on every session, finishes
+// the requests that were fully framed before the drain, and flushes their
+// responses until `drain_timeout` expires — then force-closes stragglers.
+// Wait() joins everything and, for a durable service, folds everything
+// admitted since the last save into ONE final Save(kAuto).
 //
 // Admission control: past `max_sessions` live connections, new arrivals
 // get "err server full\n" and an immediate close. Per-session limits
@@ -70,12 +70,12 @@ struct TcpServerOptions {
   /// with the worker index, BEFORE the heartbeat is stamped — a blocking
   /// hook wedges that worker exactly like a stuck request handler would.
   std::function<void(int)> worker_tick_hook;
-  /// Replica hosts: copied into every connection's ServeSession so the
-  /// `promote` verb routes through the replica applier (stop shipping,
-  /// release its LOCK, promote) instead of bare ViewService::Promote.
+  /// Replica hosts: the server's ServeSession hook, so the `promote` verb
+  /// routes through the replica applier (stop shipping, release its LOCK,
+  /// promote) instead of bare ViewService::Promote.
   std::function<Result<uint64_t>()> promote_hook;
-  /// Replica hosts: copied into every connection's ServeSession; `stats`
-  /// then reports replication lag.
+  /// Replica hosts: the server's ServeSession lag probe; `stats` then
+  /// reports replication lag.
   std::function<ReplicationLag()> lag_probe;
   NetSessionLimits session;
 };
@@ -103,12 +103,8 @@ class TcpServer {
   TcpServer& operator=(const TcpServer&) = delete;
 
   /// Binds, listens, and spawns the accept + worker threads. `service`
-  /// must outlive the server; `db`/`view_options` seed each session's
-  /// ServeSession so the `open` verb works per connection (both may be
-  /// null/default).
-  Status Start(ViewService* service, const GraphDatabase* db,
-               const ViewServiceOptions& view_options,
-               const TcpServerOptions& options);
+  /// must outlive the server; every connection talks to it.
+  Status Start(ViewService* service, const TcpServerOptions& options);
 
   /// The bound port (resolves ephemeral port 0 requests).
   int port() const { return port_; }
@@ -154,9 +150,8 @@ class TcpServer {
   /// Closes every worker's wake pipe; only once no thread can write them.
   void CloseWakePipes();
 
-  ViewService* service_ = nullptr;
-  const GraphDatabase* db_ = nullptr;
-  ViewServiceOptions view_options_;
+  /// The one protocol session every connection shares (built by Start).
+  ServeSession session_;
   TcpServerOptions options_;
 
   int listen_fd_ = -1;

@@ -64,10 +64,11 @@ const SessionInstruments& SessionObs() {
 
 }  // namespace
 
-NetSession::NetSession(int fd, ServeSession state, NetSessionLimits limits,
+NetSession::NetSession(int fd, const ServeSession& serve,
+                       NetSessionLimits limits,
                        std::function<void()> on_shutdown)
     : fd_(fd),
-      serve_(std::move(state)),
+      serve_(serve),
       limits_(limits),
       on_shutdown_(std::move(on_shutdown)),
       framer_(limits.frame),
@@ -184,7 +185,7 @@ void NetSession::ProcessFrames() {
     bool quit = false;
     const bool sampled = obs::SampleTrace();
     const auto exec_start = std::chrono::steady_clock::now();
-    const std::string response = ServeText(&serve_, frame, &quit);
+    const std::string response = ServeText(serve_, frame, &quit);
     if (sampled) {
       PendingTrace t;
       t.spans.verb = keyword.empty() ? "?" : keyword;

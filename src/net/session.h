@@ -1,8 +1,7 @@
 // NetSession: one TCP connection's serving state — the glue between a
 // nonblocking socket and the serve_protocol request handlers. Owns the
-// fd, an incremental RequestFramer, a bounded write buffer, and the
-// protocol-level ServeSession (so the `open` verb works per connection,
-// exactly as it does over stdin).
+// fd, an incremental RequestFramer and a bounded write buffer, and refers
+// to the server's one ServeSession (its service and host hooks).
 //
 // Request pipelining: every COMPLETE frame buffered on the connection is
 // executed in arrival order and its response appended to the write
@@ -54,10 +53,9 @@ class NetSession {
     kClose,  ///< close now (EOF handled, error, killed, or quit flushed)
   };
 
-  /// `state` carries the shared service + db/options for `open`;
-  /// `on_shutdown` runs when the client sends the `shutdown` verb (the
-  /// server hooks its Drain() in here).
-  NetSession(int fd, ServeSession state, NetSessionLimits limits,
+  /// `serve` must outlive the session; `on_shutdown` runs when the client
+  /// sends the `shutdown` verb (the server hooks its Drain() in here).
+  NetSession(int fd, const ServeSession& serve, NetSessionLimits limits,
              std::function<void()> on_shutdown);
   ~NetSession();
 
@@ -116,7 +114,7 @@ class NetSession {
   void CompleteFlushedTraces();
 
   int fd_;
-  ServeSession serve_;
+  const ServeSession& serve_;
   NetSessionLimits limits_;
   std::function<void()> on_shutdown_;
   RequestFramer framer_;

@@ -72,60 +72,6 @@ std::string FormatPatterns(const std::vector<Pattern>& patterns) {
   return out;
 }
 
-// The observability verbs need no service (`metrics` renders only the
-// registry families without one), so both HandleServeRequest overloads —
-// and serviceless sessions — route them here.
-std::string HandleObservabilityRequest(const ViewService* service,
-                                       const ServeRequest& req) {
-  switch (req.kind) {
-    case ServeRequest::Kind::kMetrics: {
-      const std::string body = RenderMetricsText(service);
-      return StrFormat("ok metrics %zu\n",
-                       static_cast<size_t>(
-                           std::count(body.begin(), body.end(), '\n'))) +
-             body;
-    }
-    case ServeRequest::Kind::kTrace: {
-      if (!req.trace_on) {
-        obs::SetTraceSampleEvery(0);
-        return "ok trace off\n";
-      }
-      int every = req.trace_sample;
-      if (every <= 0) every = std::max(1, obs::TraceSampleEvery());
-      obs::SetTraceSampleEvery(every);
-      return StrFormat("ok trace on %d\n", every);
-    }
-    case ServeRequest::Kind::kTraces: {
-      const std::vector<obs::TraceSpans> dump = obs::GlobalTraceRing().Dump();
-      std::string out = StrFormat("ok traces %zu\n", dump.size());
-      for (const obs::TraceSpans& t : dump) {
-        out += StrFormat(
-            "trace %s frame_us %.1f queue_us %.1f execute_us %.1f "
-            "flush_us %.1f\n",
-            t.verb.c_str(), t.frame_us, t.queue_us, t.execute_us, t.flush_us);
-      }
-      return out;
-    }
-    case ServeRequest::Kind::kHealth: {
-      const obs::HealthReport report = obs::Health().Evaluate();
-      return "ok " + obs::RenderHealthText(report);
-    }
-    case ServeRequest::Kind::kEvents: {
-      const std::vector<obs::FlightEvent> dump = obs::Flight().Dump();
-      std::string out = StrFormat("ok events %zu\n", dump.size());
-      for (const obs::FlightEvent& ev : dump) {
-        out += StrFormat("event %llu %lld %s %s\n",
-                         static_cast<unsigned long long>(ev.seq),
-                         static_cast<long long>(ev.unix_ms),
-                         obs::FlightKindName(ev.kind), ev.text.c_str());
-      }
-      return out;
-    }
-    default:
-      return "err unreachable\n";
-  }
-}
-
 /// The per-verb instruments ServeText records into. Looked up once per
 /// process (function-local static) so the hot path never touches the
 /// registry lock.
@@ -341,14 +287,6 @@ Result<ServeRequest> ParseServeRequest(const std::vector<std::string>& lines,
     req.kind = ServeRequest::Kind::kCompact;
     return req;
   }
-  if (kw == "open") {
-    if (head.size() < 2) {
-      return Status::InvalidArgument("'open' needs a store directory");
-    }
-    req.kind = ServeRequest::Kind::kOpen;
-    req.dir = head[1];
-    return req;
-  }
   if (kw == "replicate") {
     req.kind = ServeRequest::Kind::kReplicate;
     if (head.size() < 2) {
@@ -482,76 +420,9 @@ Result<ServeRequest> ParseServeRequest(const std::vector<std::string>& lines,
   return Status::InvalidArgument("unknown request '" + kw + "'");
 }
 
-std::string HandleServeRequest(ServeSession* session,
+std::string HandleServeRequest(const ServeSession& session,
                                const ServeRequest& req) {
-  if (req.kind == ServeRequest::Kind::kPromote) {
-    if (session->promote) {
-      auto epoch = session->promote();
-      if (!epoch.ok()) return "err " + epoch.status().ToString() + "\n";
-      return StrFormat("ok promoted epoch %llu\n",
-                       static_cast<unsigned long long>(epoch.value()));
-    }
-    // No applier hook: fall through to the bare-service promotion below.
-  }
-  if (req.kind == ServeRequest::Kind::kStats && session->service != nullptr &&
-      session->lag_probe) {
-    std::string response = HandleServeRequest(session->service, req);
-    if (StartsWith(response, "ok ") && !response.empty()) {
-      const ReplicationLag lag = session->lag_probe();
-      response.pop_back();  // the trailing newline
-      response += StrFormat(" lag_epochs %llu lag_bytes %llu\n",
-                            static_cast<unsigned long long>(lag.epochs),
-                            static_cast<unsigned long long>(lag.bytes));
-    }
-    return response;
-  }
-  if (req.kind == ServeRequest::Kind::kOpen) {
-    // On a replica host, `open` would swap the session off the replica and
-    // onto a WRITABLE service over some directory — a mutation path, so it
-    // gets the same refusal as admit/save/compact until promotion.
-    if (session->service != nullptr && session->service->read_only()) {
-      return RefuseReadOnly();
-    }
-    // Re-opening the directory this session already serves is a reload:
-    // release our own store lock first, or Open would see it held and
-    // blame "another process". If the reload then fails, the session is
-    // left serviceless (accurate — the old state is gone).
-    if (session->owned != nullptr && session->owned->store_dir() == req.dir) {
-      if (session->service == session->owned.get()) {
-        session->service = nullptr;
-      }
-      session->owned.reset();
-    }
-    auto opened = ViewService::Open(req.dir, session->db, session->options);
-    if (!opened.ok()) return "err " + opened.status().ToString() + "\n";
-    session->owned = std::move(opened).value();
-    session->service = session->owned.get();
-    return StrFormat("ok open %s epoch %llu labels %zu\n", req.dir.c_str(),
-                     static_cast<unsigned long long>(
-                         session->service->epoch()),
-                     session->service->Labels().size());
-  }
-  // The observability verbs work without a service (`metrics` then renders
-  // only the registry families), so a fresh session can be scraped before
-  // its first `open`.
-  if (req.kind == ServeRequest::Kind::kMetrics ||
-      req.kind == ServeRequest::Kind::kTrace ||
-      req.kind == ServeRequest::Kind::kTraces ||
-      req.kind == ServeRequest::Kind::kHealth ||
-      req.kind == ServeRequest::Kind::kEvents) {
-    return HandleObservabilityRequest(session->service, req);
-  }
-  // A session may legitimately start with no service and issue `open`
-  // first; every other verb except `quit` needs one.
-  if (session->service == nullptr) {
-    if (req.kind == ServeRequest::Kind::kQuit) return "ok bye\n";
-    return "err no service open (use 'open <dir>')\n";
-  }
-  return HandleServeRequest(session->service, req);
-}
-
-std::string HandleServeRequest(ViewService* service,
-                               const ServeRequest& req) {
+  ViewService* service = session.service;
   // Replica refusal, checked PER REQUEST (not at connect time): Promote()
   // flips read_only on the live service, so the same session that was
   // refused a moment ago starts admitting the moment promotion lands.
@@ -595,11 +466,11 @@ std::string HandleServeRequest(ViewService* service,
     case ServeRequest::Kind::kStats: {
       const ViewServiceStats s = service->stats();
       // `role` rides at the END of the line (prefix-matching clients keep
-      // working); the session overload appends replication lag after it.
-      return StrFormat(
+      // working); a replica host's lag follows it.
+      std::string out = StrFormat(
           "ok stats epoch %llu labels %d codes %d admitted %llu "
           "batches %llu cache_hits %llu cache_misses %llu hit_rate %.4f "
-          "uptime_sec %.1f started_unix %lld role %s\n",
+          "uptime_sec %.1f started_unix %lld role %s",
           static_cast<unsigned long long>(s.epoch), s.num_labels,
           s.num_codes, static_cast<unsigned long long>(s.admitted_views),
           static_cast<unsigned long long>(s.admitted_batches),
@@ -608,13 +479,57 @@ std::string HandleServeRequest(ViewService* service,
           obs::ProcessUptimeSeconds(),
           static_cast<long long>(obs::ProcessStartUnixSeconds()),
           service->read_only() ? "replica" : "primary");
+      if (session.lag_probe) {
+        const ReplicationLag lag = session.lag_probe();
+        out += StrFormat(" lag_epochs %llu lag_bytes %llu",
+                         static_cast<unsigned long long>(lag.epochs),
+                         static_cast<unsigned long long>(lag.bytes));
+      }
+      return out + "\n";
     }
-    case ServeRequest::Kind::kMetrics:
-    case ServeRequest::Kind::kTrace:
-    case ServeRequest::Kind::kTraces:
-    case ServeRequest::Kind::kHealth:
-    case ServeRequest::Kind::kEvents:
-      return HandleObservabilityRequest(service, req);
+    case ServeRequest::Kind::kMetrics: {
+      const std::string body = RenderMetricsText(*service);
+      return StrFormat("ok metrics %zu\n",
+                       static_cast<size_t>(
+                           std::count(body.begin(), body.end(), '\n'))) +
+             body;
+    }
+    case ServeRequest::Kind::kTrace: {
+      if (!req.trace_on) {
+        obs::SetTraceSampleEvery(0);
+        return "ok trace off\n";
+      }
+      int every = req.trace_sample;
+      if (every <= 0) every = std::max(1, obs::TraceSampleEvery());
+      obs::SetTraceSampleEvery(every);
+      return StrFormat("ok trace on %d\n", every);
+    }
+    case ServeRequest::Kind::kTraces: {
+      const std::vector<obs::TraceSpans> dump = obs::GlobalTraceRing().Dump();
+      std::string out = StrFormat("ok traces %zu\n", dump.size());
+      for (const obs::TraceSpans& t : dump) {
+        out += StrFormat(
+            "trace %s frame_us %.1f queue_us %.1f execute_us %.1f "
+            "flush_us %.1f\n",
+            t.verb.c_str(), t.frame_us, t.queue_us, t.execute_us, t.flush_us);
+      }
+      return out;
+    }
+    case ServeRequest::Kind::kHealth: {
+      const obs::HealthReport report = obs::Health().Evaluate();
+      return "ok " + obs::RenderHealthText(report);
+    }
+    case ServeRequest::Kind::kEvents: {
+      const std::vector<obs::FlightEvent> dump = obs::Flight().Dump();
+      std::string out = StrFormat("ok events %zu\n", dump.size());
+      for (const obs::FlightEvent& ev : dump) {
+        out += StrFormat("event %llu %lld %s %s\n",
+                         static_cast<unsigned long long>(ev.seq),
+                         static_cast<long long>(ev.unix_ms),
+                         obs::FlightKindName(ev.kind), ev.text.c_str());
+      }
+      return out;
+    }
     case ServeRequest::Kind::kSave: {
       auto saved = service->Save(req.save_kind);
       if (!saved.ok()) return "err " + saved.status().ToString() + "\n";
@@ -632,21 +547,23 @@ std::string HandleServeRequest(ViewService* service,
     case ServeRequest::Kind::kReplicate:
       return HandleReplicateRequest(service, req);
     case ServeRequest::Kind::kPromote: {
+      if (session.promote) {
+        auto epoch = session.promote();
+        if (!epoch.ok()) return "err " + epoch.status().ToString() + "\n";
+        return StrFormat("ok promoted epoch %llu\n",
+                         static_cast<unsigned long long>(epoch.value()));
+      }
       if (!service->read_only()) {
         return "err not a replica (already primary)\n";
       }
       // Direct service promotion: only valid when nothing else owns the
-      // store LOCK. Hosts running a replica applier install a session
-      // promote hook instead (the applier must release the LOCK first).
+      // store LOCK. Hosts running a replica applier install a promote hook
+      // instead (the applier must release the LOCK first).
       Status st = service->Promote();
       if (!st.ok()) return "err " + st.ToString() + "\n";
       return StrFormat("ok promoted epoch %llu\n",
                        static_cast<unsigned long long>(service->epoch()));
     }
-    case ServeRequest::Kind::kOpen:
-      // `open` swaps which service a session talks to — only the session
-      // overload can honor it.
-      return "err open requires a protocol session (ServeSession)\n";
     case ServeRequest::Kind::kQuit:
       return "ok bye\n";
   }
@@ -685,8 +602,6 @@ const char* ServeVerbName(ServeRequest::Kind kind) {
       return "health";
     case ServeRequest::Kind::kEvents:
       return "events";
-    case ServeRequest::Kind::kOpen:
-      return "open";
     case ServeRequest::Kind::kSave:
       return "save";
     case ServeRequest::Kind::kCompact:
@@ -701,7 +616,7 @@ const char* ServeVerbName(ServeRequest::Kind kind) {
   return "unknown";
 }
 
-std::string RenderMetricsText(const ViewService* service) {
+std::string RenderMetricsText(const ViewService& service) {
   // Refresh the health gauges first so every export carries a current
   // `gvex_health_status` (scrapers get health + metrics in one pass; the
   // evaluation itself is a handful of atomic reads / try-locks).
@@ -712,45 +627,43 @@ std::string RenderMetricsText(const ViewService* service) {
     out += StrFormat("# HELP %s %s\n# TYPE %s %s\n%s %.10g\n", name, help,
                      name, type, name, v);
   };
-  if (service != nullptr) {
-    // The service section reads ONE consistent stats() snapshot at scrape
-    // time instead of double-counting into the registry on the hot path.
-    const ViewServiceStats s = service->stats();
-    emit("gvex_service_epoch", "gauge", "Published snapshot epoch",
-         static_cast<double>(s.epoch));
-    emit("gvex_service_labels", "gauge", "Labels in the current snapshot",
-         s.num_labels);
-    emit("gvex_service_codes", "gauge",
-         "Indexed canonical codes in the current snapshot", s.num_codes);
-    emit("gvex_service_admitted_views_total", "counter",
-         "Views admitted since this service was constructed",
-         static_cast<double>(s.admitted_views));
-    emit("gvex_service_admitted_batches_total", "counter",
-         "Admission batches folded into published snapshots",
-         static_cast<double>(s.admitted_batches));
-    emit("gvex_service_cache_hits_total", "counter", "Result cache hits",
-         static_cast<double>(s.cache_hits));
-    emit("gvex_service_cache_misses_total", "counter", "Result cache misses",
-         static_cast<double>(s.cache_misses));
-    emit("gvex_service_index_fallback_scans_total", "counter",
-         "Index lookups that fell back to a full scan",
-         static_cast<double>(s.index_fallback_scans));
-    emit("gvex_service_index_inconsistent_postings_total", "counter",
-         "Index postings found inconsistent and re-verified",
-         static_cast<double>(s.index_inconsistent_postings));
-    emit("gvex_service_index_filtered_rejects_total", "counter",
-         "Index candidates rejected by the verification filter",
-         static_cast<double>(s.index_filtered_rejects));
-    emit("gvex_service_compactions_total", "counter",
-         "Compactions completed successfully",
-         static_cast<double>(s.compactions));
-    emit("gvex_service_compaction_failures_total", "counter",
-         "Compactions that failed (see the rate-limited warning log)",
-         static_cast<double>(s.compaction_failures));
-    emit("gvex_service_replica", "gauge",
-         "1 when this service is a read-only replica, 0 once primary",
-         service->read_only() ? 1.0 : 0.0);
-  }
+  // The service section reads ONE consistent stats() snapshot at scrape
+  // time instead of double-counting into the registry on the hot path.
+  const ViewServiceStats s = service.stats();
+  emit("gvex_service_epoch", "gauge", "Published snapshot epoch",
+       static_cast<double>(s.epoch));
+  emit("gvex_service_labels", "gauge", "Labels in the current snapshot",
+       s.num_labels);
+  emit("gvex_service_codes", "gauge",
+       "Indexed canonical codes in the current snapshot", s.num_codes);
+  emit("gvex_service_admitted_views_total", "counter",
+       "Views admitted since this service was constructed",
+       static_cast<double>(s.admitted_views));
+  emit("gvex_service_admitted_batches_total", "counter",
+       "Admission batches folded into published snapshots",
+       static_cast<double>(s.admitted_batches));
+  emit("gvex_service_cache_hits_total", "counter", "Result cache hits",
+       static_cast<double>(s.cache_hits));
+  emit("gvex_service_cache_misses_total", "counter", "Result cache misses",
+       static_cast<double>(s.cache_misses));
+  emit("gvex_service_index_fallback_scans_total", "counter",
+       "Index lookups that fell back to a full scan",
+       static_cast<double>(s.index_fallback_scans));
+  emit("gvex_service_index_inconsistent_postings_total", "counter",
+       "Index postings found inconsistent and re-verified",
+       static_cast<double>(s.index_inconsistent_postings));
+  emit("gvex_service_index_filtered_rejects_total", "counter",
+       "Index candidates rejected by the verification filter",
+       static_cast<double>(s.index_filtered_rejects));
+  emit("gvex_service_compactions_total", "counter",
+       "Compactions completed successfully",
+       static_cast<double>(s.compactions));
+  emit("gvex_service_compaction_failures_total", "counter",
+       "Compactions that failed (see the rate-limited warning log)",
+       static_cast<double>(s.compaction_failures));
+  emit("gvex_service_replica", "gauge",
+       "1 when this service is a read-only replica, 0 once primary",
+       service.read_only() ? 1.0 : 0.0);
   emit("gvex_process_uptime_seconds", "gauge",
        "Seconds since process start (anchors the process-lifetime counters)",
        obs::ProcessUptimeSeconds());
@@ -760,7 +673,7 @@ std::string RenderMetricsText(const ViewService* service) {
   return out;
 }
 
-std::string ServeText(ServeSession* session, const std::string& text,
+std::string ServeText(const ServeSession& session, const std::string& text,
                       bool* quit) {
   if (quit) *quit = false;
   std::string out;
@@ -799,7 +712,7 @@ std::string ServeText(ViewService* service, const std::string& text,
                       bool* quit) {
   ServeSession session;
   session.service = service;
-  return ServeText(&session, text, quit);
+  return ServeText(session, text, quit);
 }
 
 }  // namespace gvex

@@ -78,10 +78,6 @@
 //                                      (kinds: epoch save compact drain
 //                                       frame_error backpressure health
 //                                       watchdog server crash)
-//   open <dir>                     -> ok open <dir> epoch <e> labels <n>
-//                                      (switches the SESSION onto a durable
-//                                       ViewService::Open(dir) service;
-//                                       session-owned — needs ServeSession)
 //   save [--delta|--full]          -> ok saved epoch <e> <full|delta|noop>
 //                                      (no flag: the size policy picks;
 //                                       noop = the epoch was already
@@ -121,24 +117,21 @@
 // keyword line. Blank lines between requests are ignored.
 //
 // Replica mode: on a read-only replica service every mutating verb —
-// admit, save, compact, and the session's open — answers exactly
-// "err read-only replica" (and bumps gvex_replica_refused_total); queries
-// and observability verbs work normally, `stats` reports the role (and
-// replication lag when the session has a lag probe), and `promote` flips
-// the SAME live sessions writable — the refusal is checked per request,
-// not captured at connect time.
+// admit, save, compact — answers exactly "err read-only replica" (and
+// bumps gvex_replica_refused_total); queries and observability verbs work
+// normally, `stats` reports the role (and replication lag when the session
+// has a lag probe), and `promote` flips the SAME live sessions writable —
+// the refusal is checked per request, not captured at connect time.
 //
-// Thread-safety: the parser is pure; HandleRequest only calls the
-// (concurrency-safe) ViewService API, so multiple protocol sessions may
-// share one service. A ServeSession, by contrast, is single-session state
-// (the `open` verb swaps which service it talks to).
+// Thread-safety: the parser is pure and the handler only calls the
+// (concurrency-safe) ViewService API, so any number of protocol sessions
+// may share one service — and one ServeSession, which is never modified.
 
 #ifndef GVEX_SERVE_SERVE_PROTOCOL_H_
 #define GVEX_SERVE_SERVE_PROTOCOL_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -168,7 +161,6 @@ struct ServeRequest {
     kTraces,
     kHealth,
     kEvents,
-    kOpen,
     kSave,
     kCompact,
     kReplicate,
@@ -185,7 +177,6 @@ struct ServeRequest {
   /// For kMcs: the query graph (may be disconnected — it is not a Pattern).
   Graph query_graph;
   ExplanationView view;  ///< For kAdmit.
-  std::string dir;       ///< For kOpen.
   /// For kSave: plain `save` is kAuto (the service's size policy picks
   /// full vs delta), `save --delta` forces an incremental snapshot,
   /// `save --full` a whole-epoch one.
@@ -202,17 +193,10 @@ struct ServeRequest {
   uint64_t repl_len = 0;     ///< fetch: max bytes; crc: prefix length
 };
 
-/// Per-connection protocol state. `service` is the current target; the
-/// `open` verb creates a durable service over a store directory (with the
-/// session's database and options) and swaps the session onto it, keeping
-/// ownership in `owned`. Sessions wrapping an externally owned service
-/// just leave `owned` null.
+/// What a protocol session talks to, fixed by its host: one service and
+/// the host's hooks. Every connection of a server shares one.
 struct ServeSession {
   ViewService* service = nullptr;
-  std::unique_ptr<ViewService> owned;
-  /// Database/options handed to services the `open` verb creates.
-  const GraphDatabase* db = nullptr;
-  ViewServiceOptions options;
   /// Set by hosts running a replica applier: the `promote` verb invokes it
   /// (stop shipping, release the applier's LOCK, promote the service) and
   /// answers the promoted epoch. Without it, `promote` falls back to
@@ -229,9 +213,9 @@ const char* ServeVerbName(ServeRequest::Kind kind);
 /// The full Prometheus-style exposition text the `metrics` verb and
 /// `gvex_netserve --metrics-dump` emit: every registered obs family plus
 /// a service section (epoch, label/code counts, admission + cache + index
-/// + compaction counters read from `service->stats()`) and process
-/// uptime/start gauges. `service` may be null (registry families only).
-std::string RenderMetricsText(const ViewService* service);
+/// + compaction counters read from `service.stats()`) and process
+/// uptime/start gauges.
+std::string RenderMetricsText(const ViewService& service);
 
 /// How many payload blocks follow `head`'s keyword line (the
 /// whitespace-split first line of a request), and which line closes each
@@ -250,22 +234,17 @@ Result<ServeRequest> ParseServeRequest(const std::vector<std::string>& lines,
                                        size_t* pos);
 
 /// Executes one request against a session; returns the newline-terminated
-/// response text. The `open` verb mutates the session.
-std::string HandleServeRequest(ServeSession* session, const ServeRequest& req);
-
-/// Convenience overload for a bare service (no session state): `open`
-/// answers an error, everything else behaves identically.
-std::string HandleServeRequest(ViewService* service, const ServeRequest& req);
+/// response text.
+std::string HandleServeRequest(const ServeSession& session,
+                               const ServeRequest& req);
 
 /// Parses and executes every request in `text`, concatenating responses.
 /// `quit` (optional) is set when a quit request was seen — callers running
 /// a read loop should stop feeding input then.
-std::string ServeText(ServeSession* session, const std::string& text,
+std::string ServeText(const ServeSession& session, const std::string& text,
                       bool* quit = nullptr);
 
-/// Bare-service overload: a temporary session lives for this call only, so
-/// an `open` in `text` affects later requests of the SAME call and is then
-/// dropped. Long-lived callers (gvex_serve) hold a ServeSession instead.
+/// Shorthand for a session with no host hooks.
 std::string ServeText(ViewService* service, const std::string& text,
                       bool* quit = nullptr);
 

@@ -488,4 +488,16 @@ Result<std::vector<ExplanationView>> LoadViewsBinary(const std::string& path) {
   return ParseViewsBinary(bytes.value());
 }
 
+Result<std::vector<ExplanationView>> LoadViewsAnyFormat(
+    const std::string& path) {
+  auto head = ReadFileRange(path, 0, 4);
+  if (!head.ok()) return Status::IOError(head.status().message());
+  ByteReader in(head.value());
+  uint32_t magic = 0;
+  if (in.GetFixed32(&magic).ok() && magic == kStoreMagic) {
+    return LoadViewsBinary(path);
+  }
+  return LoadViews(path);
+}
+
 }  // namespace gvex

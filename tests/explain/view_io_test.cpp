@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "explain/approx_gvex.h"
 #include "test_util.h"
@@ -125,6 +127,29 @@ TEST(ViewIoTest, BinaryFileRoundTripAndCorruptionRejection) {
   bytes.resize(bytes.size() / 2);  // truncation never partially loads
   EXPECT_FALSE(ParseViewsBinary(bytes).ok());
   EXPECT_TRUE(LoadViewsBinary("/no/such/views.gvxv").status().IsIOError());
+}
+
+// Both serving hosts load --views through one loader that sniffs the
+// format: the same views saved as text and as binary load equal.
+TEST(ViewIoTest, AnyFormatLoaderReadsTextAndBinaryAlike) {
+  const std::vector<ExplanationView> views = {MakeRealView()};
+  const std::string text_path = ::testing::TempDir() + "/gvex_any_views.txt";
+  const std::string binary_path =
+      ::testing::TempDir() + "/gvex_any_views.gvxv";
+  ASSERT_TRUE(SaveViews(text_path, views).ok());
+  ASSERT_TRUE(SaveViewsBinary(binary_path, views).ok());
+  auto text = LoadViewsAnyFormat(text_path);
+  auto binary = LoadViewsAnyFormat(binary_path);
+  std::remove(text_path.c_str());
+  std::remove(binary_path.c_str());
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  ASSERT_TRUE(binary.ok()) << binary.status().ToString();
+  ASSERT_EQ(text.value().size(), 1u);
+  ASSERT_EQ(binary.value().size(), 1u);
+  EXPECT_EQ(SerializeView(text.value()[0]), SerializeView(binary.value()[0]));
+  EXPECT_EQ(SerializeView(binary.value()[0]), SerializeView(views[0]));
+  EXPECT_TRUE(
+      LoadViewsAnyFormat("/no/such/views.txt").status().IsIOError());
 }
 
 // Regression: malformed numerics in view blocks used to throw out of

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -218,7 +221,9 @@ TEST_F(FrameFuzzTest, JumboPipelinedBatchOverSocket) {
 
 // A complete frame whose payload carries malformed numerics must answer
 // "err" and KEEP THE STREAM ALIVE — the satellite-4 hardening regression
-// at the socket level (std::stoi would have crashed the server here).
+// at the socket level (std::stoi would have crashed the server here). So
+// must `open <dir>`, which is no verb: a client cannot make the server
+// create or lock a store directory.
 TEST_F(FrameFuzzTest, MalformedNumericPayloadAnswersErrAndStreamSurvives) {
   auto service = FreshService();
   TestServer server(service.get(), &store_.db);
@@ -233,6 +238,12 @@ TEST_F(FrameFuzzTest, MalformedNumericPayloadAnswersErrAndStreamSurvives) {
   ASSERT_TRUE(client.SendAll("labelsof\ngraph 2 zero\nend\n"));
   line = client.RecvLines(1);
   EXPECT_TRUE(StartsWith(line, "err")) << line;
+  const std::string dir =
+      ::testing::TempDir() + StrFormat("/gvex_open_%d", ::getpid());
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(client.SendAll("open " + dir + "\n"));
+  EXPECT_EQ(client.RecvLines(1), "err unknown request 'open'\n");
+  EXPECT_FALSE(std::filesystem::exists(dir));
   // The connection still serves follow-up requests.
   auto oracle_service = FreshService();
   const std::string expected = ServeText(oracle_service.get(), "labels\n");

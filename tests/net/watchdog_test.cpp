@@ -102,8 +102,7 @@ TEST(WatchdogTest, WedgedWorkerIsDetectedAndRecovers) {
   opts.worker_tick_hook = wedge.Hook();
 
   TcpServer server;
-  ASSERT_TRUE(server.Start(&service, &store.db, ViewServiceOptions(), opts)
-                  .ok());
+  ASSERT_TRUE(server.Start(&service, opts).ok());
   ASSERT_TRUE(PollFor(
       [] { return HealthCheckStatus("net_worker_0") ==
                   static_cast<int>(obs::HealthStatus::kOk); }));
@@ -169,8 +168,7 @@ TEST(WatchdogTest, DrainLifecycleRecordsFlightEvents) {
   const uint64_t baseline = obs::Flight().recorded();
   {
     TcpServer server;
-    ASSERT_TRUE(server.Start(&service, &store.db, ViewServiceOptions(), opts)
-                    .ok());
+    ASSERT_TRUE(server.Start(&service, opts).ok());
     server.Drain();
     server.Wait();
   }
@@ -210,14 +208,13 @@ TEST(WatchdogTest, FinalMetricsDumpSurvivesForcedDrain) {
   uint64_t closed_at_dump = 0;
   {
     TcpServer server;
-    ASSERT_TRUE(server.Start(&service, &store.db, ViewServiceOptions(), opts)
-                    .ok());
+    ASSERT_TRUE(server.Start(&service, opts).ok());
     // Long interval: the periodic thread never fires — only Final() can
     // write the file, which is exactly the property under test.
     obs::PeriodicDumper dumper(3600.0, [&] {
       closed_at_dump = server.stats().closed;
       EXPECT_TRUE(
-          AtomicWriteFile(dump_path, RenderMetricsText(&service)).ok());
+          AtomicWriteFile(dump_path, RenderMetricsText(service)).ok());
     });
 
     // Baseline BEFORE the client exists: the pause can land any time

@@ -76,18 +76,7 @@ TEST_F(ReplicaProtocolTest, MutatingVerbsAnswerExactRefusalAndCount) {
             "err read-only replica\n");
   EXPECT_EQ(ServeText(replica(), "compact\n"), "err read-only replica\n");
 
-  // `open` is a session verb: it would swap the session onto a WRITABLE
-  // service, so a replica host refuses it the same way.
-  ServeSession session;
-  session.service = replica();
-  session.db = &store_.db;
-  ScratchDir elsewhere;
-  ASSERT_TRUE(elsewhere.ok());
-  EXPECT_EQ(ServeText(&session, "open " + elsewhere.path() + "\n"),
-            "err read-only replica\n");
-  EXPECT_EQ(session.service, replica());  // the session was not swapped
-
-  EXPECT_EQ(RefusedCount(), before + 5);
+  EXPECT_EQ(RefusedCount(), before + 4);
   EXPECT_EQ(replica()->epoch(), epoch_before);
   // Reads were never refused.
   EXPECT_EQ(ServeText(replica(), "labels\n"), "ok 2\nids 0 1\n");
@@ -96,17 +85,16 @@ TEST_F(ReplicaProtocolTest, MutatingVerbsAnswerExactRefusalAndCount) {
 // `health`, `metrics`, and `stats` must all tell an operator they are
 // looking at a replica, and how far behind it is.
 TEST_F(ReplicaProtocolTest, ObservabilityReportsRoleAndLag) {
-  // stats: role rides at the end of the line; the session overload
+  // stats: role rides at the end of the line; a session with a lag probe
   // appends the lag the applier measured.
   std::string out = ServeText(replica(), "stats\n");
   EXPECT_NE(out.find(" role replica"), std::string::npos) << out;
 
   ServeSession session;
   session.service = replica();
-  session.db = &store_.db;
   ReplicaApplier* applier = applier_.get();
   session.lag_probe = [applier] { return applier->lag(); };
-  out = ServeText(&session, "stats\n");
+  out = ServeText(session, "stats\n");
   EXPECT_NE(out.find(" role replica lag_epochs 0 lag_bytes 0"),
             std::string::npos)
       << out;
@@ -134,22 +122,21 @@ TEST_F(ReplicaProtocolTest, ObservabilityReportsRoleAndLag) {
 TEST_F(ReplicaProtocolTest, PromoteFlipsTheLiveSession) {
   ServeSession session;
   session.service = replica();
-  session.db = &store_.db;
   ReplicaApplier* applier = applier_.get();
   session.promote = [applier] { return applier->Promote(); };
 
   ExplanationView view = store_.views[0];
   view.label = 9;
   const std::string admit_req = "admit\n" + SerializeView(view);
-  EXPECT_EQ(ServeText(&session, admit_req), "err read-only replica\n");
+  EXPECT_EQ(ServeText(session, admit_req), "err read-only replica\n");
 
   primary_.reset();  // the primary dies; the operator promotes
-  std::string out = ServeText(&session, "promote\n");
+  std::string out = ServeText(session, "promote\n");
   EXPECT_EQ(out, "ok promoted epoch 1\n");
 
-  out = ServeText(&session, admit_req);
+  out = ServeText(session, admit_req);
   EXPECT_TRUE(StartsWith(out, "ok admitted 9 epoch 2")) << out;
-  out = ServeText(&session, "stats\n");
+  out = ServeText(session, "stats\n");
   EXPECT_NE(out.find(" role primary"), std::string::npos) << out;
   out = ServeText(replica(), "metrics\n");
   EXPECT_NE(out.find("gvex_service_replica 0\n"), std::string::npos) << out;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 
 #include "explain/view_io.h"
@@ -256,113 +257,57 @@ TEST_F(ServeProtocolTest, SaveAndCompactRequireAStore) {
   EXPECT_EQ(lines[2], "ok 2");
 }
 
-TEST_F(ServeProtocolTest, OpenWithoutSessionIsAnError) {
-  const std::string out = ServeText(service_.get(), "open /tmp/nowhere\n");
-  // The bare-service ServeText wraps a temporary session, so `open`
-  // actually works there — but HandleServeRequest on a service alone must
-  // refuse. Exercise the latter directly.
-  ServeRequest req;
-  req.kind = ServeRequest::Kind::kOpen;
-  req.dir = "/tmp/nowhere";
-  EXPECT_TRUE(StartsWith(HandleServeRequest(service_.get(), req), "err "));
-  (void)out;
-}
-
 TEST_F(ServeProtocolTest, OpenSaveCompactRoundTripThroughSession) {
   testing::ScratchDir dir;
   ASSERT_TRUE(dir.ok());
 
+  // A durable service over an empty store: admit views, save and compact.
+  auto opened = ViewService::Open(dir.path(), &store_.db);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<ViewService> durable = std::move(opened).value();
+  EXPECT_TRUE(durable->durable());
+  EXPECT_EQ(durable->epoch(), 0u);
+  EXPECT_TRUE(durable->Labels().empty());
   ServeSession session;
-  session.service = service_.get();
-  session.db = &store_.db;
+  session.service = durable.get();
 
-  // Open an empty store, admit a view into it, save and compact.
   std::string out =
-      ServeText(&session, "open " + dir.path() + "\n");
-  EXPECT_TRUE(StartsWith(out, "ok open " + dir.path() + " epoch 0 labels 0"))
-      << out;
-  ASSERT_NE(session.service, service_.get());  // session swapped services
-  EXPECT_TRUE(session.service->durable());
-
-  out = ServeText(&session, "admit\n" + SerializeView(store_.views[0]));
+      ServeText(session, "admit\n" + SerializeView(store_.views[0]));
   EXPECT_TRUE(StartsWith(out, "ok admitted 0 epoch 1")) << out;
-  out = ServeText(&session, "save\n");
+  out = ServeText(session, "save\n");
   EXPECT_EQ(out, "ok saved epoch 1 full\n");  // no base yet: policy goes full
-  out = ServeText(&session, "admit\n" + SerializeView(store_.views[1]));
+  out = ServeText(session, "admit\n" + SerializeView(store_.views[1]));
   EXPECT_TRUE(StartsWith(out, "ok admitted 1 epoch 2")) << out;
   // One of two labels changed since the base: the size policy picks a
   // delta; forcing --full still writes a whole snapshot.
-  out = ServeText(&session, "save --delta\n");
+  out = ServeText(session, "save --delta\n");
   EXPECT_EQ(out, "ok saved epoch 2 delta\n");
   // The epoch is already persisted by the chain — nothing to write.
-  out = ServeText(&session, "save\n");
+  out = ServeText(session, "save\n");
   EXPECT_EQ(out, "ok saved epoch 2 noop\n");
-  out = ServeText(&session, "save --full\n");
+  out = ServeText(session, "save --full\n");
   EXPECT_EQ(out, "ok saved epoch 2 full\n");
-  out = ServeText(&session, "save --sideways\n");
+  out = ServeText(session, "save --sideways\n");
   EXPECT_TRUE(StartsWith(out, "err ")) << out;
   // Conflicting flags must not silently resolve to the first one.
-  out = ServeText(&session, "save --delta --full\n");
+  out = ServeText(session, "save --delta --full\n");
   EXPECT_TRUE(StartsWith(out, "err ")) << out;
-  out = ServeText(&session, "compact\n");
+  out = ServeText(session, "compact\n");
   EXPECT_EQ(out, "ok compacted epoch 2\n");
 
-  // A brand-new session re-opens the directory and sees the recovered
-  // store: both labels, epoch 2. The first session must release the store
-  // first — one writer per directory (the store lock).
-  ServeSession fresh;
-  fresh.service = service_.get();
-  fresh.db = &store_.db;
-  out = ServeText(&fresh, "open " + dir.path() + "\n");
-  EXPECT_TRUE(StartsWith(out, "err ")) << out;  // still held by `session`
-  session.owned.reset();
-  session.service = nullptr;
-  out = ServeText(&fresh, "open " + dir.path() + "\nlabels\nstats\n");
-  EXPECT_NE(out.find("epoch 2 labels 2"), std::string::npos) << out;
+  // A second service re-opens the directory and sees the recovered store:
+  // both labels, epoch 2. The first service must release the store first —
+  // one writer per directory (the store lock).
+  EXPECT_FALSE(ViewService::Open(dir.path(), &store_.db).ok());
+  durable.reset();
+  auto reopened = ViewService::Open(dir.path(), &store_.db);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  out = ServeText(reopened.value().get(), "labels\nstats\n");
   EXPECT_NE(out.find("ids 0 1"), std::string::npos) << out;
+  EXPECT_NE(out.find("epoch 2 labels 2"), std::string::npos) << out;
   // Admission counters are process-lifetime (like cache counters): the
   // warm-started service restarts them at 0 despite its recovered epoch.
   EXPECT_NE(out.find("admitted 0 batches 0"), std::string::npos) << out;
-
-  // Re-opening the SAME directory from the session that holds it is a
-  // reload, not a lock conflict.
-  out = ServeText(&fresh, "open " + dir.path() + "\n");
-  EXPECT_TRUE(StartsWith(out, "ok open ")) << out;
-  EXPECT_NE(out.find("epoch 2"), std::string::npos) << out;
-}
-
-// The documented session contract: a caller may start with NO service and
-// issue `open` first. Any other verb before that must err, not crash.
-TEST_F(ServeProtocolTest, SessionWithoutServiceRequiresOpenFirst) {
-  testing::ScratchDir dir;
-  ASSERT_TRUE(dir.ok());
-
-  ServeSession session;  // service == nullptr
-  session.db = &store_.db;
-  std::string out = ServeText(&session, "labels\nstats\n");
-  const auto lines = Split(out, '\n');
-  ASSERT_GE(lines.size(), 2u);
-  EXPECT_EQ(lines[0], "err no service open (use 'open <dir>')");
-  EXPECT_EQ(lines[1], "err no service open (use 'open <dir>')");
-
-  // `open` then works and subsequent verbs hit the opened service.
-  out = ServeText(&session, "open " + dir.path() + "\nlabels\n");
-  EXPECT_TRUE(StartsWith(out, "ok open ")) << out;
-  EXPECT_NE(out.find("ok 0"), std::string::npos) << out;
-
-  // `quit` needs no service: a session that never opened one still gets
-  // the documented acknowledgment.
-  ServeSession idle;
-  idle.db = &store_.db;
-  EXPECT_EQ(ServeText(&idle, "quit\n"), "ok bye\n");
-}
-
-TEST_F(ServeProtocolTest, OpenNeedsADirectoryArgument) {
-  const std::string out = ServeText(service_.get(), "open\nlabels\n");
-  const auto lines = Split(out, '\n');
-  ASSERT_GE(lines.size(), 2u);
-  EXPECT_TRUE(StartsWith(lines[0], "err "));
-  EXPECT_EQ(lines[1], "ok 2");  // the stream stays in sync
 }
 
 TEST_F(ServeProtocolTest, AdmitRejectsUnlabeledView) {

@@ -28,10 +28,12 @@
 // seed can verify responses byte-for-byte without shared fixtures.
 //
 // --port 0 binds an ephemeral port; --port-file writes the bound port to a
-// file once listening (how scripts and tests rendezvous). SIGTERM/SIGINT
-// trigger a graceful drain: stop accepting, finish in-flight requests,
-// flush within --drain-timeout seconds, and (for a durable --store
-// service) fold everything admitted into one final save.
+// file once listening (how scripts and tests rendezvous; an unwritable
+// path exits 1). SIGTERM/SIGINT trigger a graceful drain: stop accepting,
+// finish in-flight requests, flush within --drain-timeout seconds, and
+// (for a durable --store service) fold everything admitted into one final
+// save. Both signals stay blocked in every thread; one thread takes them
+// with sigwait and drains as ordinary code, not from a signal handler.
 //
 // Observability (docs/OBSERVABILITY.md):
 //   --metrics-dump FILE            periodically write the Prometheus-style
@@ -58,11 +60,12 @@
 // flag: it raises SIGSEGV shortly after the port file is written, so the
 // smoke test can assert the post-mortem exists and parses.
 
+#include <pthread.h>
 #include <signal.h>
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -114,14 +117,6 @@ int Usage() {
   return 1;
 }
 
-TcpServer* g_server = nullptr;
-
-// Drain() only touches atomics and write(2), so it is safe to call from a
-// signal handler; the worker threads do the actual draining.
-void HandleSignal(int) {
-  if (g_server != nullptr) g_server->Drain();
-}
-
 // One observability dump pass: metrics file, health file (each optional,
 // replaced via AtomicWriteFile), and a refresh of the crash handler's
 // preallocated metrics snapshot so a post-mortem always carries counters
@@ -138,7 +133,7 @@ void DumpObservability(const ViewService* service,
       GVEX_LOG(kWarning) << "observability dump failed: " << st.ToString();
     }
   };
-  const std::string metrics = RenderMetricsText(service);
+  const std::string metrics = RenderMetricsText(*service);
   if (!metrics_path.empty()) write(metrics_path, metrics);
   if (!health_path.empty()) {
     write(health_path, obs::RenderHealthText(obs::Health().Evaluate()));
@@ -156,6 +151,15 @@ int main(int argc, char** argv) {
   }
   if (!args.Has("views") && !args.Has("store") && !args.Has("synthetic")) {
     return Usage();
+  }
+  // Blocked before any thread exists, so every thread inherits the mask
+  // and only the sigwait thread below ever takes these signals.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGTERM);
+  sigaddset(&stop_signals, SIGINT);
+  if (const int err = pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr)) {
+    return Fail(std::string("pthread_sigmask: ") + std::strerror(err));
   }
 
   GraphDatabase db;
@@ -177,7 +181,7 @@ int main(int argc, char** argv) {
     have_db = true;
   }
   if (args.Has("views")) {
-    auto views = LoadViews(args.Get("views", ""));
+    auto views = LoadViewsAnyFormat(args.Get("views", ""));
     if (!views.ok()) return Fail(views.status().ToString());
     for (auto& v : views.value()) startup_views.push_back(std::move(v));
   }
@@ -265,12 +269,8 @@ int main(int argc, char** argv) {
   obs::InstallCrashLogger(crash);
 
   TcpServer server;
-  const Status started = server.Start(service_ptr, have_db ? &db : nullptr,
-                                      options, topts);
+  const Status started = server.Start(service_ptr, topts);
   if (!started.ok()) return Fail(started.ToString());
-  g_server = &server;
-  ::signal(SIGTERM, HandleSignal);
-  ::signal(SIGINT, HandleSignal);
 
   const std::string metrics_path = args.Get("metrics-dump", "");
   const std::string health_path = args.Get("health-file", "");
@@ -287,9 +287,14 @@ int main(int argc, char** argv) {
   }
 
   if (args.Has("port-file")) {
-    std::ofstream f(args.Get("port-file", ""));
-    f << server.port() << "\n";
+    const Status wrote = AtomicWriteFile(
+        args.Get("port-file", ""), std::to_string(server.port()) + "\n");
+    if (!wrote.ok()) return Fail("--port-file: " + wrote.ToString());
   }
+  std::thread signal_thread([&server, stop_signals] {
+    int sig = 0;
+    if (sigwait(&stop_signals, &sig) == 0) server.Drain();
+  });
   std::fprintf(stderr,
                "listening on port %d (%d workers, %d labels, epoch %llu%s%s)\n",
                server.port(), topts.workers,
@@ -313,7 +318,11 @@ int main(int argc, char** argv) {
   }
 
   server.Wait();
-  g_server = nullptr;
+  // The server may have stopped without a signal (the `shutdown` verb):
+  // release the sigwait thread. Drain() is then a no-op. ESRCH, the only
+  // possible error, means the thread already took a signal and returned.
+  (void)pthread_kill(signal_thread.native_handle(), SIGTERM);
+  signal_thread.join();
   if (applier != nullptr) applier->Stop();
   if (dumper != nullptr) {
     dumper->Final();  // joins the dump thread, then writes the final export

@@ -19,7 +19,6 @@
 // support); this tool drives it from a single protocol session, which is
 // the shape the bench and tests script against.
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -31,7 +30,6 @@
 #include "obs/crash.h"
 #include "serve/serve_protocol.h"
 #include "serve/view_service.h"
-#include "store/codec.h"
 #include "tool_args.h"
 #include "util/string_util.h"
 
@@ -55,28 +53,10 @@ int Usage() {
   return 1;
 }
 
-// Loads a view file in either format: binary files carry the store magic
-// in their first bytes, everything else parses as text.
-Result<std::vector<ExplanationView>> LoadViewsAnyFormat(
-    const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f.good()) return Status::IOError("cannot open " + path);
-  char head[4] = {0, 0, 0, 0};
-  f.read(head, 4);
-  f.close();
-  uint32_t magic = 0;
-  for (int i = 0; i < 4; ++i) {
-    magic |= static_cast<uint32_t>(static_cast<unsigned char>(head[i]))
-             << (8 * i);
-  }
-  if (magic == kStoreMagic) return LoadViewsBinary(path);
-  return LoadViews(path);
-}
-
 // Request/response loop: reads ONE request (keyword line + payload block if
 // any) at a time and flushes its response immediately, so interactive and
 // co-process clients never deadlock waiting for EOF.
-void ServeStream(ServeSession* session, std::istream& in) {
+void ServeStream(ViewService* service, std::istream& in) {
   std::string line;
   while (std::getline(in, line)) {
     if (Trim(line).empty()) continue;
@@ -92,7 +72,7 @@ void ServeStream(ServeSession* session, std::istream& in) {
       }
     }
     bool quit = false;
-    std::fputs(ServeText(session, chunk, &quit).c_str(), stdout);
+    std::fputs(ServeText(service, chunk, &quit).c_str(), stdout);
     std::fflush(stdout);
     if (quit) break;
   }
@@ -129,49 +109,42 @@ int main(int argc, char** argv) {
   options.store.compact_wal_bytes =
       static_cast<uint64_t>(args.GetInt("compact-bytes", 0));
 
-  ServeSession session;
-  session.db = have_db ? &db : nullptr;
-  session.options = options;
+  const GraphDatabase* db_ptr = have_db ? &db : nullptr;
+  std::unique_ptr<ViewService> service;
   if (args.Has("store")) {
-    auto opened = ViewService::Open(args.Get("store", ""), session.db,
-                                    options);
+    auto opened = ViewService::Open(args.Get("store", ""), db_ptr, options);
     if (!opened.ok()) return Fail(opened.status().ToString());
-    session.owned = std::move(opened).value();
+    service = std::move(opened).value();
   } else {
-    session.owned =
-        std::make_unique<ViewService>(session.db, options);
+    service = std::make_unique<ViewService>(db_ptr, options);
   }
-  session.service = session.owned.get();
 
   if (args.Has("views")) {
     auto views = LoadViewsAnyFormat(args.Get("views", "views.txt"));
     if (!views.ok()) return Fail(views.status().ToString());
     if (!views.value().empty()) {
-      auto admitted =
-          session.service->AdmitViews(std::move(views).value());
+      auto admitted = service->AdmitViews(std::move(views).value());
       if (!admitted.ok()) return Fail(admitted.status().ToString());
     }
   }
   std::fprintf(stderr, "serving %d label(s), %llu epoch(s)%s%s; reading %s\n",
-               static_cast<int>(session.service->Labels().size()),
-               static_cast<unsigned long long>(session.service->epoch()),
-               session.service->durable() ? " from store " : "",
-               session.service->durable()
-                   ? session.service->store_dir().c_str()
-                   : "",
+               static_cast<int>(service->Labels().size()),
+               static_cast<unsigned long long>(service->epoch()),
+               service->durable() ? " from store " : "",
+               service->durable() ? service->store_dir().c_str() : "",
                args.Has("requests") ? args.Get("requests", "").c_str()
                                     : "stdin");
 
   if (args.Has("requests")) {
     std::ifstream f(args.Get("requests", ""));
     if (!f.good()) return Fail("cannot open " + args.Get("requests", ""));
-    ServeStream(&session, f);
+    ServeStream(service.get(), f);
   } else {
-    ServeStream(&session, std::cin);
+    ServeStream(service.get(), std::cin);
   }
 
   if (args.GetInt("stats", 0) != 0) {
-    const ViewServiceStats s = session.service->stats();
+    const ViewServiceStats s = service->stats();
     std::fprintf(stderr,
                  "stats: epoch %llu labels %d codes %d cache_hits %llu "
                  "cache_misses %llu hit_rate %.4f\n",

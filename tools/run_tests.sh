@@ -16,7 +16,8 @@
 #                                    # + gnn + explain suites
 #                                    # in build-tsan
 #                                    # (GVEX_SANITIZE=thread) and runs the
-#                                    # concurrency-heavy binaries
+#                                    # concurrency-heavy binaries and the
+#                                    # SIGTERM smoke
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -38,6 +39,50 @@ for arg in "$@"; do
     ctest_args+=("${arg}")
   fi
 done
+
+# SIGTERM smoke: a durable gvex_netserve under gvex_loadgen load gets
+# SIGTERM and must drain and exit 0, $2 times in a row. The server takes
+# the signal in a sigwait thread; this guards that path, since a drain
+# that deadlocks or crashes only now and then cannot be provoked on demand.
+# Usage: sigterm_smoke TOOLS_DIR REPS SCRATCH_DIR
+sigterm_smoke() {
+  local tools="$1" reps="$2" dir="$3"
+  local i rc pid load_pid
+  for ((i = 0; i < reps; ++i)); do
+    rm -rf "${dir}/sigterm_store" "${dir}/sigterm_port.txt"
+    "${tools}/gvex_netserve" --synthetic 9 --labels 3 --port 0 \
+      --store "${dir}/sigterm_store" \
+      --port-file "${dir}/sigterm_port.txt" 2>"${dir}/sigterm.log" &
+    pid=$!
+    for _ in $(seq 100); do
+      [[ -s "${dir}/sigterm_port.txt" ]] && break
+      sleep 0.1
+    done
+    if [[ ! -s "${dir}/sigterm_port.txt" ]]; then
+      echo "sigterm smoke: netserve never wrote its port file" >&2
+      cat "${dir}/sigterm.log" >&2
+      kill -9 "${pid}" 2>/dev/null || true
+      return 1
+    fi
+    # The drain may cut the load short, so the loadgen's verdict is moot.
+    "${tools}/gvex_loadgen" --port "$(cat "${dir}/sigterm_port.txt")" \
+      --synthetic 9 --labels 3 --connections 4 --requests 4096 \
+      --pipeline 4 --admit-frac 0.1 >/dev/null 2>&1 &
+    load_pid=$!
+    sleep 0.2
+    kill -TERM "${pid}"
+    rc=0
+    wait "${pid}" || rc=$?
+    kill "${load_pid}" 2>/dev/null || true
+    wait "${load_pid}" 2>/dev/null || true
+    if [[ "${rc}" != 0 ]]; then
+      echo "sigterm smoke: run ${i}: netserve exited ${rc} after SIGTERM" >&2
+      cat "${dir}/sigterm.log" >&2
+      return 1
+    fi
+  done
+  echo "sigterm smoke (${reps} runs): ok"
+}
 
 # The sanitizer lanes are their own build trees; they cover the serving +
 # durable store + TCP front-end suites (the subsystems with the hairiest
@@ -75,7 +120,8 @@ fi
 # remainder predictor and scoring state over the one shared model). The
 # ViewService concurrency tests and the wedged-batch health test run 20
 # more times: a lost wake-up when one batch leader hands the queue to the
-# next shows only now and then.
+# next shows only now and then. The SIGTERM smoke runs gvex_netserve's
+# sigwait drain thread under TSan too.
 # ASan and TSan can't share a build, so this is a third tree.
 if [[ "${tsan}" == 1 ]]; then
   tsan_dir="${TSAN_BUILD_DIR:-${repo_root}/build-tsan}"
@@ -84,7 +130,8 @@ if [[ "${tsan}" == 1 ]]; then
     -DGVEX_BUILD_BENCH=OFF -DGVEX_BUILD_EXAMPLES=OFF
   cmake --build "${tsan_dir}" -j "${jobs}" \
     --target gvex_util_test gvex_net_test gvex_serve_test gvex_obs_test \
-      gvex_store_test gvex_gnn_test gvex_explain_test
+      gvex_store_test gvex_gnn_test gvex_explain_test gvex_netserve_tool \
+      gvex_loadgen_tool
   "${tsan_dir}/tests/gvex_util_test"
   "${tsan_dir}/tests/gvex_net_test"
   "${tsan_dir}/tests/gvex_serve_test"
@@ -94,6 +141,9 @@ if [[ "${tsan}" == 1 ]]; then
   "${tsan_dir}/tests/gvex_store_test"
   "${tsan_dir}/tests/gvex_gnn_test"
   "${tsan_dir}/tests/gvex_explain_test"
+  tsan_scratch="$(mktemp -d)"
+  trap 'rm -rf "${tsan_scratch}"' EXIT
+  sigterm_smoke "${tsan_dir}/tools" 5 "${tsan_scratch}"
   exit 0
 fi
 
@@ -215,6 +265,23 @@ grep -q 'crash-test: raising SIGSEGV' "${crash_log}"
 grep -q '^metrics-snapshot bytes ' "${crash_log}"
 grep -q '^end-crash-log$' "${crash_log}"
 echo "crash smoke: ok"
+
+# Port-file smoke: a port file that cannot be written (its directory is
+# missing) must fail start-up with exit 1 at once, not leave a script
+# polling for a file that never comes.
+port_rc=0
+timeout 30 "${build_dir}/tools/gvex_netserve" --synthetic 7 --labels 2 \
+  --port 0 --port-file "${store_scratch}/missing/port.txt" \
+  2>"${store_scratch}/port_file.log" || port_rc=$?
+if [[ "${port_rc}" != 1 ]]; then
+  echo "port-file smoke: netserve exited ${port_rc}, expected 1" >&2
+  cat "${store_scratch}/port_file.log" >&2
+  exit 1
+fi
+grep -q 'port-file' "${store_scratch}/port_file.log"
+echo "port-file smoke: ok"
+
+sigterm_smoke "${build_dir}/tools" 20 "${store_scratch}"
 
 # Replication failover smoke: a durable synthetic primary, a warm standby
 # mirroring it over TCP, kill -9 on the primary, promote the standby over
