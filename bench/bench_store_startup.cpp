@@ -15,11 +15,15 @@
 //                                          (reported, not gated — thread
 //                                          scheduling dependent)
 //   * single-view admit p50 on an 8x    -> `admit_scaling` (reported, not
-//     store vs a 1x store                  gated: an admit re-checks only
-//                                          the admitted label's subgraphs,
-//                                          against every code, so it grows
-//                                          with the code count, not with
-//                                          the 8x subgraphs and database)
+//     store vs a 1x store                  gated: these admits rotate a
+//                                          tier and keep every subgraph,
+//                                          so they run no containment
+//                                          check at either size)
+//   * single-view admit p50 changing    -> `admit_k0_p50_sec`,
+//     k = 0, 1, n of a label's n           `admit_k1_p50_sec`,
+//     subgraphs (the serving workload's    `admit_kn_p50_sec` (reported:
+//     store)                               below --min-seconds, so never
+//                                          gated; an admit checks codes x k)
 // and verifies the warm-started service answers identically.
 //
 // The run merge-writes a "store_startup" section into BENCH_store.json
@@ -30,6 +34,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <atomic>
@@ -108,9 +113,10 @@ bool SameAnswers(const ViewService& a, const ViewService& b,
 }
 
 // Median wall time of `admits` single-view durable admissions (one WAL
-// fsync each) re-admitting the store's labels in turn, measured after the
-// whole store was admitted as one batch. False on failure.
+// fsync each) of `view_for(i)`, i = 0, 1, ..., measured after the whole
+// store was admitted as one batch. False on failure.
 bool AdmitP50(const synthetic::SyntheticStore& store, int admits,
+              const std::function<ExplanationView(int)>& view_for,
               double* p50_sec) {
   char tmpl[] = "/tmp/gvex_admit_bench.XXXXXX";
   char* dir = mkdtemp(tmpl);
@@ -119,9 +125,8 @@ bool AdmitP50(const synthetic::SyntheticStore& store, int admits,
   {
     auto service = ViewService::Open(dir, &store.db);
     bool ok = service.ok() && service.value()->AdmitViews(store.views).ok();
-    const int num_labels = static_cast<int>(store.views.size());
     for (int i = 0; ok && i < admits; ++i) {
-      ExplanationView view = VersionedView(store, i % num_labels, i + 1);
+      ExplanationView view = view_for(i);
       Timer t;
       ok = service.value()->AdmitView(std::move(view)).ok();
       samples.push_back(t.ElapsedSec());
@@ -134,6 +139,27 @@ bool AdmitP50(const synthetic::SyntheticStore& store, int admits,
                    samples.end());
   *p50_sec = samples[samples.size() / 2];
   return true;
+}
+
+// Admission `i` of the k-of-n workload: the store's labels in turn, each
+// admission changing `k` of the label's n subgraphs. Even visits to a
+// label replace its first k subgraphs with the next label's (new content
+// for this label), odd visits restore its own, so each admission differs
+// from the label's installed view in exactly k subgraphs. Every version
+// keeps the label's code set, so no code is new.
+ExplanationView KOfNView(const synthetic::SyntheticStore& store, int i,
+                         int k) {
+  const int num_labels = static_cast<int>(store.views.size());
+  const int label = i % num_labels;
+  ExplanationView view = VersionedView(store, label, i + 1);
+  if ((i / num_labels) % 2 == 0) {
+    const ExplanationView& donor =
+        store.views[static_cast<size_t>((label + 1) % num_labels)];
+    const size_t n = std::min({static_cast<size_t>(k), view.subgraphs.size(),
+                               donor.subgraphs.size()});
+    for (size_t j = 0; j < n; ++j) view.subgraphs[j] = donor.subgraphs[j];
+  }
+  return view;
 }
 
 }  // namespace
@@ -359,10 +385,38 @@ int main() {
   const synthetic::SyntheticStore big =
       synthetic::MakeSyntheticStore(7, big_opt);
   double admit_1x_sec = 0.0, admit_8x_sec = 0.0;
-  if (!AdmitP50(small, kScaleAdmits, &admit_1x_sec) ||
-      !AdmitP50(big, kScaleAdmits, &admit_8x_sec)) {
+  auto rotated = [](const synthetic::SyntheticStore& s) {
+    return [&s](int i) {
+      return VersionedView(s, i % static_cast<int>(s.views.size()), i + 1);
+    };
+  };
+  if (!AdmitP50(small, kScaleAdmits, rotated(small), &admit_1x_sec) ||
+      !AdmitP50(big, kScaleAdmits, rotated(big), &admit_8x_sec)) {
     std::fprintf(stderr, "admit scaling run failed\n");
     return 1;
+  }
+
+  // --- k-of-n admits: the serving workload's store (8 labels x 48 tier
+  // patterns, n = 8 subgraphs per label); each admission changes k = 0, 1
+  // or n of a label's subgraphs. ---
+  synthetic::SyntheticStoreOptions serve_opt;
+  serve_opt.num_labels = 8;
+  serve_opt.graphs_per_label = 8;
+  serve_opt.patterns_per_label = 48;
+  serve_opt.min_nodes = 8;
+  serve_opt.max_nodes = 12;
+  const synthetic::SyntheticStore serve =
+      synthetic::MakeSyntheticStore(1, serve_opt);
+  const int kOfN[] = {0, 1, serve_opt.graphs_per_label};
+  double admit_k_sec[3] = {0.0, 0.0, 0.0};
+  for (int r = 0; r < 3; ++r) {
+    const int k = kOfN[r];
+    if (!AdmitP50(serve, kScaleAdmits,
+                  [&serve, k](int i) { return KOfNView(serve, i, k); },
+                  &admit_k_sec[r])) {
+      std::fprintf(stderr, "k-of-n admit run failed\n");
+      return 1;
+    }
   }
   const double admit_scaling = admit_8x_sec / std::max(admit_1x_sec, 1e-9);
 
@@ -387,6 +441,11 @@ int main() {
                 FmtDouble(admit_1x_sec, 5)});
   table.AddRow({StrFormat("admit p50, %d labels", big_opt.num_labels),
                 FmtDouble(admit_8x_sec, 5)});
+  for (int r = 0; r < 3; ++r) {
+    table.AddRow({StrFormat("admit p50, %d of %d subgraphs changed", kOfN[r],
+                            serve_opt.graphs_per_label),
+                  FmtDouble(admit_k_sec[r], 5)});
+  }
   std::printf("%s", table.ToText().c_str());
   std::printf("\n%d patterns / %zu labels; snapshot %.0f bytes, delta %.0f "
               "bytes\nwarm speedup %.1fx; delta-save speedup %.1fx; "
@@ -421,6 +480,9 @@ int main() {
   report.Add("admit_1x_p50_sec", admit_1x_sec);
   report.Add("admit_8x_p50_sec", admit_8x_sec);
   report.Add("admit_scaling", admit_scaling);
+  report.Add("admit_k0_p50_sec", admit_k_sec[0]);
+  report.Add("admit_k1_p50_sec", admit_k_sec[1]);
+  report.Add("admit_kn_p50_sec", admit_k_sec[2]);
   const std::string out = bench::BenchReport::OutPath("BENCH_store.json");
   Status st = report.WriteMerged(out);
   if (!st.ok()) {

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string_view>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "pattern/matcher.h"
+#include "store/codec.h"
 #include "util/bitops.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -18,7 +20,7 @@ const std::vector<Pattern> kEmptyPatterns;
 const ViewMap kEmptyViews;
 
 // Checks run by Build and Apply, process-wide: a scrape shows an admission
-// costing O(changed labels), not O(store).
+// costing O(new content), not O(store).
 obs::Counter* ContainmentChecks() {
   static obs::Counter* const counter = obs::Metrics().GetCounter(
       "gvex_index_containment_checks_total",
@@ -26,17 +28,68 @@ obs::Counter* ContainmentChecks() {
   return counter;
 }
 
+// Where a replaced label's subgraphs were in its previous view, by
+// content: old_pos[i] is a position of the previous list whose subgraph has
+// the same EncodeGraph bytes as new subgraph i, or -1 for new content.
+// Equal bytes are equal graphs, so a pattern's containment carries over.
+struct SubgraphRemap {
+  std::vector<int> old_pos;
+  size_t unmapped = 0;    // positions holding new content
+  bool identity = false;  // same length, every subgraph where it was
+};
+
+SubgraphRemap RemapSubgraphs(const ExplanationView& prev,
+                             const ExplanationView& next) {
+  // The hash only buckets the keys; lookup compares the bytes.
+  std::vector<std::string> old_keys(prev.subgraphs.size());
+  std::unordered_map<std::string_view, int> first_at;
+  for (size_t j = 0; j < old_keys.size(); ++j) {
+    EncodeGraph(prev.subgraphs[j].subgraph, &old_keys[j]);
+    first_at.emplace(old_keys[j], static_cast<int>(j));
+  }
+  SubgraphRemap remap;
+  remap.identity = next.subgraphs.size() == prev.subgraphs.size();
+  remap.old_pos.reserve(next.subgraphs.size());
+  std::string key;
+  for (size_t i = 0; i < next.subgraphs.size(); ++i) {
+    key.clear();
+    EncodeGraph(next.subgraphs[i].subgraph, &key);
+    // A subgraph still at its old position maps there even when the list
+    // holds its bytes twice, so an identical list is always the identity.
+    int j = -1;
+    if (i < old_keys.size() && key == old_keys[i]) {
+      j = static_cast<int>(i);
+    } else if (auto it = first_at.find(key); it != first_at.end()) {
+      j = it->second;
+    }
+    if (j != static_cast<int>(i)) remap.identity = false;
+    if (j < 0) ++remap.unmapped;
+    remap.old_pos.push_back(j);
+  }
+  return remap;
+}
+
 // Coverage of `p` over one view's subgraphs: bit i set iff subgraph i
-// contains the pattern. Runs through the candidate-filtered matcher: most
-// (code, subgraph) pairs don't match and die at filtering without a
-// backtracking step.
+// contains the pattern. With a `remap` onto the previous view and the
+// pattern's `old_words` there, a subgraph the previous view held copies
+// its old bit; the rest run through the candidate-filtered matcher, where
+// most (code, subgraph) pairs die at filtering without a backtracking step.
+// Adds the checks run to *checks.
 CoverageWords Coverage(const ExplanationView& view, const Pattern& p,
-                       const MatchOptions& match) {
+                       const MatchOptions& match, const SubgraphRemap* remap,
+                       const std::vector<uint64_t>* old_words,
+                       uint64_t* checks) {
   std::vector<uint64_t> bits(bitops::WordsForBits(view.subgraphs.size()), 0);
   for (size_t i = 0; i < view.subgraphs.size(); ++i) {
-    if (ContainsPattern(view.subgraphs[i].subgraph, p.graph(), match)) {
-      bitops::SetBit(bits.data(), i);
+    const int j = remap == nullptr ? -1 : remap->old_pos[i];
+    bool contains;
+    if (j >= 0) {
+      contains = bitops::TestBit(old_words->data(), static_cast<size_t>(j));
+    } else {
+      contains = ContainsPattern(view.subgraphs[i].subgraph, p.graph(), match);
+      ++*checks;
     }
+    if (contains) bitops::SetBit(bits.data(), i);
   }
   return std::make_shared<const std::vector<uint64_t>>(std::move(bits));
 }
@@ -79,7 +132,9 @@ PatternIndex PatternIndex::Build(ViewMapPtr views, const GraphDatabase* db,
   empty.db_ = db;
   empty.match_ = options.match;
   empty.database_indexed_ = options.index_database && db != nullptr;
-  return Apply(empty, std::move(views), {}, options.num_threads);
+  if (options.num_threads <= 1) return Apply(empty, std::move(views), {});
+  ThreadPool pool(options.num_threads);
+  return Apply(empty, std::move(views), {}, &pool);
 }
 
 PatternIndex PatternIndex::Build(const std::map<int, ExplanationView>& views,
@@ -91,7 +146,7 @@ PatternIndex PatternIndex::Build(const std::map<int, ExplanationView>& views,
 PatternIndex PatternIndex::Apply(const PatternIndex& prev,
                                  ViewMapPtr next_views,
                                  const std::set<int>& changed_labels,
-                                 int num_threads) {
+                                 ThreadPool* pool) {
   PatternIndex index;
   index.views_ = std::move(next_views);
   index.db_ = prev.db_;
@@ -111,12 +166,14 @@ PatternIndex PatternIndex::Apply(const PatternIndex& prev,
   };
   std::vector<Slot> slots;
   std::unordered_map<std::string, size_t> code_slot;
+  size_t new_codes = 0;
   for (const auto& [label, view] : *index.views_) {
     for (size_t pos = 0; pos < view->patterns.size(); ++pos) {
       const Pattern& p = view->patterns[pos];
       auto [it, inserted] = code_slot.emplace(p.canonical_code(), slots.size());
       if (inserted) {
         slots.push_back(Slot{&p, prev.Find(p.canonical_code()), {}});
+        if (slots.back().prev == nullptr) ++new_codes;
       }
       PatternPostings& post = slots[it->second].post;
       if (post.tier_position.emplace(label, static_cast<int>(pos)).second) {
@@ -125,50 +182,87 @@ PatternIndex PatternIndex::Apply(const PatternIndex& prev,
     }
   }
 
+  // Each replaced label's new subgraphs, mapped by content onto the
+  // previous view's. `unmapped` counts the subgraphs a known code has to
+  // check: new content, and every subgraph of a label `prev` did not have.
+  std::unordered_map<int, SubgraphRemap> remaps;
+  size_t unmapped = 0;
+  for (int label : changed_labels) {
+    auto next_it = index.views_->find(label);
+    if (next_it == index.views_->end()) continue;  // removed
+    auto prev_it = prev.views().find(label);
+    if (prev_it == prev.views().end()) {
+      unmapped += next_it->second->subgraphs.size();
+      continue;
+    }
+    const SubgraphRemap& remap =
+        remaps
+            .emplace(label,
+                     RemapSubgraphs(*prev_it->second, *next_it->second))
+            .first->second;
+    unmapped += remap.unmapped;
+  }
+
   // The containment work, sharded over the codes. A known code reuses the
-  // previous epoch's words for every label the admission left alone and
-  // recomputes only the changed labels; a new code pays the whole cross-
+  // previous epoch's words for every label the admission left alone and,
+  // for a replaced label, every subgraph whose bytes the previous view
+  // held; it checks only new content. A new code pays the whole cross-
   // product — one check per subgraph of every label and, when database
   // indexing is on, per database graph. Each shard writes only its own
   // slots, so the result is identical for every worker count.
-  const int num_codes = static_cast<int>(slots.size());
-  const int threads = std::max(1, num_threads);
   std::atomic<uint64_t> checks{0};
-  ThreadPool::ParallelForShards(
-      threads, threads * 4, num_codes, [&](const Shard& shard) {
-        uint64_t shard_checks = 0;
-        for (int c = shard.begin; c < shard.end; ++c) {
-          Slot& slot = slots[static_cast<size_t>(c)];
-          const Pattern& p = *slot.rep;
-          PatternPostings& post = slot.post;
-          post.subgraph_bits.reserve(index.views_->size());
-          for (const auto& [label, view] : *index.views_) {
-            if (slot.prev != nullptr && changed_labels.count(label) == 0) {
-              const CoverageWords* reused =
-                  FindCoverage(slot.prev->subgraph_bits, label);
-              if (reused != nullptr && *reused != nullptr) {
-                post.subgraph_bits.emplace_back(label, *reused);
-                continue;
-              }
-            }
-            post.subgraph_bits.emplace_back(label,
-                                            Coverage(*view, p, index.match_));
-            shard_checks += view->subgraphs.size();
-          }
-          if (slot.prev != nullptr) {
-            post.db_graphs = slot.prev->db_graphs;
-          } else if (index.database_indexed_) {
-            for (int i = 0; i < index.db_->size(); ++i) {
-              if (ContainsPattern(index.db_->graph(i), p.graph(),
-                                  index.match_)) {
-                post.db_graphs.push_back(i);
-              }
-            }
-            shard_checks += static_cast<uint64_t>(index.db_->size());
+  auto run = [&](const Shard& shard) {
+    uint64_t shard_checks = 0;
+    for (int c = shard.begin; c < shard.end; ++c) {
+      Slot& slot = slots[static_cast<size_t>(c)];
+      const Pattern& p = *slot.rep;
+      PatternPostings& post = slot.post;
+      post.subgraph_bits.reserve(index.views_->size());
+      for (const auto& [label, view] : *index.views_) {
+        const CoverageWords* old =
+            slot.prev == nullptr ? nullptr
+                                 : FindCoverage(slot.prev->subgraph_bits, label);
+        if (old != nullptr && *old == nullptr) old = nullptr;
+        const SubgraphRemap* remap = nullptr;
+        if (old != nullptr && changed_labels.count(label) != 0) {
+          auto it = remaps.find(label);
+          if (it == remaps.end()) {
+            old = nullptr;  // the label is new to this epoch
+          } else {
+            remap = &it->second;
           }
         }
-        checks.fetch_add(shard_checks, std::memory_order_relaxed);
-      });
+        if (old != nullptr && (remap == nullptr || remap->identity)) {
+          post.subgraph_bits.emplace_back(label, *old);
+          continue;
+        }
+        post.subgraph_bits.emplace_back(
+            label, Coverage(*view, p, index.match_, remap,
+                            old == nullptr ? nullptr : old->get(),
+                            &shard_checks));
+      }
+      if (slot.prev != nullptr) {
+        post.db_graphs = slot.prev->db_graphs;
+      } else if (index.database_indexed_) {
+        for (int i = 0; i < index.db_->size(); ++i) {
+          if (ContainsPattern(index.db_->graph(i), p.graph(), index.match_)) {
+            post.db_graphs.push_back(i);
+          }
+        }
+        shard_checks += static_cast<uint64_t>(index.db_->size());
+      }
+    }
+    checks.fetch_add(shard_checks, std::memory_order_relaxed);
+  };
+  // An admission with no new code and no new content only copies pointers
+  // and bits: handing that to the pool costs more than doing it.
+  const int num_codes = static_cast<int>(slots.size());
+  if (pool == nullptr || pool->num_threads() <= 1 ||
+      (new_codes == 0 && unmapped == 0)) {
+    run(Shard{0, 0, num_codes});
+  } else {
+    pool->RunSharded(pool->num_threads() * 4, num_codes, run);
+  }
 
   index.postings_.reserve(slots.size());
   for (auto& [code, slot] : code_slot) {

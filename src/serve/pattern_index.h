@@ -28,20 +28,25 @@
 //
 // Complexity: Build is O(codes x (total subgraphs + database size)) pattern
 // matches. Apply — the admission path — derives the next epoch's index
-// from the previous one and pays only O(codes x changed labels' subgraphs)
-// plus O(new codes x (total subgraphs + database size)): an admission that
-// replaces k labels' views without adding codes costs k labels' worth of
-// checks, independent of the store size. Both shard over a thread pool
-// (deterministic result for every worker count) and add the checks they ran
-// to `gvex_index_containment_checks_total`. Indexed queries are O(1)
-// lookups plus output size; DiscriminativePatterns is O(|tier| x labels)
-// bitset-emptiness checks.
+// from the previous one and pays only O(codes x new subgraph content) plus
+// O(new codes x (total subgraphs + database size)). Each explanation
+// subgraph is keyed by its content, the bytes EncodeGraph (store/codec.h)
+// writes for it: a replaced label's subgraph whose bytes its previous view
+// held keeps its coverage bits, so re-admitting an identical view runs no
+// check, and replacing k of a label's subgraphs runs codes x k. Encoding a
+// replaced label's subgraphs is the only cost that stays proportional to
+// the admitted views rather than to what changed. Both shard over a
+// thread pool (deterministic result for every worker count) and add the
+// checks they ran to `gvex_index_containment_checks_total`. Indexed
+// queries are O(1) lookups plus output size; DiscriminativePatterns is
+// O(|tier| x labels) bitset-emptiness checks.
 //
 // Thread-safety: immutable after Build/Apply/FromStored; all const methods
 // are safe to call concurrently. Instances are snapshots, never mutated in
 // place — but successive snapshots SHARE structure: Apply's result holds
 // the same view pointers and the same per-(code, label) coverage words as
-// its predecessor for every label the admission left alone. Shared words
+// its predecessor for every label the admission left alone (and the same
+// words for a label re-admitted with identical subgraphs). Shared words
 // are immutable, so readers of an old epoch and the writer building the
 // next one only ever touch reference counts concurrently.
 
@@ -64,6 +69,8 @@
 #include "store/snapshot.h"
 
 namespace gvex {
+
+class ThreadPool;
 
 /// Views keyed by label, each held by pointer: successive epochs share
 /// every view an admission did not replace, so copying the map for the
@@ -119,7 +126,8 @@ class PatternIndex {
     /// Precompute db_graphs postings (full-database pattern queries become
     /// lookups at the cost of |codes| x |db| matches at build time).
     bool index_database = true;
-    /// Workers for the build; the result is identical for every count.
+    /// Workers for a Build (a ViewService also sizes its admission pool
+    /// with it); the result is identical for every count.
     int num_threads = 1;
     BuildOptions() { match.semantics = MatchSemantics::kInduced; }
   };
@@ -140,17 +148,22 @@ class PatternIndex {
   /// The index over `next_views`, derived from `prev` (an index over the
   /// previous epoch's views). `changed_labels` must name every label whose
   /// view was added, replaced or removed; every other label must map to
-  /// the same view in both epochs. Containment runs only for (every code x
-  /// the changed labels' subgraphs) and (codes new to `next_views` x every
-  /// subgraph and database graph). Every other posting — each unchanged
-  /// label's coverage words and every db_graphs list — is reused, and codes
-  /// no tier carries any more are dropped. The database, match semantics
-  /// and database indexing are `prev`'s. The result's ExportPostings()
-  /// equals a Build over `next_views` with those options (pinned by the
-  /// randomized oracle in tests/serve/pattern_index_test.cpp).
+  /// the same view in both epochs. A replaced label's subgraphs are mapped
+  /// by content (EncodeGraph bytes) onto its previous view's: a known code
+  /// copies the bits of mapped subgraphs and checks only the unmapped ones,
+  /// and when every subgraph sits where it was in a list of the same length
+  /// the code shares `prev`'s words outright. Codes new to `next_views` are
+  /// checked against every subgraph and database graph. Every other
+  /// posting — each unchanged label's coverage words and every db_graphs
+  /// list — is reused, and codes no tier carries any more are dropped. The
+  /// database, match semantics and database indexing are `prev`'s. The
+  /// result's ExportPostings() equals a Build over `next_views` with those
+  /// options (pinned by the randomized oracle in
+  /// tests/serve/pattern_index_test.cpp). The checks shard over `pool` when
+  /// one is given and there is anything to check; null runs them inline.
   static PatternIndex Apply(const PatternIndex& prev, ViewMapPtr next_views,
                             const std::set<int>& changed_labels,
-                            int num_threads = 1);
+                            ThreadPool* pool = nullptr);
 
   // --- Snapshot persistence (store/snapshot.h) ---
 
@@ -214,7 +227,7 @@ class PatternIndex {
   const MatchOptions& match_options() const { return match_; }
   bool database_indexed() const { return database_indexed_; }
   /// Containment checks Build/Apply ran to construct this index (0 for
-  /// FromStored) — what makes an admission's O(changed labels) cost
+  /// FromStored) — what makes an admission's O(new content) cost
   /// observable.
   uint64_t containment_checks() const { return containment_checks_; }
   /// Query-path counters (shared across copies of this snapshot's index).

@@ -145,6 +145,9 @@ ViewService::~ViewService() {
 ViewService::ViewService(const GraphDatabase* db, ViewServiceOptions options,
                          Unpublished)
     : db_(db), options_(std::move(options)) {
+  if (options_.index.num_threads > 1) {
+    index_pool_ = std::make_unique<ThreadPool>(options_.index.num_threads);
+  }
   RegisterHealthChecks();
 }
 
@@ -354,8 +357,8 @@ void ViewService::PublishViews(const Snapshot& cur, uint64_t epoch,
   next->epoch = epoch;
   next->views = std::move(next_views);
   const auto build_start = std::chrono::steady_clock::now();
-  next->index = PatternIndex::Apply(cur.index, next->views, changed,
-                                    options_.index.num_threads);
+  next->index =
+      PatternIndex::Apply(cur.index, next->views, changed, index_pool_.get());
   StoreObs().index_rebuild->ObserveSeconds(SecondsSince(build_start));
   next->admitted_views = cur.admitted_views + (callers > 0 ? total : 0);
   next->admitted_batches = cur.admitted_batches + callers;
@@ -604,7 +607,7 @@ ViewService::RecoverSnapshot(RecoveryPlan plan, std::set<int>* dirty) {
                                  plan.snapshot.postings);
     if (!replayed.empty()) {
       next->index = PatternIndex::Apply(next->index, next->views, replayed,
-                                        options_.index.num_threads);
+                                        index_pool_.get());
     }
   }
   if (dirty != nullptr) *dirty = std::move(replayed);

@@ -15,10 +15,11 @@
 // publish it. The next snapshot shares every view and every coverage
 // bitset the admission left alone with the current one: copying the views
 // map is O(labels), and the index update (PatternIndex::Apply) re-checks
-// only the admitted labels' subgraphs plus any code new to the store. A reader therefore observes either
-// the previous complete epoch or the new complete epoch, never a torn
-// intermediate state; old epochs are reclaimed when their last reader
-// drops the shared_ptr (that is the RCU grace period).
+// only the admitted subgraphs whose content is new plus any code new to
+// the store. A reader therefore observes either the previous complete
+// epoch or the new complete epoch, never a torn intermediate state; old
+// epochs are reclaimed when their last reader drops the shared_ptr (that
+// is the RCU grace period).
 //
 // Result cache: an LRU keyed by (epoch, query kind, label, canonical
 // code), striped into independently locked shards to keep reader
@@ -72,6 +73,7 @@
 #include "store/wal.h"
 #include "util/file_io.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace gvex {
 
@@ -310,9 +312,9 @@ class ViewService {
   Result<uint64_t> Compact();
 
   /// Publishes `view` (replacing any previous view for its label) as a new
-  /// epoch. The index update re-checks only this label and happens off to
-  /// the side; readers keep serving the previous epoch until the atomic
-  /// pointer swap. Returns the
+  /// epoch. The index update re-checks only this label's new subgraph
+  /// content and happens off to the side; readers keep serving the
+  /// previous epoch until the atomic pointer swap. Returns the
   /// epoch THIS admission was published in (under concurrent admitters,
   /// epoch() may already be past it by the time the caller looks).
   Result<uint64_t> AdmitView(ExplanationView view);
@@ -497,6 +499,10 @@ class ViewService {
 
   const GraphDatabase* db_;
   ViewServiceOptions options_;
+  /// Workers for PatternIndex::Apply, made once when
+  /// options_.index.num_threads > 1 (null runs Apply inline). Only the
+  /// writer_mu_ holder uses it.
+  std::unique_ptr<ThreadPool> index_pool_;
 
   /// Current snapshot; accessed with std::atomic_load / std::atomic_store.
   std::shared_ptr<const Snapshot> snapshot_;

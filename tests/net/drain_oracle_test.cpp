@@ -115,7 +115,7 @@ TEST_F(DrainOracleTest, DrainAtEnumeratedAckCountsRecoversBitIdentical) {
       TcpServerOptions sopts;
       sopts.workers = 4;
       sopts.drain_timeout_sec = 10;
-      TestServer server(service.get(), &store_.db, sopts);
+      TestServer server(service.get(), sopts);
       ASSERT_TRUE(server.ok());
 
       std::atomic<int> total_acked{0};

@@ -59,7 +59,7 @@ TEST_F(FaultInjectionTest, SlowLorisClosedByIdleTimeout) {
   auto service = FreshService();
   TcpServerOptions opts;
   opts.idle_timeout_sec = 0.3;
-  TestServer server(service.get(), &store_.db, opts);
+  TestServer server(service.get(), opts);
   ASSERT_TRUE(server.ok());
 
   BlockingClient loris(server.port());
@@ -86,7 +86,7 @@ TEST_F(FaultInjectionTest, SlowLorisClosedByIdleTimeout) {
 // discarded, the admission never publishes, and the epoch is untouched.
 TEST_F(FaultInjectionTest, MidPayloadDisconnectNeverPublishes) {
   auto service = FreshService();
-  TestServer server(service.get(), &store_.db);
+  TestServer server(service.get());
   ASSERT_TRUE(server.ok());
   const uint64_t epoch_before = service->epoch();
   const auto labels_before = service->Labels();
@@ -126,7 +126,7 @@ TEST_F(FaultInjectionTest, NeverReadingClientIsPausedOthersStayFast) {
   opts.workers = 2;
   opts.session.write_soft_cap = 2 << 10;  // tiny, so the test is fast
   opts.session.write_hard_cap = 1 << 20;
-  TestServer server(service.get(), &store_.db, opts);
+  TestServer server(service.get(), opts);
   ASSERT_TRUE(server.ok());
 
   BlockingClient hog(server.port());
@@ -170,7 +170,7 @@ TEST_F(FaultInjectionTest, HardCapKillsConnection) {
   opts.session.write_hard_cap = 256;
   const double kills_before =
       RegistryCounter("gvex_net_backpressure_kills_total");
-  TestServer server(service.get(), &store_.db, opts);
+  TestServer server(service.get(), opts);
   ASSERT_TRUE(server.ok());
 
   BlockingClient greedy(server.port());

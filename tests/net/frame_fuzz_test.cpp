@@ -181,7 +181,7 @@ TEST_F(FrameFuzzTest, RunawayPayloadBlockBreaksWithErr) {
 // stdin path exactly.
 TEST_F(FrameFuzzTest, OneByteDripOverSocket) {
   auto service = FreshService();
-  TestServer server(service.get(), &store_.db);
+  TestServer server(service.get());
   ASSERT_TRUE(server.ok());
 
   const std::string stream =
@@ -203,7 +203,7 @@ TEST_F(FrameFuzzTest, OneByteDripOverSocket) {
 // response stream is byte-identical to the stdin path.
 TEST_F(FrameFuzzTest, JumboPipelinedBatchOverSocket) {
   auto service = FreshService();
-  TestServer server(service.get(), &store_.db);
+  TestServer server(service.get());
   ASSERT_TRUE(server.ok());
 
   const std::string stream = RandomStream(/*seed=*/3, /*requests=*/200);
@@ -226,7 +226,7 @@ TEST_F(FrameFuzzTest, JumboPipelinedBatchOverSocket) {
 // create or lock a store directory.
 TEST_F(FrameFuzzTest, MalformedNumericPayloadAnswersErrAndStreamSurvives) {
   auto service = FreshService();
-  TestServer server(service.get(), &store_.db);
+  TestServer server(service.get());
   ASSERT_TRUE(server.ok());
 
   BlockingClient client(server.port());
@@ -258,7 +258,7 @@ TEST_F(FrameFuzzTest, OversizedLineOverSocketAnswersErrAndCloses) {
   auto service = FreshService();
   TcpServerOptions opts;
   opts.session.frame.max_line_bytes = 128;
-  TestServer server(service.get(), &store_.db, opts);
+  TestServer server(service.get(), opts);
   ASSERT_TRUE(server.ok());
   const uint64_t epoch_before = service->epoch();
   const uint64_t errors_before = FrameErrors("oversized_line");
@@ -279,7 +279,7 @@ TEST_F(FrameFuzzTest, RunawayBlockOverSocketIncrementsFrameErrorCounter) {
   auto service = FreshService();
   TcpServerOptions opts;
   opts.session.frame.max_frame_bytes = 256;
-  TestServer server(service.get(), &store_.db, opts);
+  TestServer server(service.get(), opts);
   ASSERT_TRUE(server.ok());
   const uint64_t errors_before = FrameErrors("runaway_frame");
 

@@ -57,10 +57,9 @@ inline std::string NormalizeUptime(std::string text) {
 class TestServer {
  public:
   /// Starts (or reports failure through ok()). `options.port` is forced
-  /// to 0 — tests never bind fixed ports. `db` is the database `service`
-  /// explains; the server reaches it only through the service.
-  TestServer(ViewService* service, const GraphDatabase* /*db*/,
-             TcpServerOptions options = TcpServerOptions()) {
+  /// to 0 — tests never bind fixed ports.
+  explicit TestServer(ViewService* service,
+                      TcpServerOptions options = TcpServerOptions()) {
     options.port = 0;
     ok_ = server_.Start(service, options).ok();
   }

@@ -46,7 +46,7 @@ class TcpServerTest : public ::testing::Test {
 // stdin path (ServeText on an identical service).
 TEST_F(TcpServerTest, MixedRequestsMatchStdinPath) {
   auto service = FreshService();
-  TestServer server(service.get(), &store_.db);
+  TestServer server(service.get());
   ASSERT_TRUE(server.ok());
 
   SyntheticWorkloadOptions wopts;
@@ -65,7 +65,7 @@ TEST_F(TcpServerTest, MixedRequestsMatchStdinPath) {
 // Fifty pipelined requests written in one segment come back in order.
 TEST_F(TcpServerTest, PipelinedRequestsAnswerInOrder) {
   auto service = FreshService();
-  TestServer server(service.get(), &store_.db);
+  TestServer server(service.get());
   ASSERT_TRUE(server.ok());
 
   std::string stream;
@@ -91,7 +91,7 @@ TEST_F(TcpServerTest, PipelinedRequestsAnswerInOrder) {
 // are refused.
 TEST_F(TcpServerTest, ShutdownVerbDrainsServer) {
   auto service = FreshService();
-  auto server = std::make_unique<TestServer>(service.get(), &store_.db);
+  auto server = std::make_unique<TestServer>(service.get());
   ASSERT_TRUE(server->ok());
   const int port = server->port();
 
@@ -117,7 +117,7 @@ TEST_F(TcpServerTest, AdmitQuotaRefusesExcessAdmits) {
   auto service = FreshService();
   TcpServerOptions opts;
   opts.session.admit_quota = 2;
-  TestServer server(service.get(), &store_.db, opts);
+  TestServer server(service.get(), opts);
   ASSERT_TRUE(server.ok());
 
   const std::string admit =
@@ -147,7 +147,7 @@ TEST_F(TcpServerTest, MaxSessionsRejectsWithServerFull) {
   TcpServerOptions opts;
   opts.max_sessions = 2;
   opts.workers = 1;
-  TestServer server(service.get(), &store_.db, opts);
+  TestServer server(service.get(), opts);
   ASSERT_TRUE(server.ok());
 
   BlockingClient a(server.port());
@@ -178,7 +178,7 @@ TEST_F(TcpServerTest, LoadgenMixedWorkloadZeroDivergence) {
   auto service = FreshService();
   TcpServerOptions sopts;
   sopts.workers = 4;
-  TestServer server(service.get(), &store_.db, sopts);
+  TestServer server(service.get(), sopts);
   ASSERT_TRUE(server.ok());
 
   SyntheticWorkloadOptions wopts;
@@ -212,7 +212,7 @@ TEST_F(TcpServerTest, LoadgenMixedWorkloadZeroDivergence) {
 // flushed (completing its spans) before the dump executes.
 TEST_F(TcpServerTest, TraceSpansRecordedOverSocket) {
   auto service = FreshService();
-  TestServer server(service.get(), &store_.db);
+  TestServer server(service.get());
   ASSERT_TRUE(server.ok());
 
   obs::GlobalTraceRing().Clear();
@@ -255,7 +255,7 @@ TEST_F(TcpServerTest, TraceSpansRecordedOverSocket) {
 // process-global, so deltas — not absolute values — are compared.)
 TEST_F(TcpServerTest, ScrapeCrossCheckMatchesClientCounts) {
   auto service = FreshService();
-  TestServer server(service.get(), &store_.db);
+  TestServer server(service.get());
   ASSERT_TRUE(server.ok());
 
   SyntheticWorkloadOptions wopts;

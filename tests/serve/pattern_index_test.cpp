@@ -14,6 +14,8 @@
 #include "serve/synthetic_store.h"
 #include "serve/scan_reference.h"
 #include "serve/view_service.h"
+#include "store/codec.h"
+#include "util/thread_pool.h"
 
 namespace gvex {
 namespace {
@@ -359,13 +361,37 @@ void ExpectSamePostings(const std::vector<StoredPostings>& got,
 
 class ApplyOracleTest : public ::testing::TestWithParam<ApplyOracleParam> {};
 
+// The EncodeGraph bytes of each subgraph of `view`, in list order.
+std::vector<std::string> SubgraphBytes(const ExplanationView& view) {
+  std::vector<std::string> out(view.subgraphs.size());
+  for (size_t i = 0; i < view.subgraphs.size(); ++i) {
+    EncodeGraph(view.subgraphs[i].subgraph, &out[i]);
+  }
+  return out;
+}
+
+// Subgraphs of `next` whose bytes `prev` does not hold anywhere in its
+// list: the new content a known code has to check.
+uint64_t NewContent(const ExplanationView& prev, const ExplanationView& next) {
+  const std::vector<std::string> old_bytes = SubgraphBytes(prev);
+  const std::set<std::string> old(old_bytes.begin(), old_bytes.end());
+  uint64_t out = 0;
+  for (const std::string& bytes : SubgraphBytes(next)) {
+    out += old.count(bytes) == 0 ? 1 : 0;
+  }
+  return out;
+}
+
 // Seeded random admit sequences. Each step replaces one or two labels'
 // views (tier rotations, tiers gaining or losing codes, a subgraph list
-// growing or shrinking, a brand-new label, a removed label) and derives
-// the next index with Apply. After EVERY step its postings must equal a
-// scratch Build over the same views, unchanged labels must share their
-// coverage words with the previous epoch, and a pure rotation must cost
-// exactly (codes x changed labels' subgraphs) checks.
+// growing or shrinking, a byte-identical re-admission, a permuted subgraph
+// list, one subgraph replaced or duplicated, a brand-new label, a removed
+// label) and derives the next index with Apply. After EVERY step its
+// postings must equal a scratch Build over the same views; a label whose
+// subgraph list is byte-identical to the previous epoch's (unchanged,
+// re-admitted or tier-rotated) must share its coverage words with the
+// previous epoch; and a step that adds no code must cost exactly codes x
+// (new subgraph content of replaced labels + subgraphs of new labels).
 TEST_P(ApplyOracleTest, EveryStepMatchesScratchBuild) {
   const ApplyOracleParam param = GetParam();
   synthetic::SyntheticStoreOptions shape;
@@ -378,6 +404,10 @@ TEST_P(ApplyOracleTest, EveryStepMatchesScratchBuild) {
   options.num_threads = param.num_threads;
   options.index_database = param.db == DbMode::kIndexed;
   const GraphDatabase* db = param.db == DbMode::kNull ? nullptr : &store.db;
+  std::unique_ptr<ThreadPool> pool;
+  if (param.num_threads > 1) {
+    pool = std::make_unique<ThreadPool>(param.num_threads);
+  }
 
   std::map<int, ExplanationView> plain;
   for (int label = 0; label < 3; ++label) {
@@ -388,16 +418,15 @@ TEST_P(ApplyOracleTest, EveryStepMatchesScratchBuild) {
   Rng rng(param.seed * 7919 + 3);
   int next_label = 10;
 
-  for (int step = 0; step < 30; ++step) {
+  for (int step = 0; step < 40; ++step) {
     auto next = std::make_shared<ViewMap>(*views);
     std::set<int> changed;
-    bool rotation_only = true;
     const int edits = rng.NextInt(0, 3) == 0 ? 2 : 1;
     for (int e = 0; e < edits; ++e) {
       // Source views for edits: any current label, or any store view.
       std::vector<int> labels;
       for (const auto& [label, view] : *next) labels.push_back(label);
-      const int op = static_cast<int>(rng.NextInt(0, 6));
+      const int op = static_cast<int>(rng.NextInt(0, 10));
       if (labels.empty() || op == 5) {
         // Brand-new label (a copy of a store view under a fresh id).
         ExplanationView v =
@@ -405,19 +434,18 @@ TEST_P(ApplyOracleTest, EveryStepMatchesScratchBuild) {
         v.label = next_label++;
         changed.insert(v.label);
         (*next)[v.label] = std::make_shared<const ExplanationView>(v);
-        rotation_only = false;
         continue;
       }
       const int label = labels[rng.NextUint(labels.size())];
       if (op == 6 && next->size() > 1) {
         next->erase(label);  // a label leaves the store
         changed.insert(label);
-        rotation_only = false;
         continue;
       }
       ExplanationView v = *next->at(label);
       const ExplanationView& donor =
           store.views[rng.NextUint(store.views.size())];
+      std::vector<ExplanationSubgraph>& subgraphs = v.subgraphs;
       switch (op) {
         case 0:
         case 1:
@@ -439,32 +467,50 @@ TEST_P(ApplyOracleTest, EveryStepMatchesScratchBuild) {
               break;
             }
           }
-          const Graph& src = v.subgraphs[rng.NextUint(v.subgraphs.size())]
-                                 .subgraph;
+          const Graph& src =
+              subgraphs[rng.NextUint(subgraphs.size())].subgraph;
           Pattern fresh = synthetic::RandomPatternFrom(src, &rng, 2, 5);
           if (have.insert(fresh.canonical_code()).second) {
             v.patterns.push_back(std::move(fresh));
           }
-          rotation_only = false;
           break;
         }
         case 3:
           // The tier loses codes (possibly the last carrier of some).
           v.patterns.resize(v.patterns.size() / 2);
-          rotation_only = false;
           break;
         case 4:
           // The subgraph list changes: shrink, or grow from a donor.
-          if (v.subgraphs.size() > 1 && rng.NextInt(0, 1) == 0) {
-            v.subgraphs.erase(v.subgraphs.begin() +
-                              static_cast<long>(rng.NextUint(
-                                  v.subgraphs.size())));
+          if (subgraphs.size() > 1 && rng.NextInt(0, 1) == 0) {
+            subgraphs.erase(subgraphs.begin() +
+                            static_cast<long>(rng.NextUint(subgraphs.size())));
           } else {
-            v.subgraphs.push_back(
+            subgraphs.push_back(
                 donor.subgraphs[rng.NextUint(donor.subgraphs.size())]);
           }
-          rotation_only = false;
           break;
+        case 7:
+          break;  // a byte-identical re-admission
+        case 8:
+          // The same subgraphs in another order.
+          for (size_t i = subgraphs.size(); i > 1; --i) {
+            std::swap(subgraphs[i - 1], subgraphs[rng.NextUint(i)]);
+          }
+          break;
+        case 9:
+          // One subgraph replaced by a donor's.
+          subgraphs[rng.NextUint(subgraphs.size())] =
+              donor.subgraphs[rng.NextUint(donor.subgraphs.size())];
+          break;
+        case 10: {
+          // One subgraph duplicated at a random position.
+          const ExplanationSubgraph copy =
+              subgraphs[rng.NextUint(subgraphs.size())];
+          subgraphs.insert(subgraphs.begin() + static_cast<long>(rng.NextUint(
+                                                   subgraphs.size() + 1)),
+                           copy);
+          break;
+        }
       }
       changed.insert(label);
       (*next)[label] = std::make_shared<const ExplanationView>(std::move(v));
@@ -472,8 +518,7 @@ TEST_P(ApplyOracleTest, EveryStepMatchesScratchBuild) {
     if (changed.empty()) continue;
 
     const std::string where = "step " + std::to_string(step);
-    PatternIndex applied =
-        PatternIndex::Apply(index, next, changed, param.num_threads);
+    PatternIndex applied = PatternIndex::Apply(index, next, changed, pool.get());
     const PatternIndex scratch = PatternIndex::Build(next, db, options);
     ExpectSamePostings(applied.ExportPostings(), scratch.ExportPostings(),
                        where);
@@ -481,13 +526,26 @@ TEST_P(ApplyOracleTest, EveryStepMatchesScratchBuild) {
     EXPECT_LE(applied.containment_checks(), scratch.containment_checks())
         << where;
 
-    // Untouched labels keep their words: pointer-equal to the previous
-    // epoch's for every code both epochs carry.
+    // A label whose subgraph list is byte-identical to the previous
+    // epoch's keeps its words: pointer-equal to the previous epoch's for
+    // every code both epochs carry.
+    std::set<int> same_subgraphs;
+    for (const auto& [label, view] : *next) {
+      auto old = views->find(label);
+      if (old != views->end() &&
+          SubgraphBytes(*old->second) == SubgraphBytes(*view)) {
+        same_subgraphs.insert(label);
+      }
+    }
+    bool new_code = false;
     for (const StoredPostings& post : applied.ExportPostings()) {
       const PatternPostings* old = index.Find(post.code);
-      if (old == nullptr) continue;
+      if (old == nullptr) {
+        new_code = true;
+        continue;
+      }
       for (const auto& [label, words] : post.subgraph_bits) {
-        if (changed.count(label) != 0) continue;
+        if (same_subgraphs.count(label) == 0) continue;
         const CoverageWords* prev_words =
             FindCoverage(old->subgraph_bits, label);
         ASSERT_NE(prev_words, nullptr) << where << ": label " << label;
@@ -495,10 +553,15 @@ TEST_P(ApplyOracleTest, EveryStepMatchesScratchBuild) {
             << where << ": code " << post.code << " label " << label;
       }
     }
-    if (rotation_only) {
+    if (!new_code) {
       uint64_t expected = 0;
       for (int label : changed) {
-        expected += next->at(label)->subgraphs.size();
+        auto now = next->find(label);
+        if (now == next->end()) continue;
+        auto old = views->find(label);
+        expected += old == views->end() ? now->second->subgraphs.size()
+                                        : NewContent(*old->second,
+                                                     *now->second);
       }
       expected *= static_cast<uint64_t>(applied.num_codes());
       EXPECT_EQ(applied.containment_checks(), expected) << where;
@@ -527,9 +590,12 @@ INSTANTIATE_TEST_SUITE_P(
                       ApplyOracleParam{6, 4, DbMode::kNull}),
     ApplyOracleName);
 
-// An admission that re-admits one label's view with an unchanged code set
-// (the serving workload's shape) re-checks only that label's subgraphs —
-// no database graph — and the registry counter records exactly that.
+// Re-admissions on an 8-label store with an unchanged code set (the
+// serving workload's shape). Re-admitting a byte-identical view runs no
+// check at all and shares every code's words with the previous epoch;
+// replacing one subgraph of a label with new content checks that one
+// subgraph against every code, and no database graph. The registry
+// counter records exactly the checks run.
 TEST(PatternIndexTest, ReadmitChecksOnlyTheChangedLabel) {
   synthetic::SyntheticStoreOptions shape;
   shape.num_labels = 8;
@@ -544,21 +610,43 @@ TEST(PatternIndexTest, ReadmitChecksOnlyTheChangedLabel) {
   const uint64_t codes = static_cast<uint64_t>(base.num_codes());
   EXPECT_EQ(base.containment_checks(),
             codes * (subgraphs + static_cast<uint64_t>(store.db.size())));
-
-  auto next = std::make_shared<ViewMap>(*views);
-  (*next)[3] = std::make_shared<const ExplanationView>(
-      synthetic::VersionedView(store, 3, 0));
   obs::Counter* counter = obs::Metrics().GetCounter(
       "gvex_index_containment_checks_total",
       "Pattern containment checks run by PatternIndex Build and Apply");
-  const uint64_t before = counter->Value();
+
+  auto same = std::make_shared<ViewMap>(*views);
+  (*same)[3] = std::make_shared<const ExplanationView>(
+      synthetic::VersionedView(store, 3, 0));
+  uint64_t before = counter->Value();
+  const PatternIndex readmitted = PatternIndex::Apply(base, same, {3});
+  EXPECT_EQ(readmitted.containment_checks(), 0u);
+  EXPECT_EQ(counter->Value() - before, 0u);
+  for (const StoredPostings& post : readmitted.ExportPostings()) {
+    const PatternPostings* old = base.Find(post.code);
+    ASSERT_NE(old, nullptr) << post.code;
+    for (const auto& [label, words] : post.subgraph_bits) {
+      EXPECT_EQ(words.get(), FindCoverage(old->subgraph_bits, label)->get())
+          << "code " << post.code << " label " << label;
+    }
+  }
+  ExpectSamePostings(readmitted.ExportPostings(), base.ExportPostings(),
+                     "identical readmit");
+
+  // Label 4's first subgraph stands in for label 3's first: new content
+  // for label 3, so exactly one check per code.
+  ExplanationView replaced = synthetic::VersionedView(store, 3, 1);
+  replaced.subgraphs[0] = store.views[4].subgraphs[0];
+  ASSERT_EQ(NewContent(*views->at(3), replaced), 1u);
+  auto next = std::make_shared<ViewMap>(*views);
+  (*next)[3] = std::make_shared<const ExplanationView>(std::move(replaced));
+  before = counter->Value();
   const PatternIndex applied = PatternIndex::Apply(base, next, {3});
-  EXPECT_EQ(applied.containment_checks(),
-            codes * next->at(3)->subgraphs.size());
+  EXPECT_EQ(applied.num_codes(), base.num_codes());
+  EXPECT_EQ(applied.containment_checks(), codes);
   EXPECT_EQ(counter->Value() - before, applied.containment_checks());
   ExpectSamePostings(applied.ExportPostings(),
                      PatternIndex::Build(next, &store.db).ExportPostings(),
-                     "readmit");
+                     "one subgraph replaced");
 }
 
 }  // namespace

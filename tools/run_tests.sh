@@ -137,6 +137,8 @@ if [[ "${tsan}" == 1 ]]; then
   "${tsan_dir}/tests/gvex_serve_test"
   "${tsan_dir}/tests/gvex_serve_test" --gtest_repeat=20 \
     --gtest_filter='ViewServiceConcurrencyTest.*:HealthFaultTest.WedgedAdmitLeaderFailsHealthUntilReleased'
+  "${tsan_dir}/tests/gvex_serve_test" --gtest_repeat=5 \
+    --gtest_filter='*ApplyOracleTest*:PatternIndexTest.*'
   "${tsan_dir}/tests/gvex_obs_test"
   "${tsan_dir}/tests/gvex_store_test"
   "${tsan_dir}/tests/gvex_gnn_test"
