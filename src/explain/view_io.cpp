@@ -37,48 +37,25 @@ std::string SerializeView(const ExplanationView& view) {
   return out;
 }
 
-namespace {
-
-// Pulls the next serialized graph block (up to and including "end") from the
-// stream of lines starting at *pos; returns the parsed graph.
-Result<Graph> ReadGraphBlock(const std::vector<std::string>& lines,
-                             size_t* pos) {
-  std::string block;
-  bool ended = false;
-  while (*pos < lines.size()) {
-    const std::string& line = lines[*pos];
-    block += line + "\n";
-    ++*pos;
-    if (Trim(line) == "end") {
-      ended = true;
-      break;
-    }
-  }
-  if (!ended) return Status::InvalidArgument("unterminated graph block");
-  auto parsed = ParseGraphs(block);
-  if (!parsed.ok()) return parsed.status();
-  if (parsed.value().size() != 1) {
-    return Status::InvalidArgument("expected exactly one graph in block");
-  }
-  return std::move(parsed.value()[0].graph);
-}
-
-}  // namespace
-
-Result<std::vector<ExplanationView>> ParseViews(const std::string& text) {
+Result<std::vector<ExplanationView>> ParseViews(std::string_view text) {
   std::vector<ExplanationView> views;
-  std::vector<std::string> lines = Split(text, '\n');
-  size_t pos = 0;
-  while (pos < lines.size()) {
-    std::string line = Trim(lines[pos]);
-    if (line.empty()) {
-      ++pos;
-      continue;
-    }
-    auto head = SplitWhitespace(line);
-    if (head.empty() || head[0] != "view" || head.size() < 5) {
+  LineCursor lines(text);
+  std::string_view raw;
+  // The next line, trimmed, without consuming it.
+  const auto peek = [&lines](std::string_view* line) {
+    LineCursor peek = lines;
+    if (!peek.Next(line)) return false;
+    *line = TrimView(*line);
+    return true;
+  };
+  while (lines.Next(&raw)) {
+    const std::string_view line = TrimView(raw);
+    if (line.empty()) continue;
+    const size_t lineno = lines.lines_read();  // 1-based, as Split counts
+    const std::vector<std::string_view> head = SplitWhitespaceView(line);
+    if (head[0] != "view" || head.size() < 5) {
       return Status::InvalidArgument(
-          StrFormat("expected 'view' header at line %zu", pos + 1));
+          StrFormat("expected 'view' header at line %zu", lineno));
     }
     ExplanationView view;
     int num_patterns_int = 0;
@@ -88,68 +65,75 @@ Result<std::vector<ExplanationView>> ParseViews(const std::string& text) {
         !ParseInt(head[3], &num_patterns_int) || num_patterns_int < 0 ||
         !ParseInt(head[4], &num_subgraphs_int) || num_subgraphs_int < 0) {
       return Status::InvalidArgument(
-          StrFormat("malformed 'view' header at line %zu", pos + 1));
+          StrFormat("malformed 'view' header at line %zu", lineno));
     }
-    ++pos;
     const size_t num_patterns = static_cast<size_t>(num_patterns_int);
     const size_t num_subgraphs = static_cast<size_t>(num_subgraphs_int);
 
+    std::string_view cur;
     for (size_t i = 0; i < num_patterns; ++i) {
-      if (pos >= lines.size() || Trim(lines[pos]) != "pattern") {
+      if (!peek(&cur) || cur != "pattern") {
         return Status::InvalidArgument("expected 'pattern'");
       }
-      ++pos;
-      auto g = ReadGraphBlock(lines, &pos);
+      lines.Next(&raw);
+      auto g = ReadGraphBlock(&lines, "unterminated graph block",
+                              "expected exactly one graph in block");
       if (!g.ok()) return g.status();
       auto p = Pattern::Create(std::move(g).value());
       if (!p.ok()) return p.status();
       view.patterns.push_back(std::move(p).value());
     }
     for (size_t i = 0; i < num_subgraphs; ++i) {
-      if (pos >= lines.size()) {
+      if (!lines.Next(&raw)) {
         return Status::InvalidArgument("truncated view");
       }
-      auto sub_head = SplitWhitespace(Trim(lines[pos]));
-      if (sub_head.size() < 5 || sub_head[0] != "subgraph") {
+      std::string_view sub_rest = TrimView(raw);
+      const std::string_view sub_kw = NextField(&sub_rest);
+      const std::string_view sub_index = NextField(&sub_rest);
+      const std::string_view sub_consistent = NextField(&sub_rest);
+      const std::string_view sub_counterfactual = NextField(&sub_rest);
+      const std::string_view sub_explainability = NextField(&sub_rest);
+      if (sub_explainability.empty() || sub_kw != "subgraph") {
         return Status::InvalidArgument("expected 'subgraph' header");
       }
       ExplanationSubgraph s;
       int consistent = 0;
       int counterfactual = 0;
-      if (!ParseInt(sub_head[1], &s.graph_index) ||
-          !ParseInt(sub_head[2], &consistent) ||
-          !ParseInt(sub_head[3], &counterfactual) ||
-          !ParseDouble(sub_head[4], &s.explainability)) {
+      if (!ParseInt(sub_index, &s.graph_index) ||
+          !ParseInt(sub_consistent, &consistent) ||
+          !ParseInt(sub_counterfactual, &counterfactual) ||
+          !ParseDouble(sub_explainability, &s.explainability)) {
         return Status::InvalidArgument("malformed 'subgraph' header");
       }
       s.consistent = consistent != 0;
       s.counterfactual = counterfactual != 0;
-      ++pos;
-      if (pos >= lines.size()) {
+      if (!lines.Next(&raw)) {
         return Status::InvalidArgument("truncated subgraph");
       }
-      auto node_line = SplitWhitespace(Trim(lines[pos]));
-      if (node_line.empty() || node_line[0] != "nodes") {
+      std::string_view node_rest = TrimView(raw);
+      if (NextField(&node_rest) != "nodes") {
         return Status::InvalidArgument("expected 'nodes' line");
       }
-      ++pos;
-      for (size_t j = 1; j < node_line.size(); ++j) {
+      for (std::string_view f = NextField(&node_rest); !f.empty();
+           f = NextField(&node_rest)) {
         int node = 0;
-        if (!ParseInt(node_line[j], &node)) {
+        if (!ParseInt(f, &node)) {
           return Status::InvalidArgument(
-              StrFormat("malformed node id '%s'", node_line[j].c_str()));
+              StrFormat("malformed node id '%.*s'",
+                        static_cast<int>(f.size()), f.data()));
         }
         s.nodes.push_back(node);
       }
-      auto g = ReadGraphBlock(lines, &pos);
+      auto g = ReadGraphBlock(&lines, "unterminated graph block",
+                              "expected exactly one graph in block");
       if (!g.ok()) return g.status();
       s.subgraph = std::move(g).value();
       view.subgraphs.push_back(std::move(s));
     }
-    if (pos >= lines.size() || Trim(lines[pos]) != "endview") {
+    if (!peek(&cur) || cur != "endview") {
       return Status::InvalidArgument("missing 'endview'");
     }
-    ++pos;
+    lines.Next(&raw);
     views.push_back(std::move(view));
   }
   return views;

@@ -6,6 +6,7 @@
 #define GVEX_EXPLAIN_VIEW_IO_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "explain/explanation.h"
@@ -17,7 +18,7 @@ namespace gvex {
 std::string SerializeView(const ExplanationView& view);
 
 /// Parses one or more views serialized by SerializeView.
-Result<std::vector<ExplanationView>> ParseViews(const std::string& text);
+Result<std::vector<ExplanationView>> ParseViews(std::string_view text);
 
 /// File round-trip helpers.
 Status SaveViews(const std::string& path,

@@ -45,8 +45,30 @@ std::vector<std::vector<NodeId>> ConnectedComponents(const Graph& g) {
 }
 
 bool IsConnected(const Graph& g) {
-  if (g.num_nodes() == 0) return true;
-  return ConnectedComponents(g).size() == 1;
+  const int n = g.num_nodes();
+  if (n == 0) return true;
+  // Union-find over the edges, direction ignored: one allocation, since
+  // every Pattern::Create asks this.
+  std::vector<NodeId> parent(static_cast<size_t>(n));
+  for (NodeId v = 0; v < n; ++v) parent[static_cast<size_t>(v)] = v;
+  const auto find = [&parent](NodeId v) {
+    while (parent[static_cast<size_t>(v)] != v) {
+      NodeId& p = parent[static_cast<size_t>(v)];
+      p = parent[static_cast<size_t>(p)];
+      v = p;
+    }
+    return v;
+  };
+  int components = n;
+  for (const Edge& e : g.edges()) {
+    const NodeId a = find(e.u);
+    const NodeId b = find(e.v);
+    if (a != b) {
+      parent[static_cast<size_t>(a)] = b;
+      --components;
+    }
+  }
+  return components == 1;
 }
 
 }  // namespace gvex

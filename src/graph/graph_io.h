@@ -12,12 +12,13 @@
 #ifndef GVEX_GRAPH_GRAPH_IO_H_
 #define GVEX_GRAPH_GRAPH_IO_H_
 
-#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/graph.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace gvex {
 
@@ -30,8 +31,18 @@ struct LabeledGraph {
 /// Serializes one labeled graph in the text format above.
 std::string SerializeGraph(const Graph& g, int label = -1);
 
-/// Parses all graphs from text.
-Result<std::vector<LabeledGraph>> ParseGraphs(const std::string& text);
+/// Parses all graphs from text. Error messages number lines from 1.
+Result<std::vector<LabeledGraph>> ParseGraphs(std::string_view text);
+
+/// Parses one graph block straight from `lines`: the lines up to and
+/// including the first one that trims to "end" — what ParseGraphs would
+/// make of that block on its own, labels dropped, with its line numbers
+/// counted from the block's first line. The cursor always moves past the
+/// block. Fails with `unterminated` when the lines run out before an
+/// "end", else with the block's first parse error, else with `not_one`
+/// when the block holds more than one graph.
+Result<Graph> ReadGraphBlock(LineCursor* lines, const char* unterminated,
+                             const char* not_one);
 
 /// Writes a set of labeled graphs to `path`.
 Status SaveGraphs(const std::string& path,

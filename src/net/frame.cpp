@@ -1,5 +1,7 @@
 #include "net/frame.h"
 
+#include <vector>
+
 #include "serve/serve_protocol.h"
 #include "util/string_util.h"
 
@@ -7,7 +9,34 @@ namespace gvex {
 
 void RequestFramer::Feed(const char* data, size_t n) {
   if (broken_) return;  // the connection is closing; drop the bytes
+  if (start_ > 0) {
+    buffer_.erase(0, start_);
+    scan_ -= start_;
+    start_ = 0;
+  }
   buffer_.append(data, n);
+}
+
+void RequestFramer::TakeFrame(std::string* frame) {
+  const std::string_view bytes(buffer_.data() + start_, scan_ - start_);
+  if (!frame_has_cr_) {
+    frame->assign(bytes);
+  } else {
+    // Drop one CR before each '\n' (netcat-style clients; the stdin
+    // path's getline never sees one either way).
+    frame->clear();
+    frame->reserve(frame_bytes_);
+    size_t b = 0;
+    while (b < bytes.size()) {
+      const size_t nl = bytes.find('\n', b);
+      size_t e = nl;
+      if (e > b && bytes[e - 1] == '\r') --e;
+      frame->append(bytes, b, e - b);
+      frame->push_back('\n');
+      b = nl + 1;
+    }
+  }
+  start_ = scan_;
 }
 
 RequestFramer::Next RequestFramer::Pop(std::string* frame,
@@ -17,9 +46,9 @@ RequestFramer::Next RequestFramer::Pop(std::string* frame,
       *error = error_;
       return Next::kBroken;
     }
-    const size_t nl = buffer_.find('\n');
+    const size_t nl = buffer_.find('\n', scan_);
     if (nl == std::string::npos) {
-      if (buffer_.size() > limits_.max_line_bytes) {
+      if (buffer_.size() - scan_ > limits_.max_line_bytes) {
         broken_ = true;
         error_ = StrFormat("err line exceeds %zu bytes\n",
                            limits_.max_line_bytes);
@@ -27,47 +56,48 @@ RequestFramer::Next RequestFramer::Pop(std::string* frame,
       }
       return Next::kNeedMore;
     }
-    if (nl > limits_.max_line_bytes) {
+    if (nl - scan_ > limits_.max_line_bytes) {
       broken_ = true;
       error_ =
           StrFormat("err line exceeds %zu bytes\n", limits_.max_line_bytes);
       continue;
     }
-    // Consume one complete line (normalizing away a CR from netcat-style
-    // clients; the stdin path's getline never sees one either way).
-    std::string line = buffer_.substr(0, nl);
-    buffer_.erase(0, nl + 1);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+    // Consume one complete line, seen without a trailing CR.
+    std::string_view line(buffer_.data() + scan_, nl - scan_);
+    const bool cr = !line.empty() && line.back() == '\r';
+    if (cr) line.remove_suffix(1);
+    scan_ = nl + 1;
 
     if (blocks_remaining_ == 0) {
       // Expecting a keyword line; blank separators yield no frame.
-      const std::string trimmed = Trim(line);
-      if (trimmed.empty()) continue;
-      frame_ = line + "\n";
-      std::string terminator;
-      const int blocks =
-          ServeRequestShape(SplitWhitespace(trimmed), &terminator);
+      const std::string_view trimmed = TrimView(line);
+      if (trimmed.empty()) {
+        start_ = scan_;
+        continue;
+      }
+      const std::vector<std::string_view> head = SplitWhitespaceView(trimmed);
+      keyword_.assign(head[0]);
+      frame_bytes_ = line.size() + 1;
+      frame_has_cr_ = cr;
+      const int blocks = ServeRequestShape(head, &terminator_);
       if (blocks == 0) {
-        *frame = std::move(frame_);
-        frame_.clear();
+        TakeFrame(frame);
         return Next::kFrame;
       }
       blocks_remaining_ = blocks;
-      terminator_ = terminator;
       continue;
     }
 
-    frame_ += line + "\n";
-    if (frame_.size() > limits_.max_frame_bytes) {
+    frame_bytes_ += line.size() + 1;
+    frame_has_cr_ = frame_has_cr_ || cr;
+    if (frame_bytes_ > limits_.max_frame_bytes) {
       broken_ = true;
       error_ = StrFormat("err request exceeds %zu bytes\n",
                          limits_.max_frame_bytes);
-      frame_.clear();
       continue;
     }
-    if (Trim(line) == terminator_ && --blocks_remaining_ == 0) {
-      *frame = std::move(frame_);
-      frame_.clear();
+    if (TrimView(line) == terminator_ && --blocks_remaining_ == 0) {
+      TakeFrame(frame);
       return Next::kFrame;
     }
   }

@@ -16,6 +16,10 @@
 // Resynchronizing inside an abandoned payload block would misparse
 // payload lines as requests, so broken is terminal by design.
 //
+// Bytes are scanned in place: a consumed offset moves through the buffer
+// line by line, a complete frame is copied out once, and the buffer is
+// compacted at most once per Feed.
+//
 // Not thread-safe; one framer per connection.
 
 #ifndef GVEX_NET_FRAME_H_
@@ -23,6 +27,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 namespace gvex {
 
@@ -50,19 +55,36 @@ class RequestFramer {
   /// subsequent Pop returns kBroken again.
   Next Pop(std::string* frame, std::string* error);
 
+  /// The first word of the keyword line of the frame the last kFrame Pop
+  /// returned; read it before the next Pop. (The framer splits that line
+  /// anyway to learn the request's shape.)
+  const std::string& keyword() const { return keyword_; }
+
   /// True when no partial frame or partial line is buffered — i.e. the
   /// stream ended on a request boundary.
-  bool idle() const { return !broken_ && buffer_.empty() && frame_.empty(); }
+  bool idle() const { return !broken_ && start_ == buffer_.size(); }
 
   /// Bytes buffered but not yet surfaced as frames.
-  size_t buffered_bytes() const { return buffer_.size() + frame_.size(); }
+  size_t buffered_bytes() const { return buffer_.size() - start_; }
 
  private:
+  /// Surfaces buffer_[start_, scan_) as *frame, minus each line's CR.
+  void TakeFrame(std::string* frame);
+
   Limits limits_;
-  std::string buffer_;  ///< raw bytes not yet split into lines
-  std::string frame_;   ///< the in-progress frame's complete lines
+  /// Raw bytes: [0, start_) are surfaced or skipped (dropped by the next
+  /// Feed), [start_, scan_) the in-progress frame's complete lines, and
+  /// [scan_, size) not yet split into lines.
+  std::string buffer_;
+  size_t start_ = 0;
+  size_t scan_ = 0;
+  /// The in-progress frame's size with CRs dropped (the max_frame_bytes
+  /// measure), and whether any of its lines ended in a CR.
+  size_t frame_bytes_ = 0;
+  bool frame_has_cr_ = false;
   int blocks_remaining_ = 0;
-  std::string terminator_;
+  std::string_view terminator_;  ///< views a string literal
+  std::string keyword_;
   bool broken_ = false;
   std::string error_;
 };

@@ -8,7 +8,6 @@
 
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "util/string_util.h"
 
 namespace gvex {
 
@@ -165,8 +164,7 @@ void NetSession::ProcessFrames() {
     have_buffer_start_ = framer_.buffered_bytes() > 0;
     buffer_start_ = pop_time;
     ++frames_executed_;
-    const auto head = SplitWhitespace(Trim(frame.substr(0, frame.find('\n'))));
-    const std::string& keyword = head.empty() ? std::string() : head[0];
+    const std::string& keyword = framer_.keyword();
     if (keyword == "shutdown") {
       // Net-layer verb: begin a graceful server drain. Deliberately not
       // part of serve_protocol — over stdin "shutdown" stays an unknown

@@ -17,40 +17,38 @@ namespace gvex {
 
 namespace {
 
-// Collects lines from *pos up to and including the `terminator` line and
-// returns them joined; advances *pos past the terminator.
-Result<std::string> CollectBlock(const std::vector<std::string>& lines,
-                                 size_t* pos, const std::string& terminator) {
-  std::string block;
-  while (*pos < lines.size()) {
-    const std::string& line = lines[*pos];
-    block += line + "\n";
-    ++*pos;
-    if (Trim(line) == terminator) return block;
+// Moves the cursor past the next line that trims to `terminator` and
+// returns the text from the cursor's position through that line: a view
+// into the request, never a copy. Fails when the lines run out first.
+Result<std::string_view> CollectBlock(LineCursor* lines,
+                                      std::string_view terminator) {
+  const size_t begin = lines->offset();
+  std::string_view line;
+  while (lines->Next(&line)) {
+    if (TrimView(line) == terminator) {
+      return lines->text().substr(begin, lines->offset() - begin);
+    }
   }
-  return Status::InvalidArgument("unterminated '" + terminator + "' block");
+  return Status::InvalidArgument("unterminated '" + std::string(terminator) +
+                                 "' block");
 }
 
-Result<Pattern> ParsePatternBlock(const std::vector<std::string>& lines,
-                                  size_t* pos) {
-  auto block = CollectBlock(lines, pos, "end");
-  if (!block.ok()) return block.status();
-  auto graphs = ParseGraphs(block.value());
-  if (!graphs.ok()) return graphs.status();
-  if (graphs.value().size() != 1) {
-    return Status::InvalidArgument("expected exactly one pattern graph");
-  }
-  return Pattern::Create(std::move(graphs.value()[0].graph));
+Result<Pattern> ParsePatternBlock(LineCursor* lines) {
+  auto graph = ReadGraphBlock(lines, "unterminated 'end' block",
+                              "expected exactly one pattern graph");
+  if (!graph.ok()) return graph.status();
+  return Pattern::Create(std::move(graph).value());
 }
 
-Result<int> ParseLabelArg(const std::vector<std::string>& head) {
+Result<int> ParseLabelArg(const std::vector<std::string_view>& head) {
   if (head.size() < 2) {
-    return Status::InvalidArgument("'" + head[0] + "' needs a label");
+    return Status::InvalidArgument("'" + std::string(head[0]) +
+                                   "' needs a label");
   }
   int label = 0;
   // Full consumption: "1x" is a typo, not label 1.
   if (ParseInt(head[1], &label)) return label;
-  return Status::InvalidArgument("bad label '" + head[1] + "'");
+  return Status::InvalidArgument("bad label '" + std::string(head[1]) + "'");
 }
 
 std::string FormatIds(const std::vector<int>& ids) {
@@ -182,11 +180,11 @@ obs::Counter* ParseErrorCounter() {
 
 }  // namespace
 
-int ServeRequestShape(const std::vector<std::string>& head,
-                      std::string* terminator) {
-  terminator->clear();
+int ServeRequestShape(const std::vector<std::string_view>& head,
+                      std::string_view* terminator) {
+  *terminator = std::string_view();
   if (head.empty()) return 0;
-  const std::string& keyword = head[0];
+  const std::string_view keyword = head[0];
   if (keyword == "graphs" || keyword == "dbgraphs" ||
       keyword == "labelsof" || keyword == "mcs") {
     *terminator = "end";
@@ -207,14 +205,15 @@ int ServeRequestShape(const std::vector<std::string>& head,
   return 0;
 }
 
-Result<ServeRequest> ParseServeRequest(const std::vector<std::string>& lines,
-                                       size_t* pos) {
-  while (*pos < lines.size() && Trim(lines[*pos]).empty()) ++*pos;
-  if (*pos >= lines.size()) return Status::NotFound("end of input");
-  const std::vector<std::string> head = SplitWhitespace(Trim(lines[*pos]));
-  ++*pos;
+Result<ServeRequest> ParseServeRequest(LineCursor* lines) {
+  std::string_view line;
+  do {
+    if (!lines->Next(&line)) return Status::NotFound("end of input");
+    line = TrimView(line);
+  } while (line.empty());
+  const std::vector<std::string_view> head = SplitWhitespaceView(line);
   ServeRequest req;
-  const std::string& kw = head[0];
+  const std::string_view kw = head[0];
   if (kw == "labels") {
     req.kind = ServeRequest::Kind::kLabels;
     return req;
@@ -257,7 +256,7 @@ Result<ServeRequest> ParseServeRequest(const std::vector<std::string>& lines,
         int n = 0;
         if (!ParseInt(head[2], &n) || n < 1) {
           return Status::InvalidArgument("bad trace sample period '" +
-                                         head[2] + "'");
+                                         std::string(head[2]) + "'");
         }
         req.trace_sample = n;
       }
@@ -277,7 +276,8 @@ Result<ServeRequest> ParseServeRequest(const std::vector<std::string>& lines,
       } else if (head[1] == "--full") {
         req.save_kind = SaveKind::kFull;
       } else {
-        return Status::InvalidArgument("bad save flag '" + head[1] +
+        return Status::InvalidArgument("bad save flag '" +
+                                       std::string(head[1]) +
                                        "' (use --delta or --full)");
       }
     }
@@ -318,7 +318,8 @@ Result<ServeRequest> ParseServeRequest(const std::vector<std::string>& lines,
       req.repl_name = head[2];
       return req;
     }
-    return Status::InvalidArgument("unknown replicate op '" + head[1] +
+    return Status::InvalidArgument("unknown replicate op '" +
+                                   std::string(head[1]) +
                                    "' (use state, fetch, or crc)");
   }
   if (kw == "promote") {
@@ -342,7 +343,7 @@ Result<ServeRequest> ParseServeRequest(const std::vector<std::string>& lines,
     // malformed request never desynchronizes the stream (the block's graph
     // lines must not be re-parsed as requests).
     auto label = ParseLabelArg(head);
-    auto pattern = ParsePatternBlock(lines, pos);
+    auto pattern = ParsePatternBlock(lines);
     if (!label.ok()) return label.status();
     if (!pattern.ok()) return pattern.status();
     req.kind = kw == "graphs" ? ServeRequest::Kind::kGraphs
@@ -362,7 +363,7 @@ Result<ServeRequest> ParseServeRequest(const std::vector<std::string>& lines,
     }
     Status first_error = Status::OK();
     for (int i = 0; i < std::max(0, count); ++i) {
-      auto pattern = ParsePatternBlock(lines, pos);
+      auto pattern = ParsePatternBlock(lines);
       if (!pattern.ok()) {
         // An unterminated block consumed the rest of the input; stop.
         if (first_error.ok()) first_error = pattern.status();
@@ -382,31 +383,27 @@ Result<ServeRequest> ParseServeRequest(const std::vector<std::string>& lines,
   }
   if (kw == "mcs") {
     auto label = ParseLabelArg(head);
-    auto block = CollectBlock(lines, pos, "end");
+    auto graph = ReadGraphBlock(lines, "unterminated 'end' block",
+                                "expected exactly one query graph");
     if (!label.ok()) return label.status();
-    if (!block.ok()) return block.status();
-    auto graphs = ParseGraphs(block.value());
-    if (!graphs.ok()) return graphs.status();
-    if (graphs.value().size() != 1) {
-      return Status::InvalidArgument("expected exactly one query graph");
-    }
-    if (graphs.value()[0].graph.num_nodes() == 0) {
+    if (!graph.ok()) return graph.status();
+    if (graph.value().num_nodes() == 0) {
       return Status::InvalidArgument("mcs query graph must be non-empty");
     }
     req.kind = ServeRequest::Kind::kMcs;
     req.label = label.value();
-    req.query_graph = std::move(graphs.value()[0].graph);
+    req.query_graph = std::move(graph).value();
     return req;
   }
   if (kw == "labelsof") {
-    auto pattern = ParsePatternBlock(lines, pos);
+    auto pattern = ParsePatternBlock(lines);
     if (!pattern.ok()) return pattern.status();
     req.kind = ServeRequest::Kind::kLabelsOf;
     req.pattern = std::move(pattern).value();
     return req;
   }
   if (kw == "admit") {
-    auto block = CollectBlock(lines, pos, "endview");
+    auto block = CollectBlock(lines, "endview");
     if (!block.ok()) return block.status();
     auto views = ParseViews(block.value());
     if (!views.ok()) return views.status();
@@ -417,7 +414,22 @@ Result<ServeRequest> ParseServeRequest(const std::vector<std::string>& lines,
     req.view = std::move(views.value()[0]);
     return req;
   }
-  return Status::InvalidArgument("unknown request '" + kw + "'");
+  return Status::InvalidArgument("unknown request '" + std::string(kw) +
+                                 "'");
+}
+
+Result<ServeRequest> ParseServeRequest(const std::vector<std::string>& lines,
+                                       size_t* pos) {
+  if (*pos >= lines.size()) return Status::NotFound("end of input");
+  std::string text;
+  for (size_t i = *pos; i < lines.size(); ++i) {
+    if (i > *pos) text += '\n';
+    text += lines[i];
+  }
+  LineCursor cursor(text);
+  auto req = ParseServeRequest(&cursor);
+  *pos += cursor.lines_read();
+  return req;
 }
 
 std::string HandleServeRequest(const ServeSession& session,
@@ -673,14 +685,13 @@ std::string RenderMetricsText(const ViewService& service) {
   return out;
 }
 
-std::string ServeText(const ServeSession& session, const std::string& text,
+std::string ServeText(const ServeSession& session, std::string_view text,
                       bool* quit) {
   if (quit) *quit = false;
   std::string out;
-  const std::vector<std::string> lines = Split(text, '\n');
-  size_t pos = 0;
+  LineCursor lines(text);
   while (true) {
-    auto req = ParseServeRequest(lines, &pos);
+    auto req = ParseServeRequest(&lines);
     if (!req.ok()) {
       if (req.status().code() == StatusCode::kNotFound) break;
       out += "err " + req.status().message() + "\n";
@@ -708,7 +719,7 @@ std::string ServeText(const ServeSession& session, const std::string& text,
   return out;
 }
 
-std::string ServeText(ViewService* service, const std::string& text,
+std::string ServeText(ViewService* service, std::string_view text,
                       bool* quit) {
   ServeSession session;
   session.service = service;

@@ -133,6 +133,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "explain/explanation.h"
@@ -140,6 +141,7 @@
 #include "serve/replica_applier.h"
 #include "serve/view_service.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace gvex {
 
@@ -219,17 +221,24 @@ std::string RenderMetricsText(const ViewService& service);
 
 /// How many payload blocks follow `head`'s keyword line (the
 /// whitespace-split first line of a request), and which line closes each
-/// of them. Returns 0 for block-less (and unknown) requests. This is the
-/// framing knowledge shared by every byte-stream front end — the stdin
-/// read loop (tools/gvex_serve) and the TCP incremental framer (net/) —
-/// so a request is only handed to the parser once it is COMPLETE.
-int ServeRequestShape(const std::vector<std::string>& head,
-                      std::string* terminator);
+/// of them (*terminator views a string literal). Returns 0 for block-less
+/// (and unknown) requests. This is the framing knowledge shared by every
+/// byte-stream front end — the stdin read loop (tools/gvex_serve) and the
+/// TCP incremental framer (net/) — so a request is only handed to the
+/// parser once it is COMPLETE.
+int ServeRequestShape(const std::vector<std::string_view>& head,
+                      std::string_view* terminator);
 
-/// Parses one request starting at lines[*pos] (blank lines skipped) and
-/// advances *pos past it — past the payload block too, so a malformed
-/// request does not desynchronize the stream. Returns NotFound at end of
-/// input, InvalidArgument on malformed requests.
+/// Parses one request from the cursor (blank lines skipped) and moves it
+/// past the request — past the payload block too, so a malformed request
+/// does not desynchronize the stream. Patterns, graphs and views are read
+/// in place from the cursor's text. Returns NotFound at end of input,
+/// InvalidArgument on malformed requests.
+Result<ServeRequest> ParseServeRequest(LineCursor* lines);
+
+/// The same over lines[*pos...] (as Split(text, '\n') returns them: no
+/// line holds a '\n'), advancing *pos past the request. Joins the
+/// remaining lines and parses them with a cursor.
 Result<ServeRequest> ParseServeRequest(const std::vector<std::string>& lines,
                                        size_t* pos);
 
@@ -241,11 +250,11 @@ std::string HandleServeRequest(const ServeSession& session,
 /// Parses and executes every request in `text`, concatenating responses.
 /// `quit` (optional) is set when a quit request was seen — callers running
 /// a read loop should stop feeding input then.
-std::string ServeText(const ServeSession& session, const std::string& text,
+std::string ServeText(const ServeSession& session, std::string_view text,
                       bool* quit = nullptr);
 
 /// Shorthand for a session with no host hooks.
-std::string ServeText(ViewService* service, const std::string& text,
+std::string ServeText(ViewService* service, std::string_view text,
                       bool* quit = nullptr);
 
 }  // namespace gvex

@@ -2,7 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
-#include <climits>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -29,7 +29,7 @@ std::vector<std::string> SplitWhitespace(const std::string& s) {
   std::vector<std::string> out;
   std::string cur;
   for (char c : s) {
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (IsAsciiSpace(c)) {
       if (!cur.empty()) {
         out.push_back(cur);
         cur.clear();
@@ -42,13 +42,15 @@ std::vector<std::string> SplitWhitespace(const std::string& s) {
   return out;
 }
 
-std::string Trim(const std::string& s) {
-  size_t b = 0;
-  size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
+std::vector<std::string_view> SplitWhitespaceView(std::string_view s) {
+  std::vector<std::string_view> out;
+  for (std::string_view f = NextField(&s); !f.empty(); f = NextField(&s)) {
+    out.push_back(f);
+  }
+  return out;
 }
+
+std::string Trim(const std::string& s) { return std::string(TrimView(s)); }
 
 std::string Join(const std::vector<std::string>& parts,
                  const std::string& sep) {
@@ -65,20 +67,26 @@ bool StartsWith(const std::string& s, const std::string& prefix) {
          s.compare(0, prefix.size(), prefix) == 0;
 }
 
-bool ParseInt(const std::string& s, int* out) {
-  if (s.empty() || std::isspace(static_cast<unsigned char>(s[0]))) {
-    return false;  // strtol would skip leading whitespace; reject it
+bool ParseInt(std::string_view s, int* out) {
+  // strtol's grammar through from_chars, which takes no leading '+' (but
+  // "+-1" stays garbage) and no leading whitespace.
+  if (!s.empty() && s[0] == '+') {
+    s.remove_prefix(1);
+    if (!s.empty() && s[0] == '-') return false;
   }
-  errno = 0;
-  char* end = nullptr;
-  const long value = std::strtol(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  if (value < INT_MIN || value > INT_MAX) return false;
-  *out = static_cast<int>(value);
+  int value = 0;
+  const char* end = s.data() + s.size();
+  const std::from_chars_result r = std::from_chars(s.data(), end, value);
+  if (s.empty() || r.ec != std::errc() || r.ptr != end) return false;
+  *out = value;
   return true;
 }
 
-bool ParseDouble(const std::string& s, double* out) {
+// The strto* parsers below need a NUL-terminated copy; numeric fields are
+// short enough to fit std::string's inline buffer.
+
+bool ParseDouble(std::string_view field, double* out) {
+  const std::string s(field);
   if (s.empty() || std::isspace(static_cast<unsigned char>(s[0]))) {
     return false;
   }
@@ -90,7 +98,8 @@ bool ParseDouble(const std::string& s, double* out) {
   return true;
 }
 
-bool ParseFloat(const std::string& s, float* out) {
+bool ParseFloat(std::string_view field, float* out) {
+  const std::string s(field);
   if (s.empty() || std::isspace(static_cast<unsigned char>(s[0]))) {
     return false;
   }
@@ -102,7 +111,8 @@ bool ParseFloat(const std::string& s, float* out) {
   return true;
 }
 
-bool ParseUint64(const std::string& s, uint64_t* out) {
+bool ParseUint64(std::string_view field, uint64_t* out) {
+  const std::string s(field);
   if (s.empty() || std::isspace(static_cast<unsigned char>(s[0])) ||
       s[0] == '-') {
     return false;  // strtoull silently wraps negatives; reject them

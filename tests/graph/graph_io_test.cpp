@@ -1,10 +1,22 @@
 #include "graph/graph_io.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <new>
 
 #include "test_util.h"
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define GVEX_UNDER_SANITIZER 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define GVEX_UNDER_SANITIZER 1
+#endif
+#endif
 
 namespace gvex {
 namespace {
@@ -99,6 +111,75 @@ TEST(GraphIoTest, MalformedNumericsAreErrorsNotCrashes) {
       "graph 2 0\nn 0 0\nn 1 0\ne 0 one 0\nend\n").ok());         // edge
   EXPECT_FALSE(
       ParseGraphs("graph 99999999999999999999 0\nend\n").ok());  // overflow
+}
+
+// A node line past the declared node count is rejected at that line. It
+// used to be accepted until 'end', and a feature on it was written past
+// the end of the per-node feature table (a heap overflow under ASan).
+TEST(GraphIoTest, NodeLinePastDeclaredCountIsRejectedAtTheLine) {
+  for (const char* text : {"graph 1 0\nn 0 0\nn 1 0 0.5\nend\n",
+                           "graph 1 0\nn 0 0\nn 1 0\nend\n",
+                           "graph 1 0\nn 0 0\nn 1 0 0.5\n"}) {
+    auto parsed = ParseGraphs(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(parsed.status().message(),
+              "line 3: node 1 is past the 1 nodes the graph declared");
+  }
+  auto empty = ParseGraphs("graph 0 0\nn 0 0 1.5\nend\n");
+  ASSERT_FALSE(empty.ok());
+  EXPECT_EQ(empty.status().message(),
+            "line 2: node 0 is past the 0 nodes the graph declared");
+  // Features on nodes inside the count still land where they belong.
+  auto ok = ParseGraphs("graph 2 0\nn 0 0\nn 1 0 0.5 2\nend\n");
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  const Matrix& x = ok.value()[0].graph.features();
+  ASSERT_EQ(x.rows(), 2);
+  ASSERT_EQ(x.cols(), 2);
+  EXPECT_EQ(x.at(0, 0), 0.0f);
+  EXPECT_EQ(x.at(1, 0), 0.5f);
+  EXPECT_EQ(x.at(1, 1), 2.0f);
+}
+
+// A header's node count allocates nothing by itself: "graph 2000000000 0"
+// used to value-initialise 2e9 feature vectors (about 48 GB) before
+// reading a single node line. Run in a child capped at 1 GiB of address
+// space, where that allocation aborts with std::bad_alloc; the parse must
+// instead fail the count check. Skipped under the sanitizers, whose
+// shadow memory needs more address space than the cap allows.
+TEST(GraphIoTest, HugeDeclaredNodeCountAllocatesNothingUpFront) {
+#ifdef GVEX_UNDER_SANITIZER
+  GTEST_SKIP() << "address-space cap is incompatible with sanitizers";
+#else
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // The child reports by exit code only and never returns into gtest.
+    const rlimit cap{1ull << 30, 1ull << 30};
+    if (::setrlimit(RLIMIT_AS, &cap) != 0) ::_exit(3);
+    int code = 0;
+    try {
+      auto parsed = ParseGraphs("graph 2000000000 0\nend");
+      if (parsed.ok()) {
+        code = 4;
+      } else if (parsed.status().code() != StatusCode::kInvalidArgument) {
+        code = 5;
+      } else if (parsed.status().message() !=
+                 "graph declared 2000000000 nodes but 0 given") {
+        code = 6;
+      }
+    } catch (const std::bad_alloc&) {
+      code = 7;
+    }
+    ::_exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child died with signal "
+                                 << (WIFSIGNALED(status) ? WTERMSIG(status)
+                                                         : 0);
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "7 = std::bad_alloc";
+#endif
 }
 
 }  // namespace

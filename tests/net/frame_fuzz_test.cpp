@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -146,6 +147,40 @@ TEST_F(FrameFuzzTest, EveryTruncationPointIsSafe) {
   }
 }
 
+// netcat-style CRLF line ends frame exactly like LF ones: each line's CR
+// is dropped from the frame and from the max_frame_bytes measure.
+TEST_F(FrameFuzzTest, CrLfLinesFrameLikeLfLines) {
+  const std::string stream = RandomStream(/*seed=*/4, /*requests=*/20);
+  std::string crlf;
+  for (char c : stream) {
+    crlf += c == '\n' ? std::string("\r\n") : std::string(1, c);
+  }
+  std::vector<std::string> want;
+  size_t largest = 0;
+  {
+    RequestFramer framer;
+    framer.Feed(stream.data(), stream.size());
+    std::string frame, error;
+    while (framer.Pop(&frame, &error) == RequestFramer::Next::kFrame) {
+      largest = std::max(largest, frame.size());
+      want.push_back(frame);
+    }
+  }
+  RequestFramer::Limits limits;
+  limits.max_frame_bytes = largest;
+  RequestFramer framer(limits);
+  for (size_t off = 0; off < crlf.size(); off += 7) {
+    framer.Feed(crlf.data() + off, std::min<size_t>(7, crlf.size() - off));
+  }
+  std::string frame, error;
+  std::vector<std::string> got;
+  while (framer.Pop(&frame, &error) == RequestFramer::Next::kFrame) {
+    got.push_back(frame);
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_TRUE(framer.idle());
+}
+
 // Oversized keyword line: the framer answers a protocol-shaped "err" and
 // goes terminally broken (resync inside unknown bytes is unsafe).
 TEST_F(FrameFuzzTest, OversizedLineBreaksWithErr) {
@@ -222,8 +257,9 @@ TEST_F(FrameFuzzTest, JumboPipelinedBatchOverSocket) {
 // A complete frame whose payload carries malformed numerics must answer
 // "err" and KEEP THE STREAM ALIVE — the satellite-4 hardening regression
 // at the socket level (std::stoi would have crashed the server here). So
-// must `open <dir>`, which is no verb: a client cannot make the server
-// create or lock a store directory.
+// must a graph with more node lines than it declares, and `open <dir>`,
+// which is no verb: a client cannot make the server create or lock a
+// store directory.
 TEST_F(FrameFuzzTest, MalformedNumericPayloadAnswersErrAndStreamSurvives) {
   auto service = FreshService();
   TestServer server(service.get());
@@ -238,6 +274,12 @@ TEST_F(FrameFuzzTest, MalformedNumericPayloadAnswersErrAndStreamSurvives) {
   ASSERT_TRUE(client.SendAll("labelsof\ngraph 2 zero\nend\n"));
   line = client.RecvLines(1);
   EXPECT_TRUE(StartsWith(line, "err")) << line;
+  // And for a node line past the declared count that carries a feature,
+  // which the graph parser used to write past its feature table.
+  ASSERT_TRUE(
+      client.SendAll("labelsof\ngraph 1 0\nn 0 0\nn 1 0 0.5\nend\n"));
+  EXPECT_EQ(client.RecvLines(1),
+            "err line 3: node 1 is past the 1 nodes the graph declared\n");
   const std::string dir =
       ::testing::TempDir() + StrFormat("/gvex_open_%d", ::getpid());
   std::filesystem::remove_all(dir);

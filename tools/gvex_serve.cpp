@@ -24,6 +24,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "explain/view_io.h"
 #include "graph/graph_io.h"
@@ -61,14 +62,14 @@ void ServeStream(ViewService* service, std::istream& in) {
   while (std::getline(in, line)) {
     if (Trim(line).empty()) continue;
     std::string chunk = line + "\n";
-    const auto head = SplitWhitespace(Trim(line));
-    std::string terminator;
-    const int blocks = ServeRequestShape(head, &terminator);
+    std::string_view terminator;
+    const int blocks =
+        ServeRequestShape(SplitWhitespaceView(TrimView(line)), &terminator);
     for (int b = 0; b < blocks; ++b) {
       std::string payload;
       while (std::getline(in, payload)) {
         chunk += payload + "\n";
-        if (Trim(payload) == terminator) break;
+        if (TrimView(payload) == terminator) break;
       }
     }
     bool quit = false;

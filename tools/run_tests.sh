@@ -7,9 +7,9 @@
 #   tools/run_tests.sh --with-bench  # suite + parallel-bench baseline gate
 #                                    # (tools/run_bench_baseline.sh)
 #   tools/run_tests.sh --sanitize    # ASan+UBSan lane only: builds the
-#                                    # util + serve + store + net + obs +
-#                                    # pattern + gnn + explain suites in
-#                                    # build-asan
+#                                    # util + graph + serve + store + net +
+#                                    # obs + pattern + gnn + explain suites
+#                                    # in build-asan
 #                                    # (GVEX_SANITIZE=address) and runs them
 #   tools/run_tests.sh --tsan        # ThreadSanitizer lane only: builds
 #                                    # the util + net + serve + obs + store
@@ -88,7 +88,8 @@ sigterm_smoke() {
 # durable store + TCP front-end suites (the subsystems with the hairiest
 # pointer/lifetime traffic: shared postings, WAL replay, snapshot buffers,
 # nonblocking socket sessions), the util suite (util/file_io holds the
-# store's syscall-level code), the pattern suite (the miner's occurrence
+# store's syscall-level code), the graph suite (the text parser every TCP
+# payload block goes through), the pattern suite (the miner's occurrence
 # lists and the coverage masks Psum reads) and the gnn + explain suites (the
 # exact influence kernel indexes raw flat Jacobian buffers) without paying
 # for an instrumented build of everything else.
@@ -98,9 +99,11 @@ if [[ "${sanitize}" == 1 ]]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGVEX_SANITIZE=address \
     -DGVEX_BUILD_BENCH=OFF -DGVEX_BUILD_EXAMPLES=OFF
   cmake --build "${asan_dir}" -j "${jobs}" \
-    --target gvex_util_test gvex_serve_test gvex_store_test gvex_net_test \
-      gvex_obs_test gvex_pattern_test gvex_gnn_test gvex_explain_test
+    --target gvex_util_test gvex_graph_test gvex_serve_test gvex_store_test \
+      gvex_net_test gvex_obs_test gvex_pattern_test gvex_gnn_test \
+      gvex_explain_test
   "${asan_dir}/tests/gvex_util_test"
+  "${asan_dir}/tests/gvex_graph_test"
   "${asan_dir}/tests/gvex_serve_test"
   "${asan_dir}/tests/gvex_store_test"
   "${asan_dir}/tests/gvex_net_test"
